@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"tokendrop/internal/assign"
-	"tokendrop/internal/bounded"
 	"tokendrop/internal/graph"
 	"tokendrop/internal/matching"
 	"tokendrop/internal/semimatch"
@@ -18,10 +17,12 @@ type (
 	AssignOptions = assign.Options
 	// AssignResult carries the assignment, phase log, and round counts.
 	AssignResult = assign.Result
-	// BoundedOptions configure KBoundedAssignment (K = 0 means 2).
-	BoundedOptions = bounded.Options
-	// BoundedResult carries the k-bounded assignment and statistics.
-	BoundedResult = bounded.Result
+	// BoundedOptions configure KBoundedAssignment (K = 0 means 2); they
+	// are AssignOptions.
+	BoundedOptions = assign.Options
+	// BoundedResult carries the k-bounded assignment and statistics; it
+	// is AssignResult.
+	BoundedResult = assign.Result
 	// MatchingResult carries a maximal matching and its round count.
 	MatchingResult = matching.Result
 	// FlatBipartite is a CSR-form customer/server network — the input of
@@ -33,11 +34,11 @@ type (
 	// indices, per-server loads) plus the phase log and round counts.
 	AssignShardedResult = assign.ShardedResult
 	// BoundedShardedOptions configure KBoundedAssignmentSharded (K = 0
-	// means 2).
-	BoundedShardedOptions = bounded.ShardedOptions
+	// means 2); they are AssignShardedOptions.
+	BoundedShardedOptions = assign.ShardedOptions
 	// BoundedShardedResult carries the flat k-bounded assignment and
-	// statistics.
-	BoundedShardedResult = bounded.ShardedResult
+	// statistics; it is AssignShardedResult.
+	BoundedShardedResult = assign.ShardedResult
 )
 
 // NewBipartite wraps g as a customer/server network: vertices
@@ -67,9 +68,13 @@ func StableAssignment(b *Bipartite, opt AssignOptions) (*AssignResult, error) {
 
 // KBoundedAssignment solves the k-bounded relaxation of Section 7.3
 // (loads above k are indistinguishable); with the default k = 2 this is
-// the 0–1–many problem solved in O(C·S²) rounds (Theorem 7.5).
+// the 0–1–many problem solved in O(C·S²) rounds (Theorem 7.5). It is
+// StableAssignment with opt.K, defaulted to 2.
 func KBoundedAssignment(b *Bipartite, opt BoundedOptions) (*BoundedResult, error) {
-	return bounded.Solve(b, opt)
+	if opt.K == 0 {
+		opt.K = 2
+	}
+	return assign.Solve(b, opt)
 }
 
 // StableAssignmentSharded computes a stable assignment of a CSR-form
@@ -84,9 +89,13 @@ func StableAssignmentSharded(fb *FlatBipartite, opt AssignShardedOptions) (*Assi
 // KBoundedAssignmentSharded solves the k-bounded relaxation on the sharded
 // flat runtime; with the default k = 2 each phase's game runs on the
 // specialized three-level flat solver (Theorem 7.5). Under TieFirstPort
-// the run is bit-identical to KBoundedAssignment on the same network.
+// the run is bit-identical to KBoundedAssignment on the same network. It
+// is StableAssignmentSharded with opt.K, defaulted to 2.
 func KBoundedAssignmentSharded(fb *FlatBipartite, opt BoundedShardedOptions) (*BoundedShardedResult, error) {
-	return bounded.SolveSharded(fb, opt)
+	if opt.K == 0 {
+		opt.K = 2
+	}
+	return assign.SolveSharded(fb, opt)
 }
 
 // NewFlatBipartite converts a pointer-based customer/server network to CSR
@@ -115,13 +124,13 @@ func PowerLawBipartiteFlat(nl, nr int, alpha float64, maxDeg int, rng *rand.Rand
 // MatchingFromBounded applies the Theorem 7.4 post-processing: a 2-bounded
 // stable assignment becomes a maximal matching (every server keeps one
 // assigned customer).
-func MatchingFromBounded(a *Assignment) []int { return bounded.ReduceToMatching(a) }
+func MatchingFromBounded(a *Assignment) []int { return assign.ReduceToMatching(a) }
 
 // MatchingFromBoundedSharded is MatchingFromBounded for the flat runtime:
 // it reduces a 2-bounded sharded result to a maximal matching without
 // materializing the object assignment.
 func MatchingFromBoundedSharded(r *BoundedShardedResult) []int {
-	return bounded.ReduceToMatchingSharded(r)
+	return assign.ReduceToMatchingSharded(r)
 }
 
 // MaximalMatching computes a maximal matching of b with the distributed

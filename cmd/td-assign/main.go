@@ -84,52 +84,32 @@ func main() {
 	fmt.Printf("network: customers=%d servers=%d C=%d S=%d engine=%s\n",
 		b.NumCustomers(), b.NumServers(), b.MaxCustomerDegree(), b.MaxServerDegree(), *engine)
 
-	// loadVec collects the per-server loads for -loads; the sharded paths
-	// fill it from the flat result directly, so the histogram never forces
-	// an object-graph materialization (only -optimal does).
+	// loadVec collects the per-server loads for -loads; the sharded path
+	// fills it from the flat result directly, so the histogram never
+	// forces an object-graph materialization (only -optimal does).
 	var a *tokendrop.Assignment
 	var loadVec []int
-	switch {
-	case *engine == "sharded" && *kbounded:
-		fb := tokendrop.NewFlatBipartite(b)
-		sopt := tokendrop.BoundedShardedOptions{
-			K: *k, Seed: *seed, Shards: *shards, CheckInvariants: true,
+	// threshold is the solve's K: 0 for the general problem, -k (default
+	// 2) for the k-bounded relaxation.
+	threshold := 0
+	if *kbounded {
+		threshold = *k
+		if threshold == 0 {
+			threshold = 2
 		}
-		meta := recordMeta(*nc, *ns, *cdeg, *seed, *shards)
-		if *record != "" {
-			buf := new(tokendrop.BoundedSnapshot)
-			sopt.SnapshotEvery = 1
-			sopt.SnapshotInto = buf
-			sopt.OnSnapshot = func(s *tokendrop.BoundedSnapshot) error {
-				return saveRecordSnapshot(*record, tokendrop.BoundedSnapshotJSON(s, fb, meta))
-			}
-		}
-		res, err := tokendrop.KBoundedAssignmentSharded(fb, sopt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *record != "" {
-			final := &tokendrop.BoundedSnapshot{
-				K: res.K, Phase: res.Phases, Rounds: res.Rounds,
-				ServerOf: res.ServerOf, Load: res.Load, PhaseLog: res.PhaseLog,
-			}
-			finishRecord(*record, tokendrop.BoundedSnapshotJSON(final, fb, meta))
-		}
-		fmt.Printf("%d-bounded stable assignment (Thm 7.5, sharded): phases=%d rounds=%d k-stable=%v\n",
-			res.K, res.Phases, res.Rounds, res.KStable())
-		matchOf := tokendrop.MatchingFromBoundedSharded(res)
-		err = tokendrop.VerifyMaximalMatching(b, matchOf)
+	}
+	// reportBounded prints the k-bounded verdict and the Theorem 7.4
+	// reduction of a k-bounded run.
+	reportBounded := func(engine string, k, phases, rounds int, kStable bool, matchOf []int) {
+		fmt.Printf("%d-bounded stable assignment (Thm 7.5%s): phases=%d rounds=%d k-stable=%v\n",
+			k, engine, phases, rounds, kStable)
+		err := tokendrop.VerifyMaximalMatching(b, matchOf)
 		fmt.Printf("Theorem 7.4 reduction to maximal matching: valid=%v\n", err == nil)
-		for _, l := range res.Load {
-			loadVec = append(loadVec, int(l))
-		}
-		if *optimal {
-			a = res.Assignment()
-		}
-	case *engine == "sharded":
+	}
+	if *engine == "sharded" {
 		fb := tokendrop.NewFlatBipartite(b)
 		sopt := tokendrop.AssignShardedOptions{
-			Seed: *seed, Shards: *shards, CheckInvariants: true,
+			K: threshold, Seed: *seed, Shards: *shards, CheckInvariants: true,
 		}
 		meta := recordMeta(*nc, *ns, *cdeg, *seed, *shards)
 		if *record != "" {
@@ -146,38 +126,36 @@ func main() {
 		}
 		if *record != "" {
 			final := &tokendrop.AssignSnapshot{
-				Phase: res.Phases, Rounds: res.Rounds,
+				K: res.K, Phase: res.Phases, Rounds: res.Rounds,
 				ServerOf: res.ServerOf, Load: res.Load, PhaseLog: res.PhaseLog,
 			}
 			finishRecord(*record, tokendrop.AssignSnapshotJSON(final, fb, meta))
 		}
-		fmt.Printf("stable assignment (Thm 7.3, sharded): phases=%d rounds=%d stable=%v cost=%d\n",
-			res.Phases, res.Rounds, res.Stable(), res.SemimatchingCost())
+		if *kbounded {
+			reportBounded(", sharded", res.K, res.Phases, res.Rounds, res.KStable(),
+				tokendrop.MatchingFromBoundedSharded(res))
+		} else {
+			fmt.Printf("stable assignment (Thm 7.3, sharded): phases=%d rounds=%d stable=%v cost=%d\n",
+				res.Phases, res.Rounds, res.Stable(), res.SemimatchingCost())
+		}
 		for _, l := range res.Load {
 			loadVec = append(loadVec, int(l))
 		}
 		if *optimal {
 			a = res.Assignment()
 		}
-	case *kbounded:
-		res, err := tokendrop.KBoundedAssignment(b, tokendrop.BoundedOptions{K: *k, Seed: *seed, CheckInvariants: true})
+	} else {
+		res, err := tokendrop.StableAssignment(b, tokendrop.AssignOptions{K: threshold, Seed: *seed, CheckInvariants: true})
 		if err != nil {
 			log.Fatal(err)
 		}
 		a = res.Assignment
-		fmt.Printf("%d-bounded stable assignment (Thm 7.5): phases=%d rounds=%d k-stable=%v\n",
-			res.K, res.Phases, res.Rounds, a.KStable(res.K))
-		matchOf := tokendrop.MatchingFromBounded(a)
-		err = tokendrop.VerifyMaximalMatching(b, matchOf)
-		fmt.Printf("Theorem 7.4 reduction to maximal matching: valid=%v\n", err == nil)
-	default:
-		res, err := tokendrop.StableAssignment(b, tokendrop.AssignOptions{Seed: *seed, CheckInvariants: true})
-		if err != nil {
-			log.Fatal(err)
+		if *kbounded {
+			reportBounded("", res.K, res.Phases, res.Rounds, a.KStable(res.K), tokendrop.MatchingFromBounded(a))
+		} else {
+			fmt.Printf("stable assignment (Thm 7.3): phases=%d rounds=%d stable=%v cost=%d\n",
+				res.Phases, res.Rounds, a.Stable(), a.SemimatchingCost())
 		}
-		a = res.Assignment
-		fmt.Printf("stable assignment (Thm 7.3): phases=%d rounds=%d stable=%v cost=%d\n",
-			res.Phases, res.Rounds, a.Stable(), a.SemimatchingCost())
 	}
 
 	if *optimal {

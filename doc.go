@@ -51,16 +51,18 @@
 //     flat arrays over a FlatGraph (CSR) and plays each phase's token
 //     dropping subgame on the sharded engine — ~4–5× the seed engine's
 //     throughput at 10⁵–10⁶ vertices on one core (experiment E23);
-//   - assignment: StableAssignmentSharded and KBoundedAssignmentSharded
-//     run the Theorem 7.3 and 7.5 phase loops over a FlatBipartite (CSR
-//     customer/server network), playing each phase's hypergraph subgame
-//     on the flat ports of the Theorem 7.1/7.5 relay protocols — ~5× the
-//     seed engine at 10⁵ customers (experiment E24), with 10⁶-customer
-//     instances solved in seconds on one core.
+//   - assignment: StableAssignmentSharded runs the Theorem 7.3 phase loop
+//     over a FlatBipartite (CSR customer/server network), and with a
+//     threshold K the Theorem 7.5 k-bounded relaxation
+//     (KBoundedAssignmentSharded is the K = 2 default), playing each
+//     phase's hypergraph subgame on the flat ports of the Theorem 7.1/7.5
+//     relay protocols — ~5× the seed engine at 10⁵ customers (experiment
+//     E24), with 10⁶-customer instances solved in seconds on one core.
 //
-// Per-layer differential suites (internal/orient, internal/assign,
-// internal/bounded, internal/hypergame) assert bit-identical phase logs,
-// round counts, and final outputs under first-port tie-breaking;
+// Per-layer differential suites (internal/orient, internal/assign and
+// its k-bounded suite internal/bounded, internal/hypergame) assert
+// bit-identical phase logs, round counts, and final outputs under
+// first-port tie-breaking;
 // RandomRegularFlat, PowerLawFlat, and PowerLawBipartiteFlat generate
 // million-vertex workloads directly in CSR form. With the assignment
 // layer ported, every algorithm layer of the paper runs on both engines;

@@ -8,6 +8,17 @@
 // for customer degree C and server degree S (doc.go's Theorem 7.3 bound;
 // Lemma 7.2 bounds the phases by C·S + 1).
 //
+// The same phase loop solves the k-bounded relaxation of Section 7.3
+// (Options.K, ShardedOptions.K): all loads above a threshold k count the
+// same, so a customer is unhappy only if its server has load ℓ and some
+// adjacent server has load at most min(k, ℓ) - 2. The loop then runs on
+// effective loads min(load, k) throughout. For k = 2, the 0–1–many
+// version of Section 1.4, every phase's game has the three levels
+// {0, 1, 2}, and the specialized hypergraph solver
+// (hypergame.SolveThreeLevel) finishes it in O(S) rounds. That gives the
+// Theorem 7.5 total of O(C·S²), a factor-S² improvement over the general
+// problem's O(C·S⁴).
+//
 // The layer runs on both LOCAL runtimes: Solve on the seed object engine
 // (this file), SolveSharded on the sharded flat engine (flat.go). Under
 // first-port tie-breaking the two produce bit-identical runs, which the
@@ -16,6 +27,7 @@ package assign
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"tokendrop/internal/graph"
@@ -24,6 +36,11 @@ import (
 
 // Options configure Solve.
 type Options struct {
+	// K is the load threshold of the k-bounded relaxation: 0 solves the
+	// general problem, K ≥ 2 runs on effective loads min(load, K) and
+	// plays games of at most three levels on the three-level solver.
+	// K = 1 is rejected (the problem degenerates).
+	K int
 	// RandomTies randomizes proposal acceptance and the game's choices.
 	RandomTies bool
 	// Seed drives all randomized tie-breaking.
@@ -47,13 +64,15 @@ type PhaseRecord struct {
 	GameEdges   int // badness-1 customers in the game
 	GameRounds  int
 	TokensMoved int
-	MaxBadness  int // after the phase (must be ≤ 1)
+	MaxBadness  int // after the phase, on effective loads (must be ≤ 1)
 }
 
 // Result is the outcome of Solve.
 type Result struct {
 	Assignment *graph.Assignment
-	Phases     int
+	// K is the threshold the solve ran with (0 = unbounded).
+	K      int
+	Phases int
 	// Rounds counts communication rounds on the adaptive schedule: two
 	// per phase (load broadcast, accept notification) plus the game's
 	// rounds on the customer/server incidence network.
@@ -61,8 +80,27 @@ type Result struct {
 	PhaseLog []PhaseRecord
 }
 
-// Solve computes a stable assignment for b.
+// loadCap validates a threshold option and returns the level loads are
+// truncated at: k itself for the k-bounded relaxation, math.MaxInt32 (no
+// truncation) for the general problem (k = 0).
+func loadCap(k int) (int32, error) {
+	switch {
+	case k == 0:
+		return math.MaxInt32, nil
+	case k < 2:
+		return 0, fmt.Errorf("assign: threshold k = %d below 2", k)
+	}
+	return int32(min(k, math.MaxInt32)), nil
+}
+
+// Solve computes a stable assignment for b (k-bounded stable when
+// opt.K > 0).
 func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
+	k32, err := loadCap(opt.K)
+	if err != nil {
+		return nil, err
+	}
+	k := int(k32)
 	for c := 0; c < b.NumLeft; c++ {
 		if b.G.Degree(c) == 0 {
 			return nil, fmt.Errorf("assign: customer %d has no adjacent server", c)
@@ -76,7 +114,7 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	a := graph.NewAssignment(b)
-	res := &Result{Assignment: a}
+	res := &Result{Assignment: a, K: opt.K}
 
 	for phase := 1; !a.Complete(); phase++ {
 		if phase > maxPhases {
@@ -85,8 +123,8 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 		rec := PhaseRecord{Phase: phase}
 
 		// Step 1 — every unassigned customer proposes to the adjacent
-		// server with the smallest load (ties to the smaller id, or
-		// seeded-random); one load-broadcast round.
+		// server with the smallest effective load (ties to the smaller
+		// id, or seeded-random); one load-broadcast round.
 		proposalsTo := make(map[int][]int) // server -> customers
 		for c := 0; c < b.NumLeft; c++ {
 			if a.Assigned(c) {
@@ -95,15 +133,15 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 			rec.Proposals++
 			best := -1
 			for _, arc := range b.G.Adj(c) {
-				if best < 0 || a.Load(arc.To) < a.Load(best) ||
-					(a.Load(arc.To) == a.Load(best) && arc.To < best) {
+				if best < 0 || a.EffectiveLoad(arc.To, k) < a.EffectiveLoad(best, k) ||
+					(a.EffectiveLoad(arc.To, k) == a.EffectiveLoad(best, k) && arc.To < best) {
 					best = arc.To
 				}
 			}
 			if opt.RandomTies {
 				var mins []int
 				for _, arc := range b.G.Adj(c) {
-					if a.Load(arc.To) == a.Load(best) {
+					if a.EffectiveLoad(arc.To, k) == a.EffectiveLoad(best, k) {
 						mins = append(mins, arc.To)
 					}
 				}
@@ -133,17 +171,17 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 		res.Rounds += 2
 
 		// Step 3 — build the hypergraph game: server vertices with levels
-		// = loads, hyperedges = assigned customers of badness exactly 1
-		// (heads = their servers), tokens at accepting servers.
+		// = effective loads, hyperedges = assigned customers of badness
+		// exactly 1 (heads = their servers), tokens at accepting servers.
 		levels := make([]int, b.NumServers())
 		for i := range levels {
-			levels[i] = a.Load(b.NumLeft + i)
+			levels[i] = a.EffectiveLoad(b.NumLeft+i, k)
 		}
 		var hedges [][]int
 		var heads []int
 		var gameCustomer []int
 		for c := 0; c < b.NumLeft; c++ {
-			if !a.Assigned(c) || b.G.Degree(c) < 2 || a.Badness(c) != 1 {
+			if !a.Assigned(c) || b.G.Degree(c) < 2 || a.KBadness(c, k) != 1 {
 				continue
 			}
 			e := make([]int, 0, b.G.Degree(c))
@@ -160,8 +198,14 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 		}
 		rec.GameEdges = len(hedges)
 
-		// Step 4 — play the game on the incidence network.
-		sol, stats, err := hypergame.SolveProposal(inst, hypergame.SolveOptions{
+		// Step 4 — play the game on the incidence network. A k-bounded
+		// game of at most three levels (every k = 2 game) runs on the
+		// specialized O(S)-round solver (Theorem 7.5).
+		solveGame := hypergame.SolveProposal
+		if opt.K > 0 && inst.Height() <= hypergame.ThreeLevelMaxLevel {
+			solveGame = hypergame.SolveThreeLevel
+		}
+		sol, stats, err := solveGame(inst, hypergame.SolveOptions{
 			RandomTies: opt.RandomTies,
 			Seed:       opt.Seed + int64(phase)*1_000_003,
 			Workers:    opt.Workers,
@@ -196,22 +240,36 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 		}
 
 		if opt.CheckInvariants {
-			if err := checkPhaseInvariants(b, a, loadsBefore, sol); err != nil {
+			if err := checkPhaseInvariants(b, a, loadsBefore, sol, k); err != nil {
 				return nil, fmt.Errorf("assign: phase %d: %w", phase, err)
 			}
 		}
-		rec.MaxBadness = a.MaxBadness()
+		rec.MaxBadness = maxKBadness(a, k)
 		res.PhaseLog = append(res.PhaseLog, rec)
 		res.Phases = phase
 	}
 	return res, nil
 }
 
+// maxKBadness returns the maximum badness on effective loads
+// min(load, k) over the assigned customers.
+func maxKBadness(a *graph.Assignment, k int) int {
+	max := 0
+	for c := 0; c < a.B.NumLeft; c++ {
+		if a.Assigned(c) {
+			if kb := a.KBadness(c, k); kb > max {
+				max = kb
+			}
+		}
+	}
+	return max
+}
+
 // checkPhaseInvariants enforces the Section 7.2 analogues of Lemmas 5.3
 // and 5.4: server loads grow by exactly one at token destinations and stay
-// put elsewhere, and no assigned customer has badness above 1 at the end
-// of a phase.
-func checkPhaseInvariants(b *graph.Bipartite, a *graph.Assignment, loadsBefore []int, sol *hypergame.Solution) error {
+// put elsewhere, and no assigned customer has badness (on effective loads)
+// above 1 at the end of a phase.
+func checkPhaseInvariants(b *graph.Bipartite, a *graph.Assignment, loadsBefore []int, sol *hypergame.Solution, k int) error {
 	isDest := make([]bool, b.NumServers())
 	for _, tr := range sol.Traversals() {
 		isDest[tr.Destination()] = true
@@ -226,8 +284,33 @@ func checkPhaseInvariants(b *graph.Bipartite, a *graph.Assignment, loadsBefore [
 				s, loadsBefore[s], a.Load(s), isDest[s-b.NumLeft])
 		}
 	}
-	if mb := a.MaxBadness(); mb > 1 {
+	if mb := maxKBadness(a, k); mb > 1 {
 		return fmt.Errorf("lemma 5.4 analogue violated: max badness %d", mb)
 	}
 	return a.CheckLoads()
+}
+
+// ReduceToMatching applies the Theorem 7.4 post-processing to a 2-bounded
+// stable assignment: interpret customer-to-server assignments as a
+// preliminary matching, and let every server with two or more assigned
+// customers keep exactly one (the smallest-numbered). The proof of
+// Theorem 7.4 shows the result is a maximal matching of the bipartite
+// graph; matchOf maps every vertex to its partner or -1.
+func ReduceToMatching(a *graph.Assignment) (matchOf []int) {
+	b := a.B
+	matchOf = make([]int, b.G.N())
+	for v := range matchOf {
+		matchOf[v] = -1
+	}
+	for c := 0; c < b.NumLeft; c++ {
+		s := a.ServerOf[c]
+		if s < 0 {
+			continue
+		}
+		if matchOf[s] < 0 { // server keeps its first (smallest) customer
+			matchOf[s] = c
+			matchOf[c] = s
+		}
+	}
+	return matchOf
 }

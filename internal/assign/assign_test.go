@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"tokendrop/internal/graph"
+	"tokendrop/internal/matching"
 )
 
 func bip(t *testing.T, g *graph.Graph, nl int) *graph.Bipartite {
@@ -17,6 +18,8 @@ func bip(t *testing.T, g *graph.Graph, nl int) *graph.Bipartite {
 	return b
 }
 
+// solve runs Solve with invariant checks on and demands a stable (at
+// opt.K > 0, k-bounded stable) assignment with consistent loads.
 func solve(t *testing.T, b *graph.Bipartite, opt Options) *Result {
 	t.Helper()
 	opt.CheckInvariants = true
@@ -24,8 +27,8 @@ func solve(t *testing.T, b *graph.Bipartite, opt Options) *Result {
 	if err != nil {
 		t.Fatalf("assign.Solve: %v", err)
 	}
-	if !res.Assignment.Stable() {
-		t.Fatal("assignment is not stable")
+	if opt.K == 0 && !res.Assignment.Stable() || opt.K > 0 && !res.Assignment.KStable(opt.K) {
+		t.Fatalf("assignment is not stable (k=%d)", opt.K)
 	}
 	if err := res.Assignment.CheckLoads(); err != nil {
 		t.Fatal(err)
@@ -49,6 +52,10 @@ func TestSolveTinyNetworks(t *testing.T) {
 	// Balanced: one customer per server.
 	if res.Assignment.Load(2) != 1 || res.Assignment.Load(3) != 1 {
 		t.Fatalf("loads %d/%d, want 1/1", res.Assignment.Load(2), res.Assignment.Load(3))
+	}
+	res = solve(t, bip(t, g2, 2), Options{K: 2})
+	if res.Assignment.Load(2)+res.Assignment.Load(3) != 2 {
+		t.Fatal("k=2: load conservation")
 	}
 }
 
@@ -115,16 +122,23 @@ func TestLemma72PhaseBound(t *testing.T) {
 	}
 }
 
+// TestBadnessInvariant: every phase ends at badness ≤ 1 — on effective
+// loads for a k-bounded solve — and makes progress.
 func TestBadnessInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := graph.RandomBipartite(30, 8, 3, rng)
-	res := solve(t, bip(t, g, 30), Options{Seed: 5})
-	for _, rec := range res.PhaseLog {
-		if rec.MaxBadness > 1 {
-			t.Fatalf("phase %d ended with badness %d", rec.Phase, rec.MaxBadness)
-		}
-		if rec.Proposals > 0 && rec.Accepted == 0 {
-			t.Fatalf("phase %d made no progress", rec.Phase)
+	for _, tc := range []struct {
+		k                  int
+		rngSeed, solveSeed int64
+	}{{0, 11, 5}, {2, 7, 1}} {
+		rng := rand.New(rand.NewSource(tc.rngSeed))
+		g := graph.RandomBipartite(30, 8, 3, rng)
+		res := solve(t, bip(t, g, 30), Options{K: tc.k, Seed: tc.solveSeed})
+		for _, rec := range res.PhaseLog {
+			if rec.MaxBadness > 1 {
+				t.Fatalf("k=%d: phase %d ended with badness %d", tc.k, rec.Phase, rec.MaxBadness)
+			}
+			if rec.Proposals > 0 && rec.Accepted == 0 {
+				t.Fatalf("k=%d: phase %d made no progress", tc.k, rec.Phase)
+			}
 		}
 	}
 }
@@ -133,15 +147,17 @@ func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := graph.RandomBipartite(20, 6, 3, rng)
 	b := bip(t, g, 20)
-	a := solve(t, b, Options{Seed: 99})
-	bb := solve(t, b, Options{Seed: 99})
-	for c := 0; c < 20; c++ {
-		if a.Assignment.ServerOf[c] != bb.Assignment.ServerOf[c] {
-			t.Fatal("same seed, different assignment")
+	for _, k := range []int{0, 2} {
+		a := solve(t, b, Options{K: k, Seed: 99})
+		bb := solve(t, b, Options{K: k, Seed: 99})
+		for c := 0; c < 20; c++ {
+			if a.Assignment.ServerOf[c] != bb.Assignment.ServerOf[c] {
+				t.Fatalf("k=%d: same seed, different assignment", k)
+			}
 		}
-	}
-	if a.Rounds != bb.Rounds {
-		t.Fatal("same seed, different rounds")
+		if a.Rounds != bb.Rounds {
+			t.Fatalf("k=%d: same seed, different rounds", k)
+		}
 	}
 }
 
@@ -168,7 +184,9 @@ func TestStableOrientationAsDegree2Assignment(t *testing.T) {
 	}
 }
 
-// Property: Solve yields stable assignments within the phase budget.
+// Property: Solve yields stable assignments within the phase budget, and
+// at k = 2 k-stable assignments whose Theorem 7.4 reduction is a maximal
+// matching.
 func TestSolveProperty(t *testing.T) {
 	check := func(seed int64, nlRaw, nrRaw, cRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -181,19 +199,16 @@ func TestSolveProperty(t *testing.T) {
 			return false
 		}
 		res, err := Solve(b, Options{Seed: seed, RandomTies: seed%2 == 0, CheckInvariants: true})
-		if err != nil {
+		if err != nil || !res.Assignment.Stable() {
 			return false
 		}
-		return res.Assignment.Stable()
+		res, err = Solve(b, Options{K: 2, Seed: seed, CheckInvariants: true})
+		if err != nil || !res.Assignment.KStable(2) {
+			return false
+		}
+		return matching.VerifyMaximal(b, ReduceToMatching(res.Assignment)) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -17,6 +17,9 @@ import (
 // every instance. TieRandom draws engine-specific streams, so those runs
 // are checked only against the solution-level oracles (hypergame.Verify on
 // every subgame, stability, capacity, and load-recount at the end).
+//
+// Every table also runs k-bounded cases (K ≥ 2): k = 2 plays each phase
+// game on the three-level solver, k > 2 on the generic one.
 
 // diffBipartite derives a seeded customer/server network from a case
 // index, cycling through the families the assignment experiments run on.
@@ -88,19 +91,23 @@ func diffBipartite(i int) (*graph.Bipartite, string) {
 }
 
 func TestDifferentialAssignEngines(t *testing.T) {
-	const cases = 105
-	for i := 0; i < cases; i++ {
-		b, name := diffBipartite(i)
-		seed := int64(400 + i)
-		tag := fmt.Sprintf("case %d (%s)", i, name)
+	const general, bounded = 105, 60
+	for i := 0; i < general+bounded; i++ {
+		j, k, seed := i, 0, int64(400+i)
+		if i >= general {
+			j = i - general
+			k, seed = 2+j%3, int64(600+j)
+		}
+		b, name := diffBipartite(j)
+		tag := fmt.Sprintf("case %d (%s, k=%d)", i, name, k)
 
-		seedRes, err := Solve(b, Options{Seed: seed, CheckInvariants: true})
+		seedRes, err := Solve(b, Options{K: k, Seed: seed, CheckInvariants: true})
 		if err != nil {
 			t.Fatalf("%s: seed engine: %v", tag, err)
 		}
 		fb := graph.NewCSRBipartiteFromBipartite(b)
 		flatRes, err := SolveSharded(fb, ShardedOptions{
-			Tie: core.TieFirstPort, Seed: seed, Shards: 1 + i%5,
+			K: k, Tie: core.TieFirstPort, Seed: seed, Shards: 1 + j%5,
 			CheckInvariants: true, VerifyGames: true,
 		})
 		if err != nil {
@@ -127,8 +134,11 @@ func TestDifferentialAssignEngines(t *testing.T) {
 				t.Fatalf("%s: load of server %d diverges", tag, s)
 			}
 		}
-		if !flatRes.Stable() {
+		if !flatRes.KStable() {
 			t.Fatalf("%s: sharded result not stable", tag)
+		}
+		if k > 0 && !seedRes.Assignment.KStable(k) {
+			t.Fatalf("%s: seed result not k-stable", tag)
 		}
 	}
 }
@@ -140,22 +150,28 @@ func TestDifferentialAssignEngines(t *testing.T) {
 // 5.3/5.4 analogues and the potential identity, and the final assignment
 // is complete, stable, and load-consistent.
 func TestDifferentialAssignTieRandom(t *testing.T) {
-	for i := 0; i < 40; i++ {
-		b, name := diffBipartite(i)
-		tag := fmt.Sprintf("case %d (%s)", i, name)
+	const general, bounded = 40, 30
+	for i := 0; i < general+bounded; i++ {
+		j, k, seed := i, 0, int64(1300+i)
+		if i >= general {
+			j = i - general
+			k, seed = 2+j%2, int64(1700+j)
+		}
+		b, name := diffBipartite(j)
+		tag := fmt.Sprintf("case %d (%s, k=%d)", i, name, k)
 		fb := graph.NewCSRBipartiteFromBipartite(b)
 		flatRes, err := SolveSharded(fb, ShardedOptions{
-			Tie: core.TieRandom, Seed: int64(1300 + i), Shards: 1 + i%4,
+			K: k, Tie: core.TieRandom, Seed: seed, Shards: 1 + j%4,
 			CheckInvariants: true, VerifyGames: true,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)
 		}
-		if !flatRes.Stable() {
+		if !flatRes.KStable() {
 			t.Fatalf("%s: not stable", tag)
 		}
 		a := flatRes.Assignment()
-		if !a.Stable() {
+		if k == 0 && !a.Stable() || k > 0 && !a.KStable(k) {
 			t.Fatalf("%s: materialized assignment not stable", tag)
 		}
 		if err := a.CheckLoads(); err != nil {
@@ -190,31 +206,38 @@ func TestAssignShardCountInvariance(t *testing.T) {
 // proposal/accept kernels, game-assembly marks, result scatter, and the
 // unassigned-list compaction run on Session.ParallelFor, so the whole
 // run must be bit-identical at shard counts 1, 2, and 8 under both tie
-// rules. TieRandom is the sharper check: the per-customer and
-// per-server draw streams of the owner-computes kernels must not depend
-// on the split.
+// rules, for the general problem and for both k-bounded subgame paths.
+// TieRandom is the sharper check: the per-customer and per-server draw
+// streams of the owner-computes kernels must not depend on the split.
 func TestAssignCentralStepInvariance(t *testing.T) {
-	for i := 0; i < 12; i++ {
-		b, name := diffBipartite(3 * i)
+	const general, bounded = 12, 10
+	for i := 0; i < general+bounded; i++ {
+		j, k, seed := i, 0, int64(700+i)
+		if i >= general {
+			j = i - general
+			k, seed = 2+j%2, int64(800+j)
+		}
+		b, name := diffBipartite(3 * j)
 		fb := graph.NewCSRBipartiteFromBipartite(b)
 		for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
+			tag := fmt.Sprintf("case %d (%s, k=%d) tie=%v", i, name, k, tie)
 			base, err := SolveSharded(fb, ShardedOptions{
-				Tie: tie, Seed: int64(700 + i), Shards: 1, CheckInvariants: true,
+				K: k, Tie: tie, Seed: seed, Shards: 1, CheckInvariants: true,
 			})
 			if err != nil {
-				t.Fatalf("case %d (%s) tie=%v shards=1: %v", i, name, tie, err)
+				t.Fatalf("%s shards=1: %v", tag, err)
 			}
 			for _, shards := range []int{2, 8} {
 				res, err := SolveSharded(fb, ShardedOptions{
-					Tie: tie, Seed: int64(700 + i), Shards: shards, CheckInvariants: true,
+					K: k, Tie: tie, Seed: seed, Shards: shards, CheckInvariants: true,
 				})
 				if err != nil {
-					t.Fatalf("case %d (%s) tie=%v shards=%d: %v", i, name, tie, shards, err)
+					t.Fatalf("%s shards=%d: %v", tag, shards, err)
 				}
 				if res.Rounds != base.Rounds || res.Phases != base.Phases ||
 					!slices.Equal(res.PhaseLog, base.PhaseLog) ||
 					!slices.Equal(res.ServerOf, base.ServerOf) || !slices.Equal(res.Load, base.Load) {
-					t.Fatalf("case %d (%s) tie=%v: shards=%d diverges from shards=1", i, name, tie, shards)
+					t.Fatalf("%s: shards=%d diverges from shards=1", tag, shards)
 				}
 			}
 		}
@@ -255,17 +278,29 @@ func TestSolveShardedCSRNative(t *testing.T) {
 	}
 }
 
-// TestSolveShardedErrors mirrors Solve's input validation.
+// TestSolveShardedErrors mirrors Solve's input validation, and checks
+// both engines reject thresholds below 2 other than 0.
 func TestSolveShardedErrors(t *testing.T) {
 	g := graph.New(3) // customer 0 isolated, customer 1 sees server 2
 	g.AddEdge(1, 2)
 	fb := graph.NewCSRBipartiteFromBipartite(graph.MustBipartite(g, 2))
-	if _, err := SolveSharded(fb, ShardedOptions{}); err == nil {
-		t.Fatal("no error for an isolated customer")
+	for _, k := range []int{0, 2} {
+		if _, err := SolveSharded(fb, ShardedOptions{K: k}); err == nil {
+			t.Fatalf("k=%d: no error for an isolated customer", k)
+		}
 	}
 	rng := rand.New(rand.NewSource(9))
 	b := graph.MustBipartite(graph.RandomBipartite(20, 4, 3, rng), 20)
-	if _, err := SolveSharded(graph.NewCSRBipartiteFromBipartite(b), ShardedOptions{MaxPhases: 1}); err == nil {
+	fb = graph.NewCSRBipartiteFromBipartite(b)
+	if _, err := SolveSharded(fb, ShardedOptions{MaxPhases: 1}); err == nil {
 		t.Fatal("no error when the phase budget is exceeded")
+	}
+	for _, k := range []int{1, -1} {
+		if _, err := SolveSharded(fb, ShardedOptions{K: k}); err == nil {
+			t.Fatalf("sharded engine accepted k = %d", k)
+		}
+		if _, err := Solve(b, Options{K: k}); err == nil {
+			t.Fatalf("seed engine accepted k = %d", k)
+		}
 	}
 }

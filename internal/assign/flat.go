@@ -2,6 +2,7 @@ package assign
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"tokendrop/internal/core"
@@ -46,9 +47,18 @@ import (
 // therefore so are the phase log, the round counts, and the final
 // assignment — which the differential suite in this package asserts on
 // ~100 bipartite instances.
+//
+// With K > 0 (the k-bounded relaxation) every pass reads effective loads
+// min(load, K) in place of loads, and, as in Solve, phase games of at most
+// hypergame.ThreeLevelMaxLevel levels run on the three-level flat solver
+// (the k = 2 case, where the O(S)-round bound comes from).
 
 // ShardedOptions configure a SolveSharded run.
 type ShardedOptions struct {
+	// K is the load threshold of the k-bounded relaxation, as in Options:
+	// 0 solves the general problem, K ≥ 2 runs on effective loads
+	// min(load, K), K = 1 is rejected.
+	K int
 	// Tie selects the tie-breaking rule. TieFirstPort runs are
 	// bit-identical to Solve with RandomTies false; TieRandom draws
 	// engine-specific streams (per-vertex splitmix64 instead of the seed
@@ -93,8 +103,9 @@ type ShardedOptions struct {
 	SnapshotInto *Snapshot
 	// ResumeFrom restores a snapshot's state and continues the solve from
 	// the phase after its cursor. The snapshot must come from a run on the
-	// same network with the same Tie and Seed; shape and consistency are
-	// validated, semantic mismatches surface as divergent results.
+	// same network with the same K, Tie, and Seed; shape, threshold, and
+	// consistency are validated, semantic mismatches surface as divergent
+	// results.
 	ResumeFrom *Snapshot
 
 	// Session, when non-nil, is the engine session every phase runs on;
@@ -151,10 +162,11 @@ type WarmStart struct {
 // customer's assignment lowers its server's load, which can push an
 // untouched neighbor's badness to 2 (its cheapest alternative got
 // cheaper), so the release cascades — any assigned customer whose
-// badness reaches 2 is released too, each release strictly shrinking the
-// assigned set until the remaining clean region is back at badness ≤ 1
-// (the inter-phase invariant the phase loop needs). Returns the
-// ascending unassigned list: the dirty customers plus the closure.
+// badness (on effective loads) reaches 2 is released too, each release
+// strictly shrinking the assigned set until the remaining clean region
+// is back at badness ≤ 1 (the inter-phase invariant the phase loop
+// needs). Returns the ascending unassigned list: the dirty customers
+// plus the closure.
 func (sc *SolveScratch) applyWarmStart(ws *WarmStart) ([]int32, error) {
 	fb := sc.fb
 	serverOf, load, unassigned := sc.serverOf, sc.load, sc.unassigned
@@ -211,7 +223,7 @@ func (sc *SolveScratch) applyWarmStart(ws *WarmStart) ([]int32, error) {
 	// neighborhood: only customers incident to a load-dropped server are
 	// ever re-examined (a release at server d can only raise badness at
 	// customers that can see d).
-	csr := fb.C
+	csr, k := fb.C, sc.k
 	dropped := sc.dropped[:0]
 	for _, c := range ws.Dirty {
 		if so := ws.ServerOf[c]; so >= 0 {
@@ -229,13 +241,13 @@ func (sc *SolveScratch) applyWarmStart(ws *WarmStart) ([]int32, error) {
 				continue
 			}
 			alo, ahi := csr.ArcRange(int(c))
-			min := int32(-1)
+			least := int32(-1)
 			for j := alo; j < ahi; j++ {
-				if l := load[int(csr.Col[j])-nl]; min < 0 || l < min {
-					min = l
+				if l := min(load[int(csr.Col[j])-nl], k); least < 0 || l < least {
+					least = l
 				}
 			}
-			if load[so]-min < 2 {
+			if min(load[so], k)-least < 2 {
 				continue
 			}
 			load[so]--
@@ -255,8 +267,11 @@ type ShardedResult struct {
 	// ServerOf holds the assigned server of every customer as an index in
 	// [0, NumServers); -1 never occurs in a completed run.
 	ServerOf []int32
-	// Load holds the final number of customers per server index.
-	Load   []int32
+	// Load holds the final (true, untruncated) number of customers per
+	// server index.
+	Load []int32
+	// K is the threshold the solve ran with (0 = unbounded).
+	K      int
 	Phases int
 	// Rounds counts communication rounds on the adaptive schedule: two per
 	// phase (load broadcast, accept notification) plus the game's rounds
@@ -277,20 +292,35 @@ type ShardedResult struct {
 // Bipartite returns the flat network the result was computed on.
 func (r *ShardedResult) Bipartite() *graph.CSRBipartite { return r.fb }
 
-// MaxBadness returns the maximum badness over assigned customers.
+// MaxBadness returns the maximum badness over assigned customers, on
+// true loads whatever the threshold.
 func (r *ShardedResult) MaxBadness() int {
-	return int(flatMaxBadness(r.fb, r.ServerOf, r.Load))
+	return int(flatMaxBadness(r.fb, r.ServerOf, r.Load, math.MaxInt32))
 }
 
 // Stable reports the stable assignment condition of Section 7: every
 // customer is assigned and none can lower its server's load by switching.
-func (r *ShardedResult) Stable() bool {
+func (r *ShardedResult) Stable() bool { return r.stableAt(math.MaxInt32) }
+
+// KStable reports whether the assignment solves the k-bounded stable
+// assignment problem at the result's threshold K: complete, and no
+// customer on a server of load ℓ has a neighbor of load at most
+// min(K, ℓ) - 2 (Section 7.3), i.e. badness on effective loads at most 1.
+// With K = 0 it is Stable.
+func (r *ShardedResult) KStable() bool {
+	k, _ := loadCap(r.K)
+	return r.stableAt(k)
+}
+
+// stableAt reports a complete assignment with badness at most 1 on loads
+// truncated at k.
+func (r *ShardedResult) stableAt(k int32) bool {
 	for _, s := range r.ServerOf {
 		if s < 0 {
 			return false
 		}
 	}
-	return r.MaxBadness() <= 1
+	return flatMaxBadness(r.fb, r.ServerOf, r.Load, k) <= 1
 }
 
 // SemimatchingCost returns Σ_s f(load(s)) with f(x) = x(x+1)/2, the
@@ -317,9 +347,33 @@ func (r *ShardedResult) Assignment() *graph.Assignment {
 	return a
 }
 
-// flatMaxBadness returns the maximum badness over assigned customers
-// (load of the assigned server minus the minimum adjacent load).
-func flatMaxBadness(fb *graph.CSRBipartite, serverOf, load []int32) int32 {
+// ReduceToMatchingSharded applies the Theorem 7.4 post-processing to a
+// flat 2-bounded stable assignment: every server with assigned customers
+// keeps exactly the smallest-numbered one. matchOf maps every vertex
+// (customers first, then servers at NumLeft+s) to its partner or -1,
+// matching ReduceToMatching's convention.
+func ReduceToMatchingSharded(r *ShardedResult) (matchOf []int) {
+	nl := r.fb.NumLeft
+	matchOf = make([]int, r.fb.C.N())
+	for v := range matchOf {
+		matchOf[v] = -1
+	}
+	for c, s := range r.ServerOf {
+		if s < 0 {
+			continue
+		}
+		if matchOf[nl+int(s)] < 0 { // server keeps its first (smallest) customer
+			matchOf[nl+int(s)] = c
+			matchOf[c] = nl + int(s)
+		}
+	}
+	return matchOf
+}
+
+// flatMaxBadness returns the maximum badness over assigned customers on
+// loads truncated at k (effective load of the assigned server minus the
+// minimum adjacent effective load); k = math.MaxInt32 gives true badness.
+func flatMaxBadness(fb *graph.CSRBipartite, serverOf, load []int32, k int32) int32 {
 	csr := fb.C
 	nl := fb.NumLeft
 	max := int32(0)
@@ -329,13 +383,13 @@ func flatMaxBadness(fb *graph.CSRBipartite, serverOf, load []int32) int32 {
 			continue
 		}
 		lo, hi := csr.ArcRange(c)
-		min := int32(-1)
+		least := int32(-1)
 		for i := lo; i < hi; i++ {
-			if l := load[int(csr.Col[i])-nl]; min < 0 || l < min {
-				min = l
+			if l := min(load[int(csr.Col[i])-nl], k); least < 0 || l < least {
+				least = l
 			}
 		}
-		if b := load[so] - min; b > max {
+		if b := min(load[so], k) - least; b > max {
 			max = b
 		}
 	}
@@ -353,6 +407,7 @@ type SolveScratch struct {
 	// Per-solve bindings the kernels read through the scratch pointer.
 	fb  *graph.CSRBipartite
 	tie core.TieBreak
+	k   int32 // loads are truncated at k (math.MaxInt32 when unbounded)
 
 	serverOf   []int32
 	load       []int32
@@ -394,10 +449,11 @@ func (sc *SolveScratch) ensureKernels() {
 	}
 
 	// Step 1: every unassigned customer proposes to the adjacent server
-	// with the smallest load (ties to the smaller id, or seeded-random) —
-	// independent per customer, sharded over the unassigned list.
+	// with the smallest effective load (ties to the smaller id, or
+	// seeded-random) — independent per customer, sharded over the
+	// unassigned list.
 	sc.propose = func(sh, lo, hi int) {
-		csr, nl, load := sc.fb.C, sc.fb.NumLeft, sc.load
+		csr, nl, load, k := sc.fb.C, sc.fb.NumLeft, sc.load, sc.k
 		for idx := lo; idx < hi; idx++ {
 			c := sc.unassigned[idx]
 			alo, ahi := csr.ArcRange(int(c))
@@ -405,7 +461,7 @@ func (sc *SolveScratch) ensureKernels() {
 			bestLoad := int32(0)
 			for i := alo; i < ahi; i++ {
 				s := csr.Col[i] - int32(nl)
-				if l := load[s]; best < 0 || l < bestLoad || (l == bestLoad && s < best) {
+				if l := min(load[s], k); best < 0 || l < bestLoad || (l == bestLoad && s < best) {
 					best, bestLoad = s, l
 				}
 			}
@@ -414,7 +470,7 @@ func (sc *SolveScratch) ensureKernels() {
 				count := 0
 				for i := alo; i < ahi; i++ {
 					s := csr.Col[i] - int32(nl)
-					if load[s] != bestLoad {
+					if min(load[s], k) != bestLoad {
 						continue
 					}
 					count++
@@ -475,12 +531,12 @@ func (sc *SolveScratch) ensureKernels() {
 		sc.partAccepted[sh] = accepted
 	}
 
-	// Step 3's filter over customers: the min-load adjacency scan is the
+	// Step 3's filter over customers: the min-level adjacency scan is the
 	// expensive part and runs on the kernels; the order-dependent
 	// hyperedge insertion that follows is a sequential scan of the marks
 	// (customer-id order is what matches the object network's ports).
 	sc.mark = func(sh, lo, hi int) {
-		csr, nl, load := sc.fb.C, sc.fb.NumLeft, sc.load
+		csr, nl, level := sc.fb.C, sc.fb.NumLeft, sc.gameLevel
 		for c := lo; c < hi; c++ {
 			so := sc.serverOf[c]
 			if so < 0 {
@@ -492,13 +548,13 @@ func (sc *SolveScratch) ensureKernels() {
 				sc.include[c] = 0
 				continue
 			}
-			min := int32(-1)
+			least := int32(-1)
 			for i := alo; i < ahi; i++ {
-				if l := load[int(csr.Col[i])-nl]; min < 0 || l < min {
-					min = l
+				if l := level[int(csr.Col[i])-nl]; least < 0 || l < least {
+					least = l
 				}
 			}
-			if load[so]-min == 1 {
+			if level[so]-least == 1 {
 				sc.include[c] = 1
 			} else {
 				sc.include[c] = 0
@@ -533,10 +589,10 @@ func (sc *SolveScratch) ensureKernels() {
 		sc.partKept[sh] = int32(w - lo)
 	}
 
-	// The per-phase max-badness recount of the phase log, as a
-	// max-reduction over customers.
+	// The per-phase max-badness recount of the phase log (on effective
+	// loads), as a max-reduction over customers.
 	sc.badness = func(sh, lo, hi int) {
-		csr, nl, load := sc.fb.C, sc.fb.NumLeft, sc.load
+		csr, nl, load, k := sc.fb.C, sc.fb.NumLeft, sc.load, sc.k
 		max := int32(0)
 		for c := lo; c < hi; c++ {
 			so := sc.serverOf[c]
@@ -544,13 +600,13 @@ func (sc *SolveScratch) ensureKernels() {
 				continue
 			}
 			alo, ahi := csr.ArcRange(c)
-			min := int32(-1)
+			least := int32(-1)
 			for i := alo; i < ahi; i++ {
-				if l := load[int(csr.Col[i])-nl]; min < 0 || l < min {
-					min = l
+				if l := min(load[int(csr.Col[i])-nl], k); least < 0 || l < least {
+					least = l
 				}
 			}
-			if b := load[so] - min; b > max {
+			if b := min(load[so], k) - least; b > max {
 				max = b
 			}
 		}
@@ -558,11 +614,16 @@ func (sc *SolveScratch) ensureKernels() {
 	}
 }
 
-// SolveSharded runs the Theorem 7.3 algorithm on fb using the sharded flat
-// runtime for every phase's hypergraph token dropping subgame. Under
-// TieFirstPort the run is bit-identical to Solve on the same network (same
-// phase log, rounds, and final assignment).
+// SolveSharded runs the Theorem 7.3 algorithm (Theorem 7.5 when
+// opt.K > 0) on fb using the sharded flat runtime for every phase's
+// hypergraph token dropping subgame. Under TieFirstPort the run is
+// bit-identical to Solve on the same network (same phase log, rounds, and
+// final assignment).
 func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, error) {
+	k, err := loadCap(opt.K)
+	if err != nil {
+		return nil, err
+	}
 	csr := fb.C
 	nl, ns := fb.NumLeft, fb.NumServers()
 	for c := 0; c < nl; c++ {
@@ -582,6 +643,7 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	}
 	sc.fb = fb
 	sc.tie = opt.Tie
+	sc.k = k
 	sc.ensureKernels()
 
 	sc.serverOf = reuse.Grown(sc.serverOf, nl)
@@ -598,6 +660,7 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	res := &sc.res
 	res.ServerOf = serverOf
 	res.Load = load
+	res.K = opt.K
 	res.Phases = 0
 	res.Rounds = 0
 	res.Messages = 0
@@ -700,16 +763,16 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 		}
 		sc.unassigned = ua
 		if opt.CheckInvariants {
-			if err := recountWarmLoads(fb, serverOf, load); err != nil {
+			if err := recountLoads(fb, serverOf, load); err != nil {
 				return nil, fmt.Errorf("assign: warm start: %w", err)
 			}
-			if mb := flatMaxBadness(fb, serverOf, load); mb > 1 {
+			if mb := flatMaxBadness(fb, serverOf, load, k); mb > 1 {
 				return nil, fmt.Errorf("assign: warm start clean region has badness %d", mb)
 			}
 		}
 	}
 	if rs := opt.ResumeFrom; rs != nil {
-		ua, err := restoreAssignSnapshot(rs, nl, ns, opt.Tie, serverOf, load, sc.unassigned, custRng, servRng)
+		ua, err := restoreAssignSnapshot(rs, fb, opt.K, opt.Tie, serverOf, load, sc.unassigned, custRng, servRng)
 		if err != nil {
 			return nil, fmt.Errorf("assign: %w", err)
 		}
@@ -739,14 +802,16 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 		res.Rounds += 2
 		res.Messages += int64(custArcs) + int64(rec.Proposals) + int64(rec.Accepted)
 
-		// Step 3 — the virtual token hypergraph: server levels = loads,
-		// hyperedges = the assigned customers of badness exactly 1 (heads =
-		// their servers), tokens at acceptors. The badness filter runs on
-		// the kernels (sc.mark); the insertion itself stays a
+		// Step 3 — the virtual token hypergraph: server levels = effective
+		// loads, hyperedges = the assigned customers of badness exactly 1
+		// (heads = their servers), tokens at acceptors. The badness filter
+		// runs on the kernels (sc.mark); the insertion itself stays a
 		// sequential scan of the marks, because customer-id insertion
 		// order with adjacency-order endpoints is what reproduces the
 		// object network's port numbering (see the file comment).
-		copy(sc.gameLevel, load)
+		for s, l := range load {
+			sc.gameLevel[s] = min(l, k)
+		}
 		sess.ParallelFor(nl, sc.mark)
 		sc.eptr = append(sc.eptr[:0], 0)
 		sc.ends = sc.ends[:0]
@@ -770,8 +835,13 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 		}
 		rec.GameEdges = len(sc.heads)
 
-		// Step 4 — play the game on the sharded engine.
-		if err := hypergame.SolveProposalShardedInto(fi, hypergame.ShardedSolveOptions{
+		// Step 4 — play the game on the sharded engine; a k-bounded game of
+		// at most three levels runs on the three-level solver, as in Solve.
+		solveGame := hypergame.SolveProposalShardedInto
+		if opt.K > 0 && fi.Height() <= hypergame.ThreeLevelMaxLevel {
+			solveGame = hypergame.SolveThreeLevelShardedInto
+		}
+		if err := solveGame(fi, hypergame.ShardedSolveOptions{
 			RandomTies: opt.Tie == core.TieRandom,
 			Seed:       opt.Seed + int64(phase)*1_000_003,
 			MaxRounds:  1 << 20,
@@ -821,14 +891,14 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 		kept := 0
 		for sh := 0; sh < shards; sh++ {
 			lo := u * sh / shards
-			k := int(sc.partKept[sh])
-			copy(sc.unassigned[kept:kept+k], sc.unassigned[lo:lo+k])
-			kept += k
+			n := int(sc.partKept[sh])
+			copy(sc.unassigned[kept:kept+n], sc.unassigned[lo:lo+n])
+			kept += n
 		}
 		sc.unassigned = sc.unassigned[:kept]
 
 		if opt.CheckInvariants {
-			if err := checkFlatPhaseInvariants(fb, serverOf, load, sc.loadsBefore, sol.Final); err != nil {
+			if err := checkFlatPhaseInvariants(fb, serverOf, load, sc.loadsBefore, sol.Final, k); err != nil {
 				return nil, fmt.Errorf("assign: phase %d: %w", phase, err)
 			}
 		}
@@ -848,7 +918,7 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 			if snap == nil {
 				snap = new(Snapshot)
 			}
-			captureAssignSnapshot(snap, phase, res.Rounds, serverOf, load, sc.unassigned, custRng, servRng, res.PhaseLog)
+			captureAssignSnapshot(snap, opt.K, phase, res.Rounds, serverOf, load, sc.unassigned, custRng, servRng, res.PhaseLog)
 			if err := opt.OnSnapshot(snap); err != nil {
 				return nil, fmt.Errorf("assign: snapshot at phase %d: %w", phase, err)
 			}
@@ -857,9 +927,9 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	return res, nil
 }
 
-// recountWarmLoads checks a warm start's cached loads against a
-// from-scratch recount and every assignment against the adjacency.
-func recountWarmLoads(fb *graph.CSRBipartite, serverOf, load []int32) error {
+// recountLoads checks every assignment against the adjacency and the
+// cached loads against a from-scratch recount.
+func recountLoads(fb *graph.CSRBipartite, serverOf, load []int32) error {
 	fresh := make([]int32, len(load))
 	for c, so := range serverOf {
 		if so < 0 {
@@ -889,9 +959,10 @@ func recountWarmLoads(fb *graph.CSRBipartite, serverOf, load []int32) error {
 // checkFlatPhaseInvariants enforces the Section 7.2 analogues of Lemmas
 // 5.3 and 5.4: server loads grow by exactly one at token destinations
 // (equivalently, where a token rests when the game ends) and stay put
-// elsewhere, no assigned customer has badness above 1 at the end of a
-// phase, and the cached loads match a from-scratch recount.
-func checkFlatPhaseInvariants(fb *graph.CSRBipartite, serverOf, load, before []int32, finalToken []bool) error {
+// elsewhere, no assigned customer has badness (on loads truncated at k)
+// above 1 at the end of a phase, and the cached loads match a
+// from-scratch recount.
+func checkFlatPhaseInvariants(fb *graph.CSRBipartite, serverOf, load, before []int32, finalToken []bool, k int32) error {
 	for s, b := range before {
 		want := b
 		if finalToken[s] {
@@ -902,30 +973,10 @@ func checkFlatPhaseInvariants(fb *graph.CSRBipartite, serverOf, load, before []i
 				fb.NumLeft+s, b, load[s], finalToken[s])
 		}
 	}
-	fresh := make([]int32, len(load))
-	for c, so := range serverOf {
-		if so < 0 {
-			continue
-		}
-		found := false
-		lo, hi := fb.C.ArcRange(c)
-		for i := lo; i < hi; i++ {
-			if int(fb.C.Col[i])-fb.NumLeft == int(so) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("customer %d assigned to non-adjacent server %d", c, so)
-		}
-		fresh[so]++
+	if err := recountLoads(fb, serverOf, load); err != nil {
+		return err
 	}
-	for s := range fresh {
-		if fresh[s] != load[s] {
-			return fmt.Errorf("load of server %d drifted: recomputed %d, cached %d", s, fresh[s], load[s])
-		}
-	}
-	if mb := flatMaxBadness(fb, serverOf, load); mb > 1 {
+	if mb := flatMaxBadness(fb, serverOf, load, k); mb > 1 {
 		return fmt.Errorf("lemma 5.4 analogue violated: max badness %d", mb)
 	}
 	return nil

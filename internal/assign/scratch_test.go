@@ -12,16 +12,18 @@ import (
 )
 
 // TestSolveScratchMatchesFresh solves a varied sequence of networks
-// (growing and shrinking, both tie rules) through one scratch + session +
-// workspace and demands exactly the fresh-solve results, including the
-// new message accounting.
+// (growing and shrinking, both tie rules, the general problem and k = 2)
+// through one scratch + session + workspace and demands exactly the
+// fresh-solve results, including the new message accounting.
 func TestSolveScratchMatchesFresh(t *testing.T) {
 	sess := local.NewSession(3)
 	defer sess.Close()
 	gws := hypergame.NewWorkspace()
 	sc := new(SolveScratch)
 	rng := rand.New(rand.NewSource(21))
-	sizes := []struct{ nl, nr, c int }{{40, 10, 3}, {120, 25, 4}, {30, 8, 2}, {200, 30, 3}, {60, 12, 5}}
+	sizes := []struct{ nl, nr, c, k int }{
+		{40, 10, 3, 0}, {120, 25, 4, 2}, {30, 8, 2, 0}, {200, 30, 3, 0}, {60, 12, 5, 2}, {90, 20, 3, 2},
+	}
 	for i, sz := range sizes {
 		tie := core.TieFirstPort
 		if i%2 == 1 {
@@ -29,12 +31,12 @@ func TestSolveScratchMatchesFresh(t *testing.T) {
 		}
 		g := graph.RandomBipartite(sz.nl, sz.nr, sz.c, rng)
 		fb := graph.NewCSRBipartiteFromBipartite(graph.MustBipartite(g, sz.nl))
-		fresh, err := SolveSharded(fb, ShardedOptions{Tie: tie, Seed: int64(i), Shards: 2, CheckInvariants: true})
+		fresh, err := SolveSharded(fb, ShardedOptions{K: sz.k, Tie: tie, Seed: int64(i), Shards: 2, CheckInvariants: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		reused, err := SolveSharded(fb, ShardedOptions{
-			Tie: tie, Seed: int64(i), CheckInvariants: true,
+			K: sz.k, Tie: tie, Seed: int64(i), CheckInvariants: true,
 			Session: sess, Workspace: gws, Scratch: sc,
 		})
 		if err != nil {
@@ -56,26 +58,29 @@ func TestSolveScratchMatchesFresh(t *testing.T) {
 
 // TestSolveShardedZeroAllocWarmed pins the scoreboard contract the arena
 // relies on: a warmed scratch + session + workspace repeat solve of the
-// full batch solver performs no heap allocations, under both tie rules.
+// full batch solver performs no heap allocations, under both tie rules,
+// for the general problem and for k = 2 (three-level subgames).
 func TestSolveShardedZeroAllocWarmed(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.RandomBipartite(150, 30, 3, rng)
 	fb := graph.NewCSRBipartiteFromBipartite(graph.MustBipartite(g, 150))
-	for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
-		sess := local.NewSession(2)
-		gws := hypergame.NewWorkspace()
-		sc := new(SolveScratch)
-		run := func() {
-			if _, err := SolveSharded(fb, ShardedOptions{
-				Tie: tie, Seed: 9, Session: sess, Workspace: gws, Scratch: sc,
-			}); err != nil {
-				t.Fatal(err)
+	for _, k := range []int{0, 2} {
+		for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
+			sess := local.NewSession(2)
+			gws := hypergame.NewWorkspace()
+			sc := new(SolveScratch)
+			run := func() {
+				if _, err := SolveSharded(fb, ShardedOptions{
+					K: k, Tie: tie, Seed: 9, Session: sess, Workspace: gws, Scratch: sc,
+				}); err != nil {
+					t.Fatal(err)
+				}
 			}
+			run() // warm: grow the scratch, session, and workspace arrays once
+			if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+				t.Errorf("k=%d tie=%v: warmed SolveSharded allocated %.1f objects per run; want 0", k, tie, allocs)
+			}
+			sess.Close()
 		}
-		run() // warm: grow the scratch, session, and workspace arrays once
-		if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
-			t.Errorf("tie=%v: warmed SolveSharded allocated %.1f objects per run; want 0", tie, allocs)
-		}
-		sess.Close()
 	}
 }

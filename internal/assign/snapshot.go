@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tokendrop/internal/core"
+	"tokendrop/internal/graph"
 	"tokendrop/internal/reuse"
 )
 
@@ -15,6 +16,10 @@ import (
 // completed phases and continues bit-identically to the uninterrupted
 // run. Serialize with encode.SnapshotJSON.
 type Snapshot struct {
+	// K is the threshold the capturing solve ran with (0 = unbounded).
+	// Resuming with a different threshold would silently change the
+	// effective loads, so it is validated instead of trusted.
+	K int
 	// Phase is the cursor: the number of completed phases.
 	Phase int
 	// Rounds is the accumulated communication-round count at the cursor.
@@ -22,7 +27,7 @@ type Snapshot struct {
 	// ServerOf holds the assigned server index per customer, -1 while
 	// unassigned.
 	ServerOf []int32
-	// Load holds the customer count per server index.
+	// Load holds the true (untruncated) customer count per server index.
 	Load []int32
 	// Unassigned lists the still-unassigned customers in ascending order.
 	Unassigned []int32
@@ -36,8 +41,9 @@ type Snapshot struct {
 
 // captureAssignSnapshot fills snap (reusing its slices, grow-only) from
 // the phase-loop state after the given phase completed.
-func captureAssignSnapshot(snap *Snapshot, phase, rounds int, serverOf, load, unassigned []int32,
+func captureAssignSnapshot(snap *Snapshot, k, phase, rounds int, serverOf, load, unassigned []int32,
 	custRng, servRng []uint64, log []PhaseRecord) {
+	snap.K = k
 	snap.Phase = phase
 	snap.Rounds = rounds
 	snap.ServerOf = reuse.Grown(snap.ServerOf, len(serverOf))
@@ -57,12 +63,17 @@ func captureAssignSnapshot(snap *Snapshot, phase, rounds int, serverOf, load, un
 	snap.PhaseLog = append(snap.PhaseLog[:0], log...)
 }
 
-// restoreAssignSnapshot validates rs against the solve's shape and
-// installs its state. The unassigned slice is returned re-sliced to the
-// snapshot's list; loads are recounted from the restored assignment so a
-// corrupt snapshot fails here rather than phases later.
-func restoreAssignSnapshot(rs *Snapshot, nl, ns int, tie core.TieBreak,
+// restoreAssignSnapshot validates rs against the solve's network and
+// threshold and installs its state. The unassigned slice is returned
+// re-sliced to the snapshot's list; every assignment is checked against
+// the adjacency and the loads are recounted from it, so a corrupt
+// snapshot fails here rather than phases later.
+func restoreAssignSnapshot(rs *Snapshot, fb *graph.CSRBipartite, k int, tie core.TieBreak,
 	serverOf, load, unassigned []int32, custRng, servRng []uint64) ([]int32, error) {
+	nl, ns := fb.NumLeft, fb.NumServers()
+	if rs.K != k {
+		return nil, fmt.Errorf("resume snapshot was captured at threshold k = %d, solve runs k = %d", rs.K, k)
+	}
 	if len(rs.ServerOf) != nl || len(rs.Load) != ns {
 		return nil, fmt.Errorf("resume snapshot shaped %d customers / %d servers, network has %d / %d",
 			len(rs.ServerOf), len(rs.Load), nl, ns)
@@ -104,20 +115,11 @@ func restoreAssignSnapshot(rs *Snapshot, nl, ns int, tie core.TieBreak,
 		}
 		prev = c
 	}
+	if err := recountLoads(fb, rs.ServerOf, rs.Load); err != nil {
+		return nil, fmt.Errorf("resume snapshot: %w", err)
+	}
 	copy(serverOf, rs.ServerOf)
-	for s := range load {
-		load[s] = 0
-	}
-	for _, so := range rs.ServerOf {
-		if so >= 0 {
-			load[so]++
-		}
-	}
-	for s, l := range load {
-		if l != rs.Load[s] {
-			return nil, fmt.Errorf("resume snapshot's load of server %d is %d, assignment encodes %d", s, rs.Load[s], l)
-		}
-	}
+	copy(load, rs.Load)
 	if tie == core.TieRandom {
 		copy(custRng, rs.CustRng)
 		copy(servRng, rs.ServRng)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tokendrop/internal/assign"
-	"tokendrop/internal/bounded"
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
 	"tokendrop/internal/loadbalance"
@@ -112,7 +111,7 @@ func E17ThresholdSweep(p Profile) *Table {
 		ks = []int{2, 3}
 	}
 	for _, k := range ks {
-		res, err := bounded.Solve(b, bounded.Options{K: k, Seed: p.Seed, CheckInvariants: true})
+		res, err := assign.Solve(b, assign.Options{K: k, Seed: p.Seed, CheckInvariants: true})
 		if err != nil {
 			t.AddRow(k, "-", "-", "error: "+err.Error(), "-")
 			continue

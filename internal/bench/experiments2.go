@@ -6,7 +6,6 @@ import (
 
 	"tokendrop/internal/assign"
 	"tokendrop/internal/baseline"
-	"tokendrop/internal/bounded"
 	"tokendrop/internal/graph"
 	"tokendrop/internal/matching"
 	"tokendrop/internal/semimatch"
@@ -91,12 +90,12 @@ func E11BoundedToMatching(p Profile) *Table {
 		rng := rand.New(rand.NewSource(p.Seed + int64(i)))
 		g := graph.RandomBipartite(tc.nl, tc.nr, tc.c, rng)
 		b := graph.MustBipartite(g, tc.nl)
-		res, err := bounded.Solve(b, bounded.Options{Seed: p.Seed, CheckInvariants: true})
+		res, err := assign.Solve(b, assign.Options{K: 2, Seed: p.Seed, CheckInvariants: true})
 		if err != nil {
 			t.AddRow(tc.nl, tc.nr, tc.c, "-", "-", "error: "+err.Error())
 			continue
 		}
-		matchOf := bounded.ReduceToMatching(res.Assignment)
+		matchOf := assign.ReduceToMatching(res.Assignment)
 		t.AddRow(tc.nl, tc.nr, tc.c, res.Phases, res.Rounds,
 			mark(matching.VerifyMaximal(b, matchOf) == nil))
 	}
@@ -123,7 +122,7 @@ func E12BoundedSweep(p Profile) *Table {
 		nl, nr := s*4, c*4
 		g := graph.RandomBipartiteRegular(nl, nr, c, s, rng)
 		b := graph.MustBipartite(g, nl)
-		rb, err1 := bounded.Solve(b, bounded.Options{Seed: p.Seed})
+		rb, err1 := assign.Solve(b, assign.Options{K: 2, Seed: p.Seed})
 		ra, err2 := assign.Solve(b, assign.Options{Seed: p.Seed})
 		if err1 != nil || err2 != nil {
 			continue

@@ -1,3 +1,9 @@
+// Package bounded holds the regression suite of the k-bounded stable
+// assignment relaxation (Section 7.3). It has no code of its own: the
+// relaxation is internal/assign's phase loop run with a load threshold
+// (Options.K, ShardedOptions.K ≥ 2), and every test here drives it
+// through that package. Options without a K run at k = 2, the
+// relaxation's default threshold.
 package bounded
 
 import (
@@ -5,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tokendrop/internal/assign"
 	"tokendrop/internal/graph"
 	"tokendrop/internal/matching"
 )
@@ -18,19 +25,21 @@ func bip(t *testing.T, g *graph.Graph, nl int) *graph.Bipartite {
 	return b
 }
 
-func solve(t *testing.T, b *graph.Bipartite, opt Options) *Result {
+// solve runs the k-bounded seed-engine solve (k = 2 unless opt.K says
+// otherwise) with invariant checks on and demands a k-stable assignment
+// with consistent loads.
+func solve(t *testing.T, b *graph.Bipartite, opt assign.Options) *assign.Result {
 	t.Helper()
+	if opt.K == 0 {
+		opt.K = 2
+	}
 	opt.CheckInvariants = true
-	res, err := Solve(b, opt)
+	res, err := assign.Solve(b, opt)
 	if err != nil {
-		t.Fatalf("bounded.Solve: %v", err)
+		t.Fatalf("assign.Solve: %v", err)
 	}
-	k := opt.K
-	if k == 0 {
-		k = 2
-	}
-	if !res.Assignment.KStable(k) {
-		t.Fatalf("assignment is not %d-bounded stable", k)
+	if !res.Assignment.KStable(opt.K) {
+		t.Fatalf("assignment is not %d-bounded stable", opt.K)
 	}
 	if err := res.Assignment.CheckLoads(); err != nil {
 		t.Fatal(err)
@@ -41,7 +50,7 @@ func solve(t *testing.T, b *graph.Bipartite, opt Options) *Result {
 func TestSolveRejectsBadK(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
-	if _, err := Solve(bip(t, g, 1), Options{K: 1}); err == nil {
+	if _, err := assign.Solve(bip(t, g, 1), assign.Options{K: 1}); err == nil {
 		t.Fatal("k=1 accepted")
 	}
 }
@@ -52,7 +61,7 @@ func TestSolveTiny(t *testing.T) {
 	g.AddEdge(0, 3)
 	g.AddEdge(1, 2)
 	g.AddEdge(1, 3)
-	res := solve(t, bip(t, g, 2), Options{})
+	res := solve(t, bip(t, g, 2), assign.Options{})
 	if res.Assignment.Load(2)+res.Assignment.Load(3) != 2 {
 		t.Fatal("load conservation")
 	}
@@ -64,7 +73,7 @@ func TestNoLoadZeroNeighborWithOverload(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 8; i++ {
 		g := graph.RandomBipartite(20, 8, 3, rng)
-		res := solve(t, bip(t, g, 20), Options{Seed: int64(i)})
+		res := solve(t, bip(t, g, 20), assign.Options{Seed: int64(i)})
 		a := res.Assignment
 		for c := 0; c < 20; c++ {
 			if a.Load(a.ServerOf[c]) < 2 {
@@ -85,7 +94,7 @@ func TestKBoundedIsWeakerThanStable(t *testing.T) {
 	// the relaxation direction via the checkers.
 	g := graph.CompleteBipartite(6, 3)
 	b := bip(t, g, 6)
-	res := solve(t, b, Options{K: 2})
+	res := solve(t, b, assign.Options{K: 2})
 	_ = res
 	// Construct a configuration that is 2-stable but not stable:
 	// loads 3, 1 with an edge from a customer on the 3-server to the
@@ -118,8 +127,8 @@ func TestTheorem74Reduction(t *testing.T) {
 		c := 1 + rng.Intn(min(nr, 4))
 		g := graph.RandomBipartite(nl, nr, c, rng)
 		b := bip(t, g, nl)
-		res := solve(t, b, Options{Seed: int64(i), RandomTies: i%2 == 0})
-		matchOf := ReduceToMatching(res.Assignment)
+		res := solve(t, b, assign.Options{Seed: int64(i), RandomTies: i%2 == 0})
+		matchOf := assign.ReduceToMatching(res.Assignment)
 		if err := matching.VerifyMaximal(b, matchOf); err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -129,10 +138,10 @@ func TestTheorem74Reduction(t *testing.T) {
 func TestPhaseKBadnessInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.RandomBipartite(30, 8, 3, rng)
-	res := solve(t, bip(t, g, 30), Options{Seed: 1})
+	res := solve(t, bip(t, g, 30), assign.Options{Seed: 1})
 	for _, rec := range res.PhaseLog {
-		if rec.MaxKBadness > 1 {
-			t.Fatalf("phase %d ended with k-badness %d", rec.Phase, rec.MaxKBadness)
+		if rec.MaxBadness > 1 { // badness on effective loads: the k-badness
+			t.Fatalf("phase %d ended with k-badness %d", rec.Phase, rec.MaxBadness)
 		}
 	}
 }
@@ -141,7 +150,7 @@ func TestHigherK(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := graph.RandomBipartite(24, 6, 3, rng)
 	for _, k := range []int{2, 3, 4} {
-		res := solve(t, bip(t, g, 24), Options{K: k, Seed: int64(k)})
+		res := solve(t, bip(t, g, 24), assign.Options{K: k, Seed: int64(k)})
 		if res.K != k {
 			t.Fatal("k not recorded")
 		}
@@ -157,7 +166,7 @@ func TestBoundedFasterThanGeneralShape(t *testing.T) {
 		nl := nr * 3
 		g := graph.RandomBipartite(nl, nr, 3, rng)
 		b := bip(t, g, nl)
-		res := solve(t, b, Options{Seed: int64(nr)})
+		res := solve(t, b, assign.Options{Seed: int64(nr)})
 		cs := b.MaxCustomerDegree() * b.MaxServerDegree()
 		s := b.MaxServerDegree()
 		bound := 30*cs*s + 200 // c·(C·S phases)·(O(S) game) with generous constants
@@ -171,8 +180,8 @@ func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.RandomBipartite(18, 6, 3, rng)
 	b := bip(t, g, 18)
-	a1 := solve(t, b, Options{Seed: 4})
-	a2 := solve(t, b, Options{Seed: 4})
+	a1 := solve(t, b, assign.Options{Seed: 4})
+	a2 := solve(t, b, assign.Options{Seed: 4})
 	for c := 0; c < 18; c++ {
 		if a1.Assignment.ServerOf[c] != a2.Assignment.ServerOf[c] {
 			t.Fatal("same seed, different assignment")
@@ -192,25 +201,18 @@ func TestSolveProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Solve(b, Options{Seed: seed, CheckInvariants: true})
+		res, err := assign.Solve(b, assign.Options{K: 2, Seed: seed, CheckInvariants: true})
 		if err != nil {
 			return false
 		}
 		if !res.Assignment.KStable(2) {
 			return false
 		}
-		return matching.VerifyMaximal(b, ReduceToMatching(res.Assignment)) == nil
+		return matching.VerifyMaximal(b, assign.ReduceToMatching(res.Assignment)) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestReduceToMatchingDegenerate covers the Theorem 7.4 post-processing on
@@ -220,7 +222,7 @@ func min(a, b int) int {
 func TestReduceToMatchingDegenerate(t *testing.T) {
 	t.Run("empty graph", func(t *testing.T) {
 		b := bip(t, graph.New(0), 0)
-		matchOf := ReduceToMatching(graph.NewAssignment(b))
+		matchOf := assign.ReduceToMatching(graph.NewAssignment(b))
 		if len(matchOf) != 0 {
 			t.Fatalf("expected an empty matching, got %v", matchOf)
 		}
@@ -230,7 +232,7 @@ func TestReduceToMatchingDegenerate(t *testing.T) {
 	})
 	t.Run("servers only", func(t *testing.T) {
 		b := bip(t, graph.New(3), 0) // three isolated servers, no customers
-		matchOf := ReduceToMatching(graph.NewAssignment(b))
+		matchOf := assign.ReduceToMatching(graph.NewAssignment(b))
 		for v, m := range matchOf {
 			if m != -1 {
 				t.Fatalf("vertex %d matched to %d in a customer-free network", v, m)
@@ -248,7 +250,7 @@ func TestReduceToMatchingDegenerate(t *testing.T) {
 		b := bip(t, g, 2)
 		a := graph.NewAssignment(b)
 		a.Assign(1, 2) // customer 0 left unassigned; server 3 keeps load 0
-		matchOf := ReduceToMatching(a)
+		matchOf := assign.ReduceToMatching(a)
 		if matchOf[0] != -1 || matchOf[3] != -1 {
 			t.Fatalf("unassigned customer or empty server matched: %v", matchOf)
 		}
@@ -268,7 +270,7 @@ func TestReduceToMatchingDegenerate(t *testing.T) {
 		a := graph.NewAssignment(b)
 		a.Assign(0, 2)
 		a.Assign(1, 2)
-		matchOf := ReduceToMatching(a)
+		matchOf := assign.ReduceToMatching(a)
 		if matchOf[2] != 0 || matchOf[0] != 2 {
 			t.Fatalf("server 2 should keep customer 0: %v", matchOf)
 		}
@@ -279,11 +281,11 @@ func TestReduceToMatchingDegenerate(t *testing.T) {
 	t.Run("flat reduction agrees on degenerate shapes", func(t *testing.T) {
 		b := bip(t, graph.New(2), 0) // no customers
 		fb := graph.NewCSRBipartiteFromBipartite(b)
-		res, err := SolveSharded(fb, ShardedOptions{K: 2})
+		res, err := assign.SolveSharded(fb, assign.ShardedOptions{K: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		matchOf := ReduceToMatchingSharded(res)
+		matchOf := assign.ReduceToMatchingSharded(res)
 		for v, m := range matchOf {
 			if m != -1 {
 				t.Fatalf("vertex %d matched to %d", v, m)

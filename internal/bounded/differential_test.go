@@ -6,15 +6,16 @@ import (
 	"slices"
 	"testing"
 
+	"tokendrop/internal/assign"
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
 	"tokendrop/internal/matching"
 )
 
-// The differential suite pins the sharded k-bounded port to the seed
-// engine, exactly as internal/assign's does for the general problem —
-// including the k = 2 three-level fast path and the k > 2 generic
-// fallback.
+// The differential suite pins assign's sharded phase loop to its seed
+// engine at thresholds k ≥ 2, on the network families the k-bounded
+// experiments run on — including the k = 2 three-level fast path and the
+// k > 2 generic fallback.
 
 func diffBoundedBipartite(i int) (*graph.Bipartite, string) {
 	rng := rand.New(rand.NewSource(int64(9000 + i)))
@@ -51,12 +52,12 @@ func TestDifferentialBoundedEngines(t *testing.T) {
 		seed := int64(600 + i)
 		tag := fmt.Sprintf("case %d (%s, k=%d)", i, name, k)
 
-		seedRes, err := Solve(b, Options{K: k, Seed: seed, CheckInvariants: true})
+		seedRes, err := assign.Solve(b, assign.Options{K: k, Seed: seed, CheckInvariants: true})
 		if err != nil {
 			t.Fatalf("%s: seed engine: %v", tag, err)
 		}
 		fb := graph.NewCSRBipartiteFromBipartite(b)
-		flatRes, err := SolveSharded(fb, ShardedOptions{
+		flatRes, err := assign.SolveSharded(fb, assign.ShardedOptions{
 			K: k, Tie: core.TieFirstPort, Seed: seed, Shards: 1 + i%5,
 			CheckInvariants: true, VerifyGames: true,
 		})
@@ -91,7 +92,7 @@ func TestDifferentialBoundedTieRandom(t *testing.T) {
 		k := 2 + i%2
 		tag := fmt.Sprintf("case %d (%s, k=%d)", i, name, k)
 		fb := graph.NewCSRBipartiteFromBipartite(b)
-		flatRes, err := SolveSharded(fb, ShardedOptions{
+		flatRes, err := assign.SolveSharded(fb, assign.ShardedOptions{
 			K: k, Tie: core.TieRandom, Seed: int64(1700 + i), Shards: 1 + i%4,
 			CheckInvariants: true, VerifyGames: true,
 		})
@@ -122,14 +123,14 @@ func TestBoundedCentralStepInvariance(t *testing.T) {
 		k := 2 + i%2
 		fb := graph.NewCSRBipartiteFromBipartite(b)
 		for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
-			base, err := SolveSharded(fb, ShardedOptions{
+			base, err := assign.SolveSharded(fb, assign.ShardedOptions{
 				K: k, Tie: tie, Seed: int64(800 + i), Shards: 1, CheckInvariants: true,
 			})
 			if err != nil {
 				t.Fatalf("case %d (%s, k=%d) tie=%v shards=1: %v", i, name, k, tie, err)
 			}
 			for _, shards := range []int{2, 8} {
-				res, err := SolveSharded(fb, ShardedOptions{
+				res, err := assign.SolveSharded(fb, assign.ShardedOptions{
 					K: k, Tie: tie, Seed: int64(800 + i), Shards: shards, CheckInvariants: true,
 				})
 				if err != nil {
@@ -152,15 +153,15 @@ func TestShardedMatchingReduction(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		b, name := diffBoundedBipartite(i)
 		fb := graph.NewCSRBipartiteFromBipartite(b)
-		flatRes, err := SolveSharded(fb, ShardedOptions{K: 2, Tie: core.TieFirstPort, Seed: int64(i)})
+		flatRes, err := assign.SolveSharded(fb, assign.ShardedOptions{K: 2, Tie: core.TieFirstPort, Seed: int64(i)})
 		if err != nil {
 			t.Fatalf("case %d (%s): %v", i, name, err)
 		}
-		matchOf := ReduceToMatchingSharded(flatRes)
+		matchOf := assign.ReduceToMatchingSharded(flatRes)
 		if err := matching.VerifyMaximal(b, matchOf); err != nil {
 			t.Fatalf("case %d (%s): flat reduction not maximal: %v", i, name, err)
 		}
-		if want := ReduceToMatching(flatRes.Assignment()); !slices.Equal(matchOf, want) {
+		if want := assign.ReduceToMatching(flatRes.Assignment()); !slices.Equal(matchOf, want) {
 			t.Fatalf("case %d (%s): flat and object reductions diverge", i, name)
 		}
 	}
@@ -170,13 +171,13 @@ func TestBoundedShardedErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	b := graph.MustBipartite(graph.RandomBipartite(10, 3, 2, rng), 10)
 	fb := graph.NewCSRBipartiteFromBipartite(b)
-	if _, err := SolveSharded(fb, ShardedOptions{K: 1}); err == nil {
+	if _, err := assign.SolveSharded(fb, assign.ShardedOptions{K: 1}); err == nil {
 		t.Fatal("no error for k = 1")
 	}
 	g := graph.New(3)
 	g.AddEdge(1, 2)
 	lone := graph.NewCSRBipartiteFromBipartite(graph.MustBipartite(g, 2))
-	if _, err := SolveSharded(lone, ShardedOptions{}); err == nil {
+	if _, err := assign.SolveSharded(lone, assign.ShardedOptions{K: 2}); err == nil {
 		t.Fatal("no error for an isolated customer")
 	}
 }

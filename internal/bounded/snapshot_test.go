@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tokendrop/internal/assign"
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
 )
@@ -38,7 +39,7 @@ var boundedFamilies = []struct {
 
 // checkBoundedResumeMatch compares a resumed run against the
 // uninterrupted baseline field by field.
-func checkBoundedResumeMatch(t *testing.T, label string, base, resumed *ShardedResult) {
+func checkBoundedResumeMatch(t *testing.T, label string, base, resumed *assign.ShardedResult) {
 	t.Helper()
 	if !reflect.DeepEqual(base.ServerOf, resumed.ServerOf) {
 		t.Fatalf("%s: resumed assignment diverged", label)
@@ -67,12 +68,12 @@ func TestBoundedResumeEquivalence(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(400*fam + i)))
 				fb := f.build(i, rng)
 				for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
-					opt := ShardedOptions{
+					opt := assign.ShardedOptions{
 						K: 2 + i%2, Tie: tie, Seed: int64(i),
 						Shards:          shardChoices[i%len(shardChoices)],
 						CheckInvariants: true,
 					}
-					base, err := SolveSharded(fb, opt)
+					base, err := assign.SolveSharded(fb, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -81,11 +82,11 @@ func TestBoundedResumeEquivalence(t *testing.T) {
 					}
 					cursor := 1 + rng.Intn(base.Phases)
 
-					var snap *Snapshot
+					var snap *assign.Snapshot
 					sopt := opt
 					sopt.SnapshotAt = cursor
-					sopt.OnSnapshot = func(s *Snapshot) error { snap = s; return nil }
-					again, err := SolveSharded(fb, sopt)
+					sopt.OnSnapshot = func(s *assign.Snapshot) error { snap = s; return nil }
+					again, err := assign.SolveSharded(fb, sopt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -97,7 +98,7 @@ func TestBoundedResumeEquivalence(t *testing.T) {
 					ropt := opt
 					ropt.Shards = shardChoices[(i+1)%len(shardChoices)]
 					ropt.ResumeFrom = snap
-					resumed, err := SolveSharded(fb, ropt)
+					resumed, err := assign.SolveSharded(fb, ropt)
 					if err != nil {
 						t.Fatalf("resume at phase %d: %v", cursor, err)
 					}
@@ -114,50 +115,50 @@ func TestBoundedResumeRejectsBadSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	fb := graph.NewCSRBipartiteFromBipartite(
 		graph.MustBipartite(graph.RandomBipartite(40, 8, 3, rng), 40))
-	opt := ShardedOptions{K: 2, Tie: core.TieFirstPort, Seed: 1, Shards: 2}
-	base, err := SolveSharded(fb, opt)
+	opt := assign.ShardedOptions{K: 2, Tie: core.TieFirstPort, Seed: 1, Shards: 2}
+	base, err := assign.SolveSharded(fb, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap *Snapshot
+	var snap *assign.Snapshot
 	sopt := opt
 	sopt.SnapshotAt = 1 + base.Phases/2
 	if sopt.SnapshotAt > base.Phases {
 		sopt.SnapshotAt = base.Phases
 	}
-	sopt.OnSnapshot = func(s *Snapshot) error { snap = s; return nil }
-	if _, err := SolveSharded(fb, sopt); err != nil {
+	sopt.OnSnapshot = func(s *assign.Snapshot) error { snap = s; return nil }
+	if _, err := assign.SolveSharded(fb, sopt); err != nil {
 		t.Fatal(err)
 	}
 
 	cases := []struct {
 		name   string
-		mutate func(s *Snapshot)
+		mutate func(s *assign.Snapshot)
 	}{
-		{"threshold mismatch", func(s *Snapshot) { s.K++ }},
-		{"truncated assignment", func(s *Snapshot) { s.ServerOf = s.ServerOf[:len(s.ServerOf)-1] }},
-		{"server out of range", func(s *Snapshot) { s.ServerOf[0] = int32(fb.NumServers()) }},
-		{"load drift", func(s *Snapshot) { s.Load[0]++ }},
-		{"stray rng streams", func(s *Snapshot) {
+		{"threshold mismatch", func(s *assign.Snapshot) { s.K++ }},
+		{"truncated assignment", func(s *assign.Snapshot) { s.ServerOf = s.ServerOf[:len(s.ServerOf)-1] }},
+		{"server out of range", func(s *assign.Snapshot) { s.ServerOf[0] = int32(fb.NumServers()) }},
+		{"load drift", func(s *assign.Snapshot) { s.Load[0]++ }},
+		{"stray rng streams", func(s *assign.Snapshot) {
 			s.CustRng = make([]uint64, len(s.ServerOf))
 			s.ServRng = make([]uint64, len(s.Load))
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := &Snapshot{
+			bad := &assign.Snapshot{
 				K:          snap.K,
 				Phase:      snap.Phase,
 				Rounds:     snap.Rounds,
 				ServerOf:   append([]int32(nil), snap.ServerOf...),
 				Load:       append([]int32(nil), snap.Load...),
 				Unassigned: append([]int32(nil), snap.Unassigned...),
-				PhaseLog:   append([]PhaseRecord(nil), snap.PhaseLog...),
+				PhaseLog:   append([]assign.PhaseRecord(nil), snap.PhaseLog...),
 			}
 			tc.mutate(bad)
 			ropt := opt
 			ropt.ResumeFrom = bad
-			if _, err := SolveSharded(fb, ropt); err == nil {
+			if _, err := assign.SolveSharded(fb, ropt); err == nil {
 				t.Fatal("tampered snapshot resumed without error")
 			}
 		})

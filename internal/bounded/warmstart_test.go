@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tokendrop/internal/assign"
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
 )
@@ -19,7 +20,7 @@ func TestWarmStartSharded(t *testing.T) {
 				rng := rand.New(rand.NewSource(200 + int64(k)*10 + int64(shards) + int64(tie)))
 				b := graph.MustBipartite(graph.RandomBipartite(60, 15, 3, rng), 60)
 				fb := graph.NewCSRBipartiteFromBipartite(b)
-				res, err := SolveSharded(fb, ShardedOptions{K: k, Tie: tie, Seed: 4, Shards: shards, CheckInvariants: true})
+				res, err := assign.SolveSharded(fb, assign.ShardedOptions{K: k, Tie: tie, Seed: 4, Shards: shards, CheckInvariants: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -29,9 +30,9 @@ func TestWarmStartSharded(t *testing.T) {
 						dirty = append(dirty, int32(c))
 					}
 				}
-				warm, err := SolveSharded(fb, ShardedOptions{
+				warm, err := assign.SolveSharded(fb, assign.ShardedOptions{
 					K: k, Tie: tie, Seed: 5, Shards: shards, CheckInvariants: true,
-					WarmStart: &WarmStart{ServerOf: res.ServerOf, Load: res.Load, Dirty: dirty},
+					WarmStart: &assign.WarmStart{ServerOf: res.ServerOf, Load: res.Load, Dirty: dirty},
 				})
 				if err != nil {
 					t.Fatalf("k %d tie %v shards %d: warm solve: %v", k, tie, shards, err)
@@ -54,28 +55,29 @@ func TestWarmStartValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	b := graph.MustBipartite(graph.RandomBipartite(30, 8, 3, rng), 30)
 	fb := graph.NewCSRBipartiteFromBipartite(b)
-	res, err := SolveSharded(fb, ShardedOptions{CheckInvariants: true})
+	res, err := assign.SolveSharded(fb, assign.ShardedOptions{K: 2, CheckInvariants: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	solve := func(ws *WarmStart) error {
-		_, err := SolveSharded(fb, ShardedOptions{CheckInvariants: true, WarmStart: ws})
+	solve := func(ws *assign.WarmStart) error {
+		_, err := assign.SolveSharded(fb, assign.ShardedOptions{K: 2, CheckInvariants: true, WarmStart: ws})
 		return err
 	}
-	if err := solve(&WarmStart{ServerOf: res.ServerOf[:5], Load: res.Load}); err == nil {
+	if err := solve(&assign.WarmStart{ServerOf: res.ServerOf[:5], Load: res.Load}); err == nil {
 		t.Fatal("short ServerOf accepted")
 	}
-	if err := solve(&WarmStart{ServerOf: res.ServerOf, Load: res.Load, Dirty: []int32{9, 2}}); err == nil {
+	if err := solve(&assign.WarmStart{ServerOf: res.ServerOf, Load: res.Load, Dirty: []int32{9, 2}}); err == nil {
 		t.Fatal("non-ascending dirty list accepted")
 	}
 	badLoad := append([]int32(nil), res.Load...)
 	badLoad[0]++
-	if err := solve(&WarmStart{ServerOf: res.ServerOf, Load: badLoad}); err == nil {
+	if err := solve(&assign.WarmStart{ServerOf: res.ServerOf, Load: badLoad}); err == nil {
 		t.Fatal("inconsistent loads accepted")
 	}
-	if _, err := SolveSharded(fb, ShardedOptions{
-		WarmStart:  &WarmStart{ServerOf: res.ServerOf, Load: res.Load},
-		ResumeFrom: &Snapshot{},
+	if _, err := assign.SolveSharded(fb, assign.ShardedOptions{
+		K:          2,
+		WarmStart:  &assign.WarmStart{ServerOf: res.ServerOf, Load: res.Load},
+		ResumeFrom: &assign.Snapshot{K: 2},
 	}); err == nil {
 		t.Fatal("WarmStart+ResumeFrom accepted")
 	}

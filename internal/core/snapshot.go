@@ -17,7 +17,7 @@ import (
 // the placement at the cursor does not bit-match the snapshot, which
 // catches every divergence source a post-mortem cares about (wrong
 // instance, wrong seed or tie rule, engine drift). The phase-loop layers
-// (internal/orient, internal/assign, internal/bounded) restore state
+// (internal/orient, internal/assign) restore state
 // instead — their snapshots live at phase boundaries where skipping the
 // completed phases is sound; see those packages.
 //

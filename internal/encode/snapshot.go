@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 
 	"tokendrop/internal/assign"
-	"tokendrop/internal/bounded"
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
 	"tokendrop/internal/orient"
@@ -43,7 +42,8 @@ const (
 	LayerOrient = "orient"
 	// LayerAssign marks a snapshot of a stable-assignment phase loop.
 	LayerAssign = "assign"
-	// LayerBounded marks a snapshot of a k-bounded assignment phase loop.
+	// LayerBounded marks a snapshot of a k-bounded assignment phase loop
+	// (an assign.Snapshot with K > 0).
 	LayerBounded = "bounded"
 	// LayerOverlay marks a snapshot of a live mutable overlay and its
 	// incremental assignment (assign.Resolver). Unlike the phase-loop
@@ -93,7 +93,8 @@ func ParseTie(name string) (core.TieBreak, error) {
 }
 
 // PhaseRecordJSON is the on-disk form of a phase-log record, a field
-// union of the orient/assign/bounded records.
+// union of the orient and assign records (a LayerBounded log carries its
+// badness as max_k_badness).
 type PhaseRecordJSON struct {
 	Phase       int `json:"phase"`
 	Proposals   int `json:"proposals"`
@@ -336,57 +337,18 @@ func toOrientLog(log []PhaseRecordJSON) []orient.PhaseRecord {
 }
 
 // FromAssignSnapshot converts an assignment snapshot to its on-disk
-// form, bound to the bipartite network it was captured on.
+// form, bound to the bipartite network it was captured on. The
+// snapshot's threshold picks the layer: LayerAssign for the general
+// problem (K = 0), LayerBounded for the k-bounded relaxation, whose phase
+// records carry their badness as max_k_badness.
 func FromAssignSnapshot(snap *assign.Snapshot, fb *graph.CSRBipartite, meta RunMetaJSON) *SnapshotJSON {
+	layer := LayerAssign
+	if snap.K > 0 {
+		layer = LayerBounded
+	}
 	return &SnapshotJSON{
 		Version:    SnapshotVersion,
-		Layer:      LayerAssign,
-		GraphHash:  GraphHashBipartite(fb),
-		Meta:       meta,
-		Phase:      snap.Phase,
-		Rounds:     snap.Rounds,
-		ServerOf:   append([]int32(nil), snap.ServerOf...),
-		Load:       append([]int32(nil), snap.Load...),
-		Unassigned: append([]int32(nil), snap.Unassigned...),
-		CustRng:    append([]uint64(nil), snap.CustRng...),
-		ServRng:    append([]uint64(nil), snap.ServRng...),
-		PhaseLog: fromPhaseRecords(snap.PhaseLog, func(r assign.PhaseRecord) PhaseRecordJSON {
-			return PhaseRecordJSON{Phase: r.Phase, Proposals: r.Proposals, Accepted: r.Accepted,
-				GameEdges: r.GameEdges, GameRounds: r.GameRounds, TokensMoved: r.TokensMoved, MaxBadness: r.MaxBadness}
-		}),
-	}
-}
-
-// ToAssignSnapshot validates the on-disk form against the network a
-// resume will run on and rebuilds the in-memory snapshot. Deep state
-// validation happens in assign.SolveSharded.
-func (sj *SnapshotJSON) ToAssignSnapshot(fb *graph.CSRBipartite) (*assign.Snapshot, error) {
-	if err := sj.checkBinding(LayerAssign, GraphHashBipartite(fb)); err != nil {
-		return nil, err
-	}
-	snap := &assign.Snapshot{
-		Phase:      sj.Phase,
-		Rounds:     sj.Rounds,
-		ServerOf:   append([]int32(nil), sj.ServerOf...),
-		Load:       append([]int32(nil), sj.Load...),
-		Unassigned: append([]int32(nil), sj.Unassigned...),
-		CustRng:    append([]uint64(nil), sj.CustRng...),
-		ServRng:    append([]uint64(nil), sj.ServRng...),
-	}
-	for _, r := range sj.PhaseLog {
-		snap.PhaseLog = append(snap.PhaseLog, assign.PhaseRecord{Phase: r.Phase, Proposals: r.Proposals,
-			Accepted: r.Accepted, GameEdges: r.GameEdges, GameRounds: r.GameRounds,
-			TokensMoved: r.TokensMoved, MaxBadness: r.MaxBadness})
-	}
-	return snap, nil
-}
-
-// FromBoundedSnapshot converts a k-bounded assignment snapshot to its
-// on-disk form, bound to the bipartite network it was captured on.
-func FromBoundedSnapshot(snap *bounded.Snapshot, fb *graph.CSRBipartite, meta RunMetaJSON) *SnapshotJSON {
-	return &SnapshotJSON{
-		Version:    SnapshotVersion,
-		Layer:      LayerBounded,
+		Layer:      layer,
 		GraphHash:  GraphHashBipartite(fb),
 		Meta:       meta,
 		K:          snap.K,
@@ -397,21 +359,34 @@ func FromBoundedSnapshot(snap *bounded.Snapshot, fb *graph.CSRBipartite, meta Ru
 		Unassigned: append([]int32(nil), snap.Unassigned...),
 		CustRng:    append([]uint64(nil), snap.CustRng...),
 		ServRng:    append([]uint64(nil), snap.ServRng...),
-		PhaseLog: fromPhaseRecords(snap.PhaseLog, func(r bounded.PhaseRecord) PhaseRecordJSON {
-			return PhaseRecordJSON{Phase: r.Phase, Proposals: r.Proposals, Accepted: r.Accepted,
-				GameEdges: r.GameEdges, GameRounds: r.GameRounds, MaxKBadness: r.MaxKBadness}
+		PhaseLog: fromPhaseRecords(snap.PhaseLog, func(r assign.PhaseRecord) PhaseRecordJSON {
+			pr := PhaseRecordJSON{Phase: r.Phase, Proposals: r.Proposals, Accepted: r.Accepted,
+				GameEdges: r.GameEdges, GameRounds: r.GameRounds, TokensMoved: r.TokensMoved}
+			if snap.K > 0 {
+				pr.MaxKBadness = r.MaxBadness
+			} else {
+				pr.MaxBadness = r.MaxBadness
+			}
+			return pr
 		}),
 	}
 }
 
-// ToBoundedSnapshot validates the on-disk form against the network a
-// resume will run on and rebuilds the in-memory snapshot. The threshold
-// and deep state are validated in bounded.SolveSharded.
-func (sj *SnapshotJSON) ToBoundedSnapshot(fb *graph.CSRBipartite) (*bounded.Snapshot, error) {
-	if err := sj.checkBinding(LayerBounded, GraphHashBipartite(fb)); err != nil {
+// ToAssignSnapshot validates the on-disk form against the network a
+// resume will run on and the layer the caller expects (LayerAssign or
+// LayerBounded), and rebuilds the in-memory snapshot. Deep state
+// validation, the threshold included, happens in assign.SolveSharded.
+func (sj *SnapshotJSON) ToAssignSnapshot(fb *graph.CSRBipartite, layer string) (*assign.Snapshot, error) {
+	if layer != LayerAssign && layer != LayerBounded {
+		return nil, fmt.Errorf("encode: layer %q is not an assignment layer", layer)
+	}
+	if err := sj.checkBinding(layer, GraphHashBipartite(fb)); err != nil {
 		return nil, err
 	}
-	snap := &bounded.Snapshot{
+	if (sj.K > 0) != (layer == LayerBounded) {
+		return nil, fmt.Errorf("encode: %s snapshot carries threshold k = %d", layer, sj.K)
+	}
+	snap := &assign.Snapshot{
 		K:          sj.K,
 		Phase:      sj.Phase,
 		Rounds:     sj.Rounds,
@@ -422,8 +397,13 @@ func (sj *SnapshotJSON) ToBoundedSnapshot(fb *graph.CSRBipartite) (*bounded.Snap
 		ServRng:    append([]uint64(nil), sj.ServRng...),
 	}
 	for _, r := range sj.PhaseLog {
-		snap.PhaseLog = append(snap.PhaseLog, bounded.PhaseRecord{Phase: r.Phase, Proposals: r.Proposals,
-			Accepted: r.Accepted, GameEdges: r.GameEdges, GameRounds: r.GameRounds, MaxKBadness: r.MaxKBadness})
+		badness := r.MaxBadness
+		if layer == LayerBounded {
+			badness = r.MaxKBadness
+		}
+		snap.PhaseLog = append(snap.PhaseLog, assign.PhaseRecord{Phase: r.Phase, Proposals: r.Proposals,
+			Accepted: r.Accepted, GameEdges: r.GameEdges, GameRounds: r.GameRounds,
+			TokensMoved: r.TokensMoved, MaxBadness: badness})
 	}
 	return snap, nil
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"tokendrop/internal/assign"
-	"tokendrop/internal/bounded"
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
 	"tokendrop/internal/orient"
@@ -94,14 +93,14 @@ func assignFixture(t *testing.T) (*assign.Snapshot, *graph.CSRBipartite, RunMeta
 	return snap, fb, meta
 }
 
-func boundedFixture(t *testing.T) (*bounded.Snapshot, *graph.CSRBipartite, RunMetaJSON) {
+func boundedFixture(t *testing.T) (*assign.Snapshot, *graph.CSRBipartite, RunMetaJSON) {
 	t.Helper()
 	fb := bipartiteFixture(t)
-	var snap *bounded.Snapshot
-	_, err := bounded.SolveSharded(fb, bounded.ShardedOptions{
+	var snap *assign.Snapshot
+	_, err := assign.SolveSharded(fb, assign.ShardedOptions{
 		K: 2, Tie: core.TieFirstPort, Seed: 1, Shards: 2,
 		SnapshotAt: 1,
-		OnSnapshot: func(s *bounded.Snapshot) error { snap = s; return nil },
+		OnSnapshot: func(s *assign.Snapshot) error { snap = s; return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +188,7 @@ func TestSnapshotBindingsRoundTrip(t *testing.T) {
 	t.Run("assign", func(t *testing.T) {
 		snap, fb, meta := assignFixture(t)
 		sj := encodeDecode(t, FromAssignSnapshot(snap, fb, meta))
-		back, err := sj.ToAssignSnapshot(fb)
+		back, err := sj.ToAssignSnapshot(fb, LayerAssign)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,8 +198,8 @@ func TestSnapshotBindingsRoundTrip(t *testing.T) {
 	})
 	t.Run("bounded", func(t *testing.T) {
 		snap, fb, meta := boundedFixture(t)
-		sj := encodeDecode(t, FromBoundedSnapshot(snap, fb, meta))
-		back, err := sj.ToBoundedSnapshot(fb)
+		sj := encodeDecode(t, FromAssignSnapshot(snap, fb, meta))
+		back, err := sj.ToAssignSnapshot(fb, LayerBounded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,6 +243,24 @@ func TestSnapshotBindingRejectsMismatch(t *testing.T) {
 		_, c, _ := orientFixture(t)
 		if _, err := sj.ToOrientSnapshot(c); err == nil {
 			t.Fatal("core snapshot bound to an orient run")
+		}
+	})
+	t.Run("assign and bounded layers stay apart", func(t *testing.T) {
+		as, fb, meta := assignFixture(t)
+		bs, _, _ := boundedFixture(t)
+		if _, err := FromAssignSnapshot(as, fb, meta).ToAssignSnapshot(fb, LayerBounded); err == nil {
+			t.Fatal("assign snapshot bound to a k-bounded run")
+		}
+		if _, err := FromAssignSnapshot(bs, fb, meta).ToAssignSnapshot(fb, LayerAssign); err == nil {
+			t.Fatal("k-bounded snapshot bound to an assign run")
+		}
+		if _, err := sj.ToAssignSnapshot(fb, LayerCore); err == nil {
+			t.Fatal("assignment binding accepted a non-assignment layer")
+		}
+		forged := FromAssignSnapshot(as, fb, meta)
+		forged.Layer = LayerBounded
+		if _, err := forged.ToAssignSnapshot(fb, LayerBounded); err == nil {
+			t.Fatal("bounded-layer snapshot without a threshold accepted")
 		}
 	})
 	t.Run("wrong graph", func(t *testing.T) {
@@ -298,14 +315,14 @@ func TestGoldenSnapshots(t *testing.T) {
 		{"golden_assign.json", func(t *testing.T) (*SnapshotJSON, func(*SnapshotJSON) error) {
 			snap, fb, meta := assignFixture(t)
 			return FromAssignSnapshot(snap, fb, meta), func(sj *SnapshotJSON) error {
-				_, err := sj.ToAssignSnapshot(fb)
+				_, err := sj.ToAssignSnapshot(fb, LayerAssign)
 				return err
 			}
 		}},
 		{"golden_bounded.json", func(t *testing.T) (*SnapshotJSON, func(*SnapshotJSON) error) {
 			snap, fb, meta := boundedFixture(t)
-			return FromBoundedSnapshot(snap, fb, meta), func(sj *SnapshotJSON) error {
-				_, err := sj.ToBoundedSnapshot(fb)
+			return FromAssignSnapshot(snap, fb, meta), func(sj *SnapshotJSON) error {
+				_, err := sj.ToAssignSnapshot(fb, LayerBounded)
 				return err
 			}
 		}},

@@ -557,15 +557,9 @@ func (st *flatHyperState) pickRandom(v, a0, a1 int, mask, want uint8) int {
 	return choice
 }
 
-func (st *flatHyperState) result(stats local.ShardedStats) *FlatResult {
-	out := new(FlatResult)
-	st.resultInto(stats, out)
-	return out
-}
-
 // resultInto writes the run's outcome into out, reusing its slices
-// grow-only — the allocation-free counterpart of result for callers that
-// solve many games through one workspace (the assignment phase loop).
+// grow-only, so callers that solve many games through one workspace (the
+// assignment phase loop) allocate nothing per game.
 func (st *flatHyperState) resultInto(stats local.ShardedStats, out *FlatResult) {
 	n := st.fi.N()
 	total := 0
@@ -928,19 +922,11 @@ var _ local.FlatProgram = (*flatHyperProposal)(nil)
 // opt.Workspace set, the engine and the program state are rebuilt in
 // place across solves (see Workspace).
 func SolveProposalSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, error) {
-	if opt.MaxRounds == 0 {
-		opt.MaxRounds = 1 << 20
-	}
-	pr := &flatHyperProposal{&flatHyperState{}}
-	if opt.Workspace != nil {
-		pr = &opt.Workspace.prop
-	}
-	pr.reset(fi, opt)
-	stats, err := runFlatHyper(fi.inc, pr, opt)
-	if err != nil {
+	out := new(FlatResult)
+	if err := SolveProposalShardedInto(fi, opt, out); err != nil {
 		return nil, err
 	}
-	return pr.result(stats), nil
+	return out, nil
 }
 
 // SolveProposalShardedInto is SolveProposalSharded writing its outcome

@@ -22,12 +22,6 @@ type flatHyper3 struct {
 	push     []bool  // relays: head on level 1 (push mode)
 }
 
-func newFlatHyper3(fi *FlatInstance, opt ShardedSolveOptions) *flatHyper3 {
-	p3 := &flatHyper3{flatHyperState: &flatHyperState{}}
-	p3.reset3(fi, opt)
-	return p3
-}
-
 // reset3 rebuilds the three-level program state for a fresh solve of fi
 // in place (see flatHyperState.reset).
 func (p3 *flatHyper3) reset3(fi *FlatInstance, opt ShardedSolveOptions) {
@@ -563,20 +557,34 @@ var _ local.FlatProgram = (*flatHyper3)(nil)
 // opt.Session and opt.Workspace set, the engine and the program state are
 // rebuilt in place across solves (see Workspace).
 func SolveThreeLevelSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, error) {
+	out := new(FlatResult)
+	if err := SolveThreeLevelShardedInto(fi, opt, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SolveThreeLevelShardedInto is SolveThreeLevelSharded writing its
+// outcome into out (slices reused grow-only), allocation-free with a
+// warmed Session and Workspace like SolveProposalShardedInto.
+func SolveThreeLevelShardedInto(fi *FlatInstance, opt ShardedSolveOptions, out *FlatResult) error {
 	if h := fi.Height(); h > ThreeLevelMaxLevel {
-		return nil, fmt.Errorf("hypergame: 3-level solver got height %d > %d", h, ThreeLevelMaxLevel)
+		return fmt.Errorf("hypergame: 3-level solver got height %d > %d", h, ThreeLevelMaxLevel)
 	}
 	if opt.MaxRounds == 0 {
 		opt.MaxRounds = 1 << 20
 	}
-	pr := &flatHyper3{flatHyperState: &flatHyperState{}}
+	var pr *flatHyper3
 	if opt.Workspace != nil {
 		pr = &opt.Workspace.p3
+	} else {
+		pr = &flatHyper3{flatHyperState: &flatHyperState{}}
 	}
 	pr.reset3(fi, opt)
 	stats, err := runFlatHyper(fi.inc, pr, opt)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return pr.result(stats), nil
+	pr.resultInto(stats, out)
+	return nil
 }

@@ -90,8 +90,7 @@ type ShardedOptions struct {
 	// array — without synchronization and sees exactly the state after
 	// `round` complete rounds. This is what makes OnRound a
 	// crash-consistent snapshot point: the snapshot layers (core, orient,
-	// assign, bounded) capture mid-solve state from this hook and nowhere
-	// else. The hook must not retain references into program state past
+	// assign) capture mid-solve state from this hook and nowhere else. The hook must not retain references into program state past
 	// its return, and must not call back into the session.
 	OnRound func(round, awake int)
 	// Stop, if non-nil, is consulted after every round; returning true

@@ -423,7 +423,7 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	oriented := 0
 	startPhase := 1
 	if rs := opt.ResumeFrom; rs != nil {
-		cursor, err := restoreSnapshot(rs, n, m, opt.Tie, head, load, rngs)
+		cursor, err := restoreSnapshot(rs, eu, ev, opt.Tie, head, load, rngs)
 		if err != nil {
 			return nil, err
 		}

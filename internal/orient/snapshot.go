@@ -54,9 +54,12 @@ func captureSnapshot(snap *Snapshot, phase, oriented, rounds int, head, load []i
 	snap.PhaseLog = append(snap.PhaseLog[:0], log...)
 }
 
-// restoreSnapshot validates rs against the solve's shape and installs its
-// state into the phase-loop arrays. It returns the phase cursor.
-func restoreSnapshot(rs *Snapshot, n, m int, tie core.TieBreak, head, load []int32, rngs []uint64) (int, error) {
+// restoreSnapshot validates rs against the solve's graph — every head an
+// endpoint of its edge, every load the indegree the heads encode — and
+// installs its state into the phase-loop arrays. eu/ev are the per-edge
+// endpoints. It returns the phase cursor.
+func restoreSnapshot(rs *Snapshot, eu, ev []int32, tie core.TieBreak, head, load []int32, rngs []uint64) (int, error) {
+	n, m := len(load), len(head)
 	if len(rs.Head) != m || len(rs.Load) != n {
 		return 0, fmt.Errorf("orient: resume snapshot shaped %d edges / %d vertices, graph has %d / %d",
 			len(rs.Head), len(rs.Load), m, n)
@@ -72,19 +75,27 @@ func restoreSnapshot(rs *Snapshot, n, m int, tie core.TieBreak, head, load []int
 		return 0, fmt.Errorf("orient: resume snapshot carries TieRandom streams but the solve uses TieFirstPort")
 	}
 	oriented := 0
+	clear(load)
 	for id, h := range rs.Head {
-		if h >= 0 {
-			if int(h) >= n {
-				return 0, fmt.Errorf("orient: resume snapshot orients edge %d toward vertex %d (out of range)", id, h)
-			}
-			oriented++
+		if h == -1 {
+			continue
 		}
+		if h != eu[id] && h != ev[id] {
+			return 0, fmt.Errorf("orient: resume snapshot orients edge %d toward vertex %d, not one of its endpoints %d, %d",
+				id, h, eu[id], ev[id])
+		}
+		load[h]++
+		oriented++
 	}
 	if oriented != rs.Oriented {
 		return 0, fmt.Errorf("orient: resume snapshot claims %d oriented edges, heads encode %d", rs.Oriented, oriented)
 	}
+	for v, l := range load {
+		if l != rs.Load[v] {
+			return 0, fmt.Errorf("orient: resume snapshot's load of vertex %d is %d, heads encode %d", v, rs.Load[v], l)
+		}
+	}
 	copy(head, rs.Head)
-	copy(load, rs.Load)
 	if tie == core.TieRandom {
 		copy(rngs, rs.Rngs)
 	}

@@ -101,7 +101,10 @@ func TestOrientResumeEquivalence(t *testing.T) {
 }
 
 // TestOrientResumeRejectsBadSnapshots checks restore validation: shape
-// mismatches, inconsistent counters, and tie-rule mismatches fail loudly.
+// mismatches, inconsistent counters and loads, heads off their edges, and
+// tie-rule mismatches fail loudly, on a mid-run snapshot and on the last
+// phase's (which has no later phase to trip over a corrupt state by
+// accident).
 func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := graph.CSRRandomRegular(40, 4, rng)
@@ -110,15 +113,14 @@ func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap *Snapshot
-	sopt := opt
-	sopt.SnapshotAt = base.Phases / 2
-	if sopt.SnapshotAt == 0 {
-		sopt.SnapshotAt = 1
-	}
-	sopt.OnSnapshot = func(s *Snapshot) error { snap = s; return nil }
-	if _, err := SolveSharded(c, sopt); err != nil {
-		t.Fatal(err)
+	var snaps []*Snapshot
+	for _, at := range []int{max(base.Phases/2, 1), base.Phases} {
+		sopt := opt
+		sopt.SnapshotAt = at
+		sopt.OnSnapshot = func(s *Snapshot) error { snaps = append(snaps, s); return nil }
+		if _, err := SolveSharded(c, sopt); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	cases := []struct {
@@ -129,23 +131,48 @@ func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
 		{"negative phase", func(s *Snapshot) { s.Phase = -1 }},
 		{"oriented count drift", func(s *Snapshot) { s.Oriented++ }},
 		{"head out of range", func(s *Snapshot) { s.Head[0] = int32(c.N()) }},
+		{"load drift", func(s *Snapshot) { s.Load[0]++ }},
+		{"head not an endpoint", func(s *Snapshot) {
+			// Point the first oriented edge at a vertex off the edge,
+			// keeping the loads consistent with the moved head.
+			for v := 0; v < c.N(); v++ {
+				lo, hi := c.ArcRange(v)
+				for i := lo; i < hi; i++ {
+					id, h := c.EID[i], s.Head[c.EID[i]]
+					if h < 0 {
+						continue
+					}
+					x := int32(0)
+					for x == int32(v) || x == c.Col[i] {
+						x++
+					}
+					s.Head[id] = x
+					s.Load[h]--
+					s.Load[x]++
+					return
+				}
+			}
+			panic("no oriented edge")
+		}},
 		{"stray rng streams", func(s *Snapshot) { s.Rngs = make([]uint64, c.N()) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := &Snapshot{
-				Phase:    snap.Phase,
-				Oriented: snap.Oriented,
-				Rounds:   snap.Rounds,
-				Head:     append([]int32(nil), snap.Head...),
-				Load:     append([]int32(nil), snap.Load...),
-				PhaseLog: append([]PhaseRecord(nil), snap.PhaseLog...),
-			}
-			tc.mutate(bad)
-			ropt := opt
-			ropt.ResumeFrom = bad
-			if _, err := SolveSharded(c, ropt); err == nil {
-				t.Fatal("tampered snapshot resumed without error")
+			for _, snap := range snaps {
+				bad := &Snapshot{
+					Phase:    snap.Phase,
+					Oriented: snap.Oriented,
+					Rounds:   snap.Rounds,
+					Head:     append([]int32(nil), snap.Head...),
+					Load:     append([]int32(nil), snap.Load...),
+					PhaseLog: append([]PhaseRecord(nil), snap.PhaseLog...),
+				}
+				tc.mutate(bad)
+				ropt := opt
+				ropt.ResumeFrom = bad
+				if _, err := SolveSharded(c, ropt); err == nil {
+					t.Fatalf("tampered snapshot at phase %d resumed without error", snap.Phase)
+				}
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"tokendrop/internal/assign"
-	"tokendrop/internal/bounded"
 	"tokendrop/internal/core"
 	"tokendrop/internal/encode"
 	"tokendrop/internal/orient"
@@ -24,11 +23,13 @@ type (
 	// it back through OrientShardedOptions.ResumeFrom.
 	OrientSnapshot = orient.Snapshot
 	// AssignSnapshot is a stable-assignment snapshot at a phase boundary;
-	// feed it back through AssignShardedOptions.ResumeFrom.
+	// feed it back through AssignShardedOptions.ResumeFrom. Its K records
+	// the threshold of a k-bounded solve.
 	AssignSnapshot = assign.Snapshot
 	// BoundedSnapshot is a k-bounded assignment snapshot at a phase
-	// boundary; feed it back through BoundedShardedOptions.ResumeFrom.
-	BoundedSnapshot = bounded.Snapshot
+	// boundary; feed it back through BoundedShardedOptions.ResumeFrom. It
+	// is AssignSnapshot.
+	BoundedSnapshot = assign.Snapshot
 	// SnapshotJSON is the versioned on-disk snapshot form, self-describing
 	// via a layer discriminator, a graph content hash, and run provenance.
 	SnapshotJSON = encode.SnapshotJSON
@@ -88,27 +89,31 @@ func BindOrientSnapshot(sj *SnapshotJSON, c *FlatGraph) (*OrientSnapshot, error)
 }
 
 // AssignSnapshotJSON converts an assignment snapshot to its on-disk
-// form, bound to the network it was captured on.
+// form, bound to the network it was captured on. The snapshot's K picks
+// the layer: SnapshotLayerAssign at K = 0, SnapshotLayerBounded above.
 func AssignSnapshotJSON(snap *AssignSnapshot, fb *FlatBipartite, meta RunMetaJSON) *SnapshotJSON {
 	return encode.FromAssignSnapshot(snap, fb, meta)
 }
 
-// BindAssignSnapshot validates an on-disk snapshot against the network a
-// resume will run on and rebuilds the in-memory snapshot.
+// BindAssignSnapshot validates an on-disk SnapshotLayerAssign snapshot
+// against the network a resume will run on and rebuilds the in-memory
+// snapshot.
 func BindAssignSnapshot(sj *SnapshotJSON, fb *FlatBipartite) (*AssignSnapshot, error) {
-	return sj.ToAssignSnapshot(fb)
+	return sj.ToAssignSnapshot(fb, encode.LayerAssign)
 }
 
 // BoundedSnapshotJSON converts a k-bounded assignment snapshot to its
-// on-disk form, bound to the network it was captured on.
+// on-disk form, bound to the network it was captured on; it is
+// AssignSnapshotJSON.
 func BoundedSnapshotJSON(snap *BoundedSnapshot, fb *FlatBipartite, meta RunMetaJSON) *SnapshotJSON {
-	return encode.FromBoundedSnapshot(snap, fb, meta)
+	return encode.FromAssignSnapshot(snap, fb, meta)
 }
 
-// BindBoundedSnapshot validates an on-disk snapshot against the network
-// a resume will run on and rebuilds the in-memory snapshot.
+// BindBoundedSnapshot validates an on-disk SnapshotLayerBounded snapshot
+// against the network a resume will run on and rebuilds the in-memory
+// snapshot.
 func BindBoundedSnapshot(sj *SnapshotJSON, fb *FlatBipartite) (*BoundedSnapshot, error) {
-	return sj.ToBoundedSnapshot(fb)
+	return sj.ToAssignSnapshot(fb, encode.LayerBounded)
 }
 
 // WriteSnapshot streams a snapshot as indented JSON (deterministic
