@@ -32,7 +32,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "small instance sizes (sub-second total)")
 	seed := flag.Int64("seed", 42, "base seed for all workloads")
-	only := flag.String("only", "", "comma-separated experiment ids to run (e.g. E4a,E7); empty = all")
+	only := flag.String("only", "", "comma-separated ids of the experiment tables to print (e.g. E4a,E7); every experiment still runs; empty = all")
 	shards := cliutil.ShardsFlag()
 	shardedJSON := flag.String("shardedjson", "", "write the machine-readable engine benchmark report (E22–E29) to this file")
 	benchRepeat := flag.Int("benchrepeat", 5, "measurements per -shardedjson report entry (best run recorded)")
@@ -41,19 +41,15 @@ func main() {
 	cliutil.HandleVersionFlag(version)
 
 	p := bench.Profile{Quick: *quick, Seed: *seed, Shards: *shards, Repeat: *benchRepeat}
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[strings.ToUpper(id)] = true
-		}
+	tables, unknown := selectTables(bench.All(p), *only)
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "td-experiments: -only: no experiment table %s\n", strings.Join(unknown, ", "))
+		os.Exit(2)
 	}
 
 	fmt.Printf("token dropping reproduction — experiment tables (quick=%v seed=%d)\n\n", *quick, *seed)
 	violations := 0
-	for _, tbl := range bench.All(p) {
-		if len(want) > 0 && !want[strings.ToUpper(tbl.ID)] {
-			continue
-		}
+	for _, tbl := range tables {
 		tbl.Render(os.Stdout)
 		for _, row := range tbl.Rows {
 			for _, cell := range row {
@@ -84,4 +80,33 @@ func main() {
 		}
 		fmt.Printf("wrote engine benchmark report to %s\n", *shardedJSON)
 	}
+}
+
+// selectTables keeps, in order, the tables whose id is listed in only
+// (comma-separated, case-insensitive; an empty list keeps every table)
+// and returns the listed ids that match no table.
+func selectTables(tables []*bench.Table, only string) (kept []*bench.Table, unknown []string) {
+	matched := map[string]bool{}
+	var ids []string
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			matched[strings.ToUpper(id)] = false
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return tables, nil
+	}
+	for _, tbl := range tables {
+		if _, ok := matched[strings.ToUpper(tbl.ID)]; ok {
+			matched[strings.ToUpper(tbl.ID)] = true
+			kept = append(kept, tbl)
+		}
+	}
+	for _, id := range ids {
+		if !matched[strings.ToUpper(id)] {
+			unknown = append(unknown, id)
+		}
+	}
+	return kept, unknown
 }

@@ -90,9 +90,11 @@ func postJSON(t *testing.T, url string, body string) *http.Response {
 
 // TestErrorJSONShape pins the unified {"error":...,"code":N} contract
 // across every failure class: bad method, bad body, unknown field,
-// unknown path, and a domain refusal.
+// missing id, trailing data, unknown path, and a domain refusal. None of
+// the refused requests may change the daemon's state.
 func TestErrorJSONShape(t *testing.T) {
 	_, srv := startDaemon(t, testConfig())
+	before := getStats(t, srv.URL)
 
 	resp, err := http.Get(srv.URL + "/assign")
 	if err != nil {
@@ -100,17 +102,36 @@ func TestErrorJSONShape(t *testing.T) {
 	}
 	decodeErr(t, resp, http.StatusMethodNotAllowed)
 
-	decodeErr(t, postJSON(t, srv.URL+"/assign", `{"servers":`), http.StatusBadRequest)
-	decodeErr(t, postJSON(t, srv.URL+"/assign", `{"serverz":[1]}`), http.StatusBadRequest)
-	decodeErr(t, postJSON(t, srv.URL+"/assign", `{}`), http.StatusBadRequest)
-	decodeErr(t, postJSON(t, srv.URL+"/release", `{"customer":99999}`), http.StatusConflict)
-	decodeErr(t, postJSON(t, srv.URL+"/drain", `{"server":99999}`), http.StatusConflict)
+	for _, c := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/assign", `{"servers":`, http.StatusBadRequest},
+		{"/assign", `{"serverz":[1]}`, http.StatusBadRequest},
+		{"/assign", `{}`, http.StatusBadRequest},
+		{"/assign", `{"servers":[1,2]} xx`, http.StatusBadRequest},
+		{"/drain", ``, http.StatusBadRequest},
+		{"/drain", `{"server":null}`, http.StatusBadRequest},
+		{"/release", `{}`, http.StatusBadRequest},
+		{"/release", `{"customer":5}{"customer":6}`, http.StatusBadRequest},
+		{"/release", `{"customer":99999}`, http.StatusConflict},
+		{"/drain", `{"server":99999}`, http.StatusConflict},
+	} {
+		t.Logf("POST %s %q", c.path, c.body)
+		decodeErr(t, postJSON(t, srv.URL+c.path, c.body), c.status)
+	}
 
 	resp, err = http.Get(srv.URL + "/no-such-endpoint")
 	if err != nil {
 		t.Fatal(err)
 	}
 	decodeErr(t, resp, http.StatusNotFound)
+
+	after := getStats(t, srv.URL)
+	before.UptimeSec, after.UptimeSec = 0, 0
+	if after != before {
+		t.Fatalf("refused requests changed the daemon's state:\nbefore %+v\nafter  %+v", before, after)
+	}
 }
 
 // TestOverloadSheds pins graceful degradation: with one admission slot,
@@ -392,7 +413,7 @@ func TestChaosKillRestart(t *testing.T) {
 		case i%40 == 39:
 			j := cc.rng.Intn(len(cc.pool))
 			var ok okResp
-			if err := cc.call("/drain", drainReq{Server: cc.pool[j]}, &ok); err != nil {
+			if err := cc.call("/drain", drainReq{Server: &cc.pool[j]}, &ok); err != nil {
 				if !refusal(err) {
 					t.Fatalf("drain: %v", err)
 				}
@@ -407,7 +428,7 @@ func TestChaosKillRestart(t *testing.T) {
 			c := window[0]
 			window = window[1:]
 			var ok okResp
-			if err := cc.call("/release", releaseReq{Customer: c}, &ok); err != nil && !refusal(err) {
+			if err := cc.call("/release", releaseReq{Customer: &c}, &ok); err != nil && !refusal(err) {
 				t.Fatalf("release: %v", err)
 			}
 		default:

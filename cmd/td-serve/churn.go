@@ -146,7 +146,7 @@ func (cc *churnClient) step(i, cdeg int) error {
 		// move on, the workload tolerates refusals.
 		j := cc.rng.Intn(len(cc.pool))
 		var ok okResp
-		if err := cc.call("/drain", drainReq{Server: cc.pool[j]}, &ok); err != nil {
+		if err := cc.call("/drain", drainReq{Server: &cc.pool[j]}, &ok); err != nil {
 			if refusal(err) {
 				cc.refused++
 				return nil
@@ -164,7 +164,7 @@ func (cc *churnClient) step(i, cdeg int) error {
 		c := cc.window[0]
 		cc.window = cc.window[:copy(cc.window, cc.window[1:])]
 		var ok okResp
-		if err := cc.call("/release", releaseReq{Customer: c}, &ok); err != nil {
+		if err := cc.call("/release", releaseReq{Customer: &c}, &ok); err != nil {
 			return err
 		}
 		cc.applied++

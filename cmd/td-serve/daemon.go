@@ -64,8 +64,10 @@ type assignResp struct {
 	Server   int `json:"server"`
 }
 
+// releaseReq and drainReq take pointers so that an absent or null id is
+// told apart from id 0 and refused.
 type releaseReq struct {
-	Customer int `json:"customer"`
+	Customer *int `json:"customer"`
 }
 
 type serverResp struct {
@@ -73,7 +75,7 @@ type serverResp struct {
 }
 
 type drainReq struct {
-	Server int `json:"server"`
+	Server *int `json:"server"`
 }
 
 type okResp struct {
@@ -242,13 +244,19 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errResp{Error: msg, Code: status})
 }
 
-// decode parses a JSON request body strictly; unknown fields are
-// rejected so client typos fail loudly instead of silently no-opping.
+// decode parses a JSON request body strictly: unknown fields and
+// anything but whitespace after the one JSON value are rejected, so
+// client typos and concatenated bodies fail loudly instead of silently
+// no-opping. An empty body decodes as the zero request.
 func decode(w http.ResponseWriter, req *http.Request, v any) bool {
 	dec := json.NewDecoder(req.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil && err != io.EOF {
 		writeErr(w, http.StatusBadRequest, err.Error())
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeErr(w, http.StatusBadRequest, "unexpected data after the JSON request body")
 		return false
 	}
 	return true
@@ -358,10 +366,14 @@ func (d *daemon) handleRelease(w http.ResponseWriter, req *http.Request) {
 	if !decode(w, req, &in) {
 		return
 	}
+	if in.Customer == nil {
+		writeErr(w, http.StatusBadRequest, "customer is required")
+		return
+	}
 	d.serveOp(w, func() (any, error) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		if err := d.r.RemoveCustomer(in.Customer); err != nil {
+		if err := d.r.RemoveCustomer(*in.Customer); err != nil {
 			return nil, err
 		}
 		return okResp{OK: true}, nil
@@ -389,10 +401,14 @@ func (d *daemon) handleDrain(w http.ResponseWriter, req *http.Request) {
 	if !decode(w, req, &in) {
 		return
 	}
+	if in.Server == nil {
+		writeErr(w, http.StatusBadRequest, "server is required")
+		return
+	}
 	d.serveOp(w, func() (any, error) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		if err := d.r.DrainServer(in.Server); err != nil {
+		if err := d.r.DrainServer(*in.Server); err != nil {
 			return nil, err
 		}
 		return okResp{OK: true}, nil
