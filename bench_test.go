@@ -1,8 +1,9 @@
 package tokendrop_test
 
-// One benchmark per experiment table of the E1–E26 index (see
-// internal/bench): each regenerates its table on the quick profile, so
-// `go test -bench=.` re-derives every figure/theorem check of the paper.
+// One benchmark per timed experiment table of internal/bench (E1–E26
+// and E28; E29's wire cost is a count, pinned by TestE29WireCostGolden):
+// each regenerates its table on the quick profile, so `go test -bench=.`
+// re-derives every figure/theorem check of the paper.
 // Custom metrics report the quantity the corresponding claim is about
 // (rounds, phases, ratios) alongside ns/op.
 //

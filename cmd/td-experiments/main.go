@@ -5,18 +5,12 @@
 // certificates (E22–E24), the shard-scaling sweeps of the bare engine
 // (E25) and the whole phase loops (E26), and the baseline strategy
 // arena's Pareto report (E28), and the multi-process transport wire-cost
-// report (E29).
-//
-// With -shardedjson FILE it additionally measures the machine-readable
-// engine benchmark report (rounds/s and allocs/round for E22–E29; see
-// bench.ShardedBench) and writes it to FILE — the BENCH_sharded.json
-// format the repository records committed snapshots of (full profile,
-// plus the quick-profile baseline the CI bench-regression gate diffs
-// against; see cmd/td-benchgate).
+// report (E29). It exits 1 when a printed table reports a violated
+// claim, and 2 when an -only id matches no table.
 //
 // Usage:
 //
-//	td-experiments [-quick] [-seed N] [-only E7] [-shards N] [-shardedjson FILE]
+//	td-experiments [-quick] [-seed N] [-only E7] [-shards N]
 package main
 
 import (
@@ -34,13 +28,11 @@ func main() {
 	seed := flag.Int64("seed", 42, "base seed for all workloads")
 	only := flag.String("only", "", "comma-separated ids of the experiment tables to print (e.g. E4a,E7); every experiment still runs; empty = all")
 	shards := cliutil.ShardsFlag()
-	shardedJSON := flag.String("shardedjson", "", "write the machine-readable engine benchmark report (E22–E29) to this file")
-	benchRepeat := flag.Int("benchrepeat", 5, "measurements per -shardedjson report entry (best run recorded)")
 	version := cliutil.VersionFlag()
 	flag.Parse()
 	cliutil.HandleVersionFlag(version)
 
-	p := bench.Profile{Quick: *quick, Seed: *seed, Shards: *shards, Repeat: *benchRepeat}
+	p := bench.Profile{Quick: *quick, Seed: *seed, Shards: *shards}
 	tables, unknown := selectTables(bench.All(p), *only)
 	if len(unknown) > 0 {
 		fmt.Fprintf(os.Stderr, "td-experiments: -only: no experiment table %s\n", strings.Join(unknown, ", "))
@@ -62,23 +54,6 @@ func main() {
 	if violations > 0 {
 		fmt.Fprintf(os.Stderr, "%d claim violations detected\n", violations)
 		os.Exit(1)
-	}
-	if *shardedJSON != "" {
-		f, err := os.Create(*shardedJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sharded benchmark report: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteShardedBenchJSON(f, p); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "sharded benchmark report: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "sharded benchmark report: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote engine benchmark report to %s\n", *shardedJSON)
 	}
 }
 

@@ -11,11 +11,8 @@ import (
 // the greedy baselines) runs on every workload family (uniform, zipf,
 // hotspot, the Lemma 6.2 adversarial family, drain-and-replace churn)
 // and reports the four Pareto axes: final max load, rounds, messages,
-// wall-clock. The human-readable table below goes through All(); the
-// machine-readable entries go through ShardedBench into
-// BENCH_sharded.json, where td-benchgate gates the token-dropping rows
-// (max load and rounds must not regress) and carries the competitors
-// report-only.
+// wall-clock. TestE28ArenaGolden pins the token-dropping and resolver
+// rows' deterministic axes on the quick profile.
 
 // e28Workloads builds the family grid for the profile. The adversarial
 // instance records its proven floor; the churn instance ships its trace.
@@ -105,49 +102,4 @@ func E28ArenaPareto(p Profile) *Table {
 		}
 	}
 	return t
-}
-
-// arenaBenchEntries measures the E28 matchups for the machine-readable
-// report. Wall-clock noise on sub-millisecond strategies would swamp a
-// throughput gate, so RoundsPerSec stays zero here — the gated axes are
-// the deterministic ones (max load and rounds on the token-dropping
-// rows); competitors ride along report-only.
-func arenaBenchEntries(p Profile) ([]ShardedBenchEntry, error) {
-	workloads, err := e28Workloads(p)
-	if err != nil {
-		return nil, err
-	}
-	td := &arena.TokenDropping{Shards: p.Shards}
-	defer td.Close()
-	resolver := &arena.ResolverStrategy{Shards: p.Shards}
-	var out []ShardedBenchEntry
-	for _, w := range workloads {
-		strategies := e28Strategies(td)
-		if w.Trace != nil {
-			strategies = append(strategies, resolver)
-		}
-		for _, s := range strategies {
-			res, err := arena.Run(s, w, p.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("E28 %s on %s: %w", s.Name(), w.Name, err)
-			}
-			if err := arena.CheckResult(w, res); err != nil {
-				return nil, fmt.Errorf("E28 %s on %s: %w", s.Name(), w.Name, err)
-			}
-			out = append(out, ShardedBenchEntry{
-				Experiment: "E28",
-				Layer:      "arena",
-				Engine:     s.Name(),
-				Workload:   w.Name,
-				N:          w.FB.NumCustomers(),
-				M:          w.FB.C.M(),
-				Rounds:     res.Rounds,
-				Seconds:    res.Seconds,
-				MaxLoad:    res.MaxLoad,
-				MinMaxLoad: w.MinMaxLoad,
-				Messages:   res.Messages,
-			})
-		}
-	}
-	return out, nil
 }

@@ -14,23 +14,16 @@ import (
 
 // Profile scales experiments: Quick keeps every experiment below ~100ms
 // for use inside benchmarks and CI; the full profile (Quick=false) runs
-// the sizes reported in EXPERIMENTS.md.
+// the sizes cmd/td-experiments prints by default.
 type Profile struct {
 	Quick bool
 	Seed  int64
 	// Shards is the sharded engine worker count used by the engine
-	// experiments (E22–E24) and the machine-readable report; 0 means
+	// experiments (E22–E24) and the strategy arena (E28); 0 means
 	// runtime.GOMAXPROCS(0), i.e. one worker per core — the same
 	// contract as the CLIs' -shards flag. The scaling sweeps (E25, E26)
 	// choose their own worker counts and ignore it.
 	Shards int
-	// Repeat is how many times each entry of the machine-readable engine
-	// report (ShardedBench) is measured, recording the best run; 0 means
-	// once. Quick-profile runs finish in well under a millisecond, so
-	// single-shot timings swing far beyond the regression gate's
-	// tolerance — the gate's baseline and CI both measure best-of-5.
-	// The experiment tables ignore it.
-	Repeat int
 }
 
 // Table is one regenerated result table.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -47,75 +46,6 @@ func TestFitPowerLaw(t *testing.T) {
 	}
 	if !math.IsNaN(FitPowerLaw([]float64{-1, 0}, []float64{1, 1})) {
 		t.Fatal("non-positive xs should be skipped")
-	}
-}
-
-// TestShardedBenchQuick measures the machine-readable engine report on
-// the quick profile and checks its shape: every experiment present, a
-// seed/sharded pair per layer, a multi-point scaling sweep, and valid
-// JSON out of the writer.
-func TestShardedBenchQuick(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteShardedBenchJSON(&buf, Profile{Quick: true, Seed: 7}); err != nil {
-		t.Fatal(err)
-	}
-	var rep ShardedBenchReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if !rep.Quick || rep.Seed != 7 || rep.GoMaxProcs < 1 {
-		t.Fatalf("report header %+v malformed", rep)
-	}
-	byExp := map[string][]ShardedBenchEntry{}
-	for _, e := range rep.Entries {
-		byExp[e.Experiment] = append(byExp[e.Experiment], e)
-		if e.Experiment == "E29" {
-			// The wire-cost entries are static, not timed: no rounds, but
-			// the deterministic wire fields must be populated.
-			if e.WireFramesPerRound <= 0 || e.WireBytesPerRound <= 0 {
-				t.Fatalf("E29 entry %+v has no wire cost", e)
-			}
-			continue
-		}
-		if e.Rounds <= 0 || e.Seconds < 0 {
-			t.Fatalf("entry %+v has no rounds", e)
-		}
-	}
-	for _, exp := range []string{"E22", "E23", "E24"} {
-		pair := byExp[exp]
-		if len(pair) != 2 || pair[0].Engine != "seed" || pair[1].Engine != "sharded" {
-			t.Fatalf("%s: want a seed/sharded pair, got %+v", exp, pair)
-		}
-		if pair[0].Rounds != pair[1].Rounds {
-			t.Fatalf("%s: engines disagree on rounds: %d != %d", exp, pair[0].Rounds, pair[1].Rounds)
-		}
-	}
-	if len(byExp["E25"]) < 2 {
-		t.Fatalf("E25: want a multi-point scaling sweep, got %+v", byExp["E25"])
-	}
-	for _, e := range byExp["E25"] {
-		if e.Shards < 1 || e.Rounds != byExp["E25"][0].Rounds {
-			t.Fatalf("E25 entry %+v malformed or shard-variant", e)
-		}
-	}
-	serve := byExp["E27"]
-	if len(serve) != 1 || serve[0].Layer != "serving" || serve[0].Engine != "incremental" {
-		t.Fatalf("E27: want one serving/incremental entry, got %+v", serve)
-	}
-	if e := serve[0]; e.P50Micros <= 0 || e.P99Micros < e.P50Micros {
-		t.Fatalf("E27 latency percentiles malformed: %+v", e)
-	}
-	wire := byExp["E29"]
-	if len(wire) != 6 { // 3 layers × 2 process counts
-		t.Fatalf("E29: want 6 wire-cost entries, got %+v", wire)
-	}
-	for _, e := range wire {
-		if e.Engine != "mp" || e.Shards < 2 {
-			t.Fatalf("E29 entry %+v not keyed as engine mp with a process count", e)
-		}
-		if e.WireFramesPerRound != 2*e.Shards {
-			t.Fatalf("E29 entry %+v: star routing sends 2 frames per process per round", e)
-		}
 	}
 }
 

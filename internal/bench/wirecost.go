@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"tokendrop/internal/core"
-	"tokendrop/internal/graph"
 	"tokendrop/internal/local"
 )
 
@@ -14,108 +13,42 @@ import (
 // downstream frame per worker process, and exactly the buffer words
 // whose sender and receiver live in different processes. Both numbers
 // are pure functions of the graph and the engine's arc-balanced shard
-// map (local.MPWireCost), so they are exactly reproducible: the
-// regression gate compares them for equality, and any change is a real
-// message-volume change in the transport or the partitioner — never
-// timing noise. ProcTransport's live frame accounting matches these
-// figures byte-for-byte (asserted by internal/mp's wire-accounting
-// test), so gating the static numbers gates the real traffic.
+// map (local.MPWireCost), so they are exactly reproducible: any change
+// is a real message-volume change in the transport or the partitioner
+// — never timing noise. ProcTransport's live frame accounting matches
+// these figures byte-for-byte (asserted by internal/mp's wire-accounting
+// test), and TestE29WireCostGolden pins them on the quick profile. Only
+// the game layer is costed: it is the only layer the multi-process
+// engine runs.
 
-// e29Procs is the worker-process sweep the wire-cost entries cover.
-func e29Procs() []int { return []int{2, 4} }
-
-// e29Workloads rebuilds the engine-benchmark workloads of E22–E24 (same
-// sizes, same seed derivation) and returns one CSR per paper layer.
-func e29Workloads(p Profile) []struct {
-	layer    string
-	workload string
-	csr      *graph.CSR
-} {
-	rng := rand.New(rand.NewSource(p.Seed))
-	gcfg := core.LayeredConfig{Levels: 5, Width: 20_000, ParentDeg: 4, TokenProb: 0.6, FreeBottom: true}
-	if p.Quick {
-		gcfg.Width = 60
-	}
-	fi := core.FlatRandomLayered(gcfg, rng)
-
-	on, od := 60_000, 4
-	if p.Quick {
-		on = 2_000
-	}
-	ocsr := graph.NewCSRFromGraph(graph.RandomRegular(on, od, rng))
-
-	nl, nr, cdeg := 100_000, 25_000, 3
-	if p.Quick {
-		nl, nr = 4_000, 1_000
-	}
-	ab := graph.MustBipartite(graph.RandomBipartite(nl, nr, cdeg, rng), nl)
-	afb := graph.NewCSRBipartiteFromBipartite(ab)
-
-	return []struct {
-		layer    string
-		workload string
-		csr      *graph.CSR
-	}{
-		{"game", fmt.Sprintf("random layered L=%d w=%d d=%d", gcfg.Levels, gcfg.Width, gcfg.ParentDeg), fi.CSR()},
-		{"orientation", fmt.Sprintf("random %d-regular", od), ocsr},
-		{"assignment", fmt.Sprintf("random bipartite cdeg=%d", cdeg), afb.C},
-	}
-}
-
-// E29WireCost renders the per-layer wire cost of the multi-process
-// transport across the worker-process sweep.
+// E29WireCost renders the game layer's wire cost across a
+// worker-process sweep.
 func E29WireCost(p Profile) *Table {
 	t := &Table{
 		ID:    "E29",
-		Title: "Multi-process transport wire cost (frames and bytes per round)",
+		Title: "Multi-process transport wire cost of the game layer (frames and bytes per round)",
 		Claim: "round communication is O(boundary-crossing arcs): a pure function of graph and shard map, measured exactly",
-		Columns: []string{"layer", "workload", "n", "m", "procs",
+		Columns: []string{"workload", "n", "m", "procs",
 			"frames/round", "bytes/round", "cross words"},
 		Notes: []string{
 			"bytes/round = frames × 13-byte frame header + 2 bytes per boundary-crossing buffer word",
-			"td-benchgate compares these entries for equality — they are deterministic, so any drift is a transport change",
 		},
 	}
-	for _, wl := range e29Workloads(p) {
-		for _, procs := range e29Procs() {
-			frames, wireBytes, err := local.MPWireCost(wl.csr, procs, 1)
-			if err != nil {
-				t.AddRow(wl.layer, wl.workload, wl.csr.N(), wl.csr.M(), procs, "error", err.Error(), "")
-				continue
-			}
-			pb, _ := local.ProcBoundsFromShards(local.ShardBounds(wl.csr, procs), procs, 1)
-			cross := local.NewExchangePlan(wl.csr, pb).CrossWords()
-			t.AddRow(wl.layer, wl.workload, wl.csr.N(), wl.csr.M(), procs, frames, wireBytes, cross)
+	cfg := core.LayeredConfig{Levels: 5, Width: 20_000, ParentDeg: 4, TokenProb: 0.6, FreeBottom: true}
+	if p.Quick {
+		cfg.Width = 60
+	}
+	csr := core.FlatRandomLayered(cfg, rand.New(rand.NewSource(p.Seed))).CSR()
+	workload := fmt.Sprintf("random layered L=%d w=%d d=%d", cfg.Levels, cfg.Width, cfg.ParentDeg)
+	for _, procs := range []int{2, 4} {
+		frames, wireBytes, err := local.MPWireCost(csr, procs, 1)
+		if err != nil {
+			t.AddRow(workload, csr.N(), csr.M(), procs, "error", err.Error(), "")
+			continue
 		}
+		pb, _ := local.ProcBoundsFromShards(local.ShardBounds(csr, procs), procs, 1)
+		cross := local.NewExchangePlan(csr, pb).CrossWords()
+		t.AddRow(workload, csr.N(), csr.M(), procs, frames, wireBytes, cross)
 	}
 	return t
-}
-
-// E29BenchEntries returns the machine-readable E29 entries for the
-// engine benchmark report: one per layer × process count, engine "mp",
-// with the deterministic wire cost in the wire_* fields and the process
-// count in Shards (the gate's key). Timing fields stay zero — there is
-// nothing to time, and the gate's rounds/s check skips zero baselines.
-func E29BenchEntries(p Profile) ([]ShardedBenchEntry, error) {
-	var out []ShardedBenchEntry
-	for _, wl := range e29Workloads(p) {
-		for _, procs := range e29Procs() {
-			frames, wireBytes, err := local.MPWireCost(wl.csr, procs, 1)
-			if err != nil {
-				return nil, fmt.Errorf("E29 %s procs=%d: %w", wl.layer, procs, err)
-			}
-			out = append(out, ShardedBenchEntry{
-				Experiment:         "E29",
-				Layer:              wl.layer,
-				Engine:             "mp",
-				Workload:           wl.workload,
-				N:                  wl.csr.N(),
-				M:                  wl.csr.M(),
-				Shards:             procs,
-				WireFramesPerRound: frames,
-				WireBytesPerRound:  wireBytes,
-			})
-		}
-	}
-	return out, nil
 }

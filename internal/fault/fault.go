@@ -8,8 +8,8 @@
 // it models: the engine's round barrier, a resolver repair move, a
 // snapshot write. A visit to a disarmed site is a nil check and nothing
 // else — no allocation, no atomic, no lock — which is what keeps the
-// warmed-session AllocsPerRun == 0 pins and the td-benchgate rounds/s
-// gate intact with the hooks compiled in. An armed site counts visits
+// warmed-session AllocsPerRun == 0 pins and the tdbench CPU-time bounds
+// intact with the hooks compiled in. An armed site counts visits
 // under its own lock and fires according to its Schedule: at an exact
 // visit number, every N-th visit, with seeded probability, or any
 // combination, capped by Max.

@@ -27,8 +27,8 @@ import "fmt"
 //
 // Both are free when unused: the per-round site visit is a nil check,
 // and the goroutine-boundary recover costs nothing until a panic
-// actually unwinds — the warmed AllocsPerRun == 0 pins and the
-// td-benchgate throughput gate both run with this code compiled in.
+// actually unwinds — the warmed AllocsPerRun == 0 pins and the tdbench
+// CPU-time bounds both hold with this code compiled in.
 
 // FaultSiteRound is the engine's failpoint, visited by the run
 // coordinator once per round before the round is dispatched (visit n =

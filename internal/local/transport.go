@@ -206,10 +206,10 @@ const roundFrameOverhead = 4 + 1 + 4 + 4
 // framed exchanges (one upstream and one downstream frame per worker
 // process) and the total bytes crossing process boundaries, headers
 // included. This is the quantity experiment E29 records and
-// td-benchgate gates — it is a pure function of the graph and the shard
-// map, so the gate fires on real message-volume regressions, never on
-// timing noise. ProcTransport's frame accounting matches it exactly
-// (asserted by the internal/mp tests).
+// internal/bench's TestE29WireCostGolden pins — it is a pure function of
+// the graph and the shard map, so the pin fails on real message-volume
+// changes, never on timing noise. ProcTransport's frame accounting
+// matches it exactly (asserted by the internal/mp tests).
 func MPWireCost(csr *graph.CSR, procs, shardsPerProc int) (framesPerRound int, bytesPerRound int64, err error) {
 	if shardsPerProc <= 0 {
 		shardsPerProc = 1
