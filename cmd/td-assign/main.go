@@ -113,9 +113,7 @@ func main() {
 		}
 		meta := recordMeta(*nc, *ns, *cdeg, *seed, *shards)
 		if *record != "" {
-			buf := new(tokendrop.AssignSnapshot)
 			sopt.SnapshotEvery = 1
-			sopt.SnapshotInto = buf
 			sopt.OnSnapshot = func(s *tokendrop.AssignSnapshot) error {
 				return saveRecordSnapshot(*record, tokendrop.AssignSnapshotJSON(s, fb, meta))
 			}

@@ -139,9 +139,7 @@ func main() {
 			if err := os.MkdirAll(*record, 0o755); err != nil {
 				log.Fatal(err)
 			}
-			buf := new(tokendrop.OrientSnapshot)
 			sopt.SnapshotEvery = 1
-			sopt.SnapshotInto = buf
 			sopt.OnSnapshot = func(s *tokendrop.OrientSnapshot) error {
 				return tokendrop.SaveSnapshotFile(filepath.Join(*record, "snapshot.json"),
 					tokendrop.OrientSnapshotJSON(s, c, meta))

@@ -256,7 +256,6 @@ func main() {
 			}}
 			rec.start(inst)
 			sopt.SnapshotEvery = *snapEvery
-			sopt.SnapshotInto = &rec.buf
 			sopt.OnSnapshot = rec.hook
 		}
 		var res *tokendrop.FlatGameResult

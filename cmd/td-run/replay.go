@@ -34,7 +34,6 @@ type recorder struct {
 	dir  string
 	flat *tokendrop.FlatGame
 	meta tokendrop.RunMetaJSON
-	buf  tokendrop.GameSnapshot
 }
 
 // start creates the directory and writes instance.json.

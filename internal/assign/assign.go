@@ -30,6 +30,7 @@ import (
 	"math"
 	"math/rand"
 
+	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
 	"tokendrop/internal/hypergame"
 )
@@ -57,15 +58,7 @@ type Options struct {
 }
 
 // PhaseRecord captures one phase for experiments.
-type PhaseRecord struct {
-	Phase       int
-	Proposals   int // unassigned customers at phase start
-	Accepted    int // customers assigned this phase
-	GameEdges   int // badness-1 customers in the game
-	GameRounds  int
-	TokensMoved int
-	MaxBadness  int // after the phase, on effective loads (must be ≤ 1)
-}
+type PhaseRecord = core.PhaseRecord
 
 // Result is the outcome of Solve.
 type Result struct {

@@ -84,29 +84,10 @@ type ShardedOptions struct {
 	// scale — meant for tests, not million-customer runs.
 	VerifyGames bool
 
-	// SnapshotEvery asks for a crash-consistent snapshot after every k-th
-	// completed phase (k > 0). Captures happen at the phase boundary, where
-	// the engine session is quiescent and the assignment arrays are the
-	// whole mid-solve state.
-	SnapshotEvery int
-	// SnapshotAt asks for one snapshot after the given phase completes, in
-	// addition to any SnapshotEvery schedule.
-	SnapshotAt int
-	// OnSnapshot receives each capture. A non-nil error aborts the solve
-	// with that error. The *Snapshot is only valid during the call when
-	// SnapshotInto is set (the buffer is rewritten by the next capture).
-	OnSnapshot func(*Snapshot) error
-	// SnapshotInto, when non-nil, is the caller-owned buffer every capture
-	// is written into (slices reused grow-only), keeping the snapshot pass
-	// allocation-free in steady state. When nil each capture allocates a
-	// fresh Snapshot.
-	SnapshotInto *Snapshot
-	// ResumeFrom restores a snapshot's state and continues the solve from
-	// the phase after its cursor. The snapshot must come from a run on the
-	// same network with the same K, Tie, and Seed; shape, threshold, and
-	// consistency are validated, semantic mismatches surface as divergent
-	// results.
-	ResumeFrom *Snapshot
+	// Checkpoint holds the snapshot cadence, hook and resume cursor
+	// (phases; validated restore resume). The threshold is validated on
+	// resume too.
+	core.Checkpoint[Snapshot]
 
 	// Session, when non-nil, is the engine session every phase runs on;
 	// the caller keeps ownership (it is not closed) and Shards is
@@ -435,6 +416,7 @@ type SolveScratch struct {
 	dropped      []int32
 	sol          hypergame.FlatResult
 	res          ShardedResult
+	snap         Snapshot // capture buffer, rewritten per capture
 
 	propose, accept, mark, scatter, compact, badness func(sh, lo, hi int)
 }
@@ -912,14 +894,9 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 		res.PhaseLog = append(res.PhaseLog, rec)
 		res.Phases = phase
 
-		if opt.OnSnapshot != nil &&
-			((opt.SnapshotEvery > 0 && phase%opt.SnapshotEvery == 0) || phase == opt.SnapshotAt) {
-			snap := opt.SnapshotInto
-			if snap == nil {
-				snap = new(Snapshot)
-			}
-			captureAssignSnapshot(snap, opt.K, phase, res.Rounds, serverOf, load, sc.unassigned, custRng, servRng, res.PhaseLog)
-			if err := opt.OnSnapshot(snap); err != nil {
+		if opt.Due(phase) {
+			captureAssignSnapshot(&sc.snap, opt.K, phase, res.Rounds, serverOf, load, sc.unassigned, custRng, servRng, res.PhaseLog)
+			if err := opt.OnSnapshot(&sc.snap); err != nil {
 				return nil, fmt.Errorf("assign: snapshot at phase %d: %w", phase, err)
 			}
 		}

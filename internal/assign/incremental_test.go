@@ -413,7 +413,7 @@ func TestWarmStartValidation(t *testing.T) {
 		if _, err := SolveSharded(fb, ShardedOptions{
 			K:          k,
 			WarmStart:  &WarmStart{ServerOf: res.ServerOf, Load: res.Load},
-			ResumeFrom: &Snapshot{K: k},
+			Checkpoint: core.Checkpoint[Snapshot]{ResumeFrom: &Snapshot{K: k}},
 		}); err == nil {
 			t.Fatalf("k=%d: WarmStart+ResumeFrom accepted", k)
 		}

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -57,10 +58,32 @@ func checkAssignResumeMatch(t *testing.T, label string, base, resumed *ShardedRe
 	}
 }
 
+// captureEvery solves with a capture after every phase and returns the
+// result with a copy of each capture (the solver rewrites its buffer).
+func captureEvery(t *testing.T, fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, []*Snapshot) {
+	t.Helper()
+	var snaps []*Snapshot
+	opt.SnapshotEvery = 1
+	opt.OnSnapshot = func(s *Snapshot) error {
+		cp := new(Snapshot)
+		captureAssignSnapshot(cp, s.K, s.Phase, s.Rounds, s.ServerOf, s.Load, s.Unassigned, s.CustRng, s.ServRng, s.PhaseLog)
+		snaps = append(snaps, cp)
+		return nil
+	}
+	res, err := SolveSharded(fb, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != res.Phases {
+		t.Fatalf("%d snapshots over %d phases", len(snaps), res.Phases)
+	}
+	return res, snaps
+}
+
 // TestAssignResumeEquivalence: across network families, thresholds
 // (the general problem and k = 2, 3), tie rules, and shard counts, a run
-// snapshotted at a random phase cursor and resumed from the snapshot
-// bit-matches the uninterrupted run.
+// resumed from the snapshot at every phase cursor bit-matches the
+// uninterrupted run.
 func TestAssignResumeEquivalence(t *testing.T) {
 	shardChoices := []int{1, 2, 8}
 	for fam := range assignFamilies {
@@ -79,32 +102,19 @@ func TestAssignResumeEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if base.Phases < 1 {
-							continue
-						}
-						cursor := 1 + rng.Intn(base.Phases)
-
-						var snap *Snapshot
-						sopt := opt
-						sopt.SnapshotAt = cursor
-						sopt.OnSnapshot = func(s *Snapshot) error { snap = s; return nil }
-						again, err := SolveSharded(fb, sopt)
-						if err != nil {
-							t.Fatal(err)
-						}
+						again, snaps := captureEvery(t, fb, opt)
 						checkAssignResumeMatch(t, "capture run", base, again)
-						if snap == nil {
-							t.Fatalf("no snapshot at phase %d of %d", cursor, base.Phases)
-						}
 
 						ropt := opt
 						ropt.Shards = shardChoices[(i+1)%len(shardChoices)]
-						ropt.ResumeFrom = snap
-						resumed, err := SolveSharded(fb, ropt)
-						if err != nil {
-							t.Fatalf("resume at phase %d: %v", cursor, err)
+						for _, snap := range snaps {
+							ropt.ResumeFrom = snap
+							resumed, err := SolveSharded(fb, ropt)
+							if err != nil {
+								t.Fatalf("resume at phase %d: %v", snap.Phase, err)
+							}
+							checkAssignResumeMatch(t, fmt.Sprintf("run resumed at phase %d", snap.Phase), base, resumed)
 						}
-						checkAssignResumeMatch(t, "resumed run", base, resumed)
 					}
 				}
 			}
@@ -122,19 +132,8 @@ func TestAssignResumeRejectsBadSnapshots(t *testing.T) {
 		graph.MustBipartite(graph.RandomBipartite(40, 8, 3, rng), 40))
 	var snaps []*Snapshot
 	for _, k := range []int{0, 2} {
-		opt := ShardedOptions{K: k, Tie: core.TieFirstPort, Seed: 1, Shards: 2}
-		base, err := SolveSharded(fb, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, at := range []int{min(1+base.Phases/2, base.Phases), base.Phases} {
-			sopt := opt
-			sopt.SnapshotAt = at
-			sopt.OnSnapshot = func(s *Snapshot) error { snaps = append(snaps, s); return nil }
-			if _, err := SolveSharded(fb, sopt); err != nil {
-				t.Fatal(err)
-			}
-		}
+		base, all := captureEvery(t, fb, ShardedOptions{K: k, Tie: core.TieFirstPort, Seed: 1, Shards: 2})
+		snaps = append(snaps, all[min(1+base.Phases/2, base.Phases)-1], all[base.Phases-1])
 	}
 
 	cases := []struct {
@@ -190,7 +189,8 @@ func TestAssignResumeRejectsBadSnapshots(t *testing.T) {
 					PhaseLog:   append([]PhaseRecord(nil), snap.PhaseLog...),
 				}
 				tc.mutate(bad)
-				ropt := ShardedOptions{K: snap.K, Tie: core.TieFirstPort, Seed: 1, Shards: 2, ResumeFrom: bad}
+				ropt := ShardedOptions{K: snap.K, Tie: core.TieFirstPort, Seed: 1, Shards: 2}
+				ropt.ResumeFrom = bad
 				if _, err := SolveSharded(fb, ropt); err == nil {
 					t.Fatalf("tampered k=%d snapshot at phase %d resumed without error", snap.K, snap.Phase)
 				}

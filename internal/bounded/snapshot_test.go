@@ -1,6 +1,7 @@
 package bounded
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -56,9 +57,45 @@ func checkBoundedResumeMatch(t *testing.T, label string, base, resumed *assign.S
 	}
 }
 
+// copySnapshot deep-copies a capture, which the solver rewrites in place
+// at the next one.
+func copySnapshot(s *assign.Snapshot) *assign.Snapshot {
+	return &assign.Snapshot{
+		K:          s.K,
+		Phase:      s.Phase,
+		Rounds:     s.Rounds,
+		ServerOf:   append([]int32(nil), s.ServerOf...),
+		Load:       append([]int32(nil), s.Load...),
+		Unassigned: append([]int32(nil), s.Unassigned...),
+		CustRng:    append([]uint64(nil), s.CustRng...),
+		ServRng:    append([]uint64(nil), s.ServRng...),
+		PhaseLog:   append([]assign.PhaseRecord(nil), s.PhaseLog...),
+	}
+}
+
+// captureEvery solves with a capture after every phase and returns the
+// result with a copy of each capture.
+func captureEvery(t *testing.T, fb *graph.CSRBipartite, opt assign.ShardedOptions) (*assign.ShardedResult, []*assign.Snapshot) {
+	t.Helper()
+	var snaps []*assign.Snapshot
+	opt.SnapshotEvery = 1
+	opt.OnSnapshot = func(s *assign.Snapshot) error {
+		snaps = append(snaps, copySnapshot(s))
+		return nil
+	}
+	res, err := assign.SolveSharded(fb, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != res.Phases {
+		t.Fatalf("%d snapshots over %d phases", len(snaps), res.Phases)
+	}
+	return res, snaps
+}
+
 // TestBoundedResumeEquivalence: across network families, thresholds, tie
-// rules, and shard counts, a run snapshotted at a random phase cursor and
-// resumed from the snapshot bit-matches the uninterrupted run.
+// rules, and shard counts, a run resumed from the snapshot at every phase
+// cursor bit-matches the uninterrupted run.
 func TestBoundedResumeEquivalence(t *testing.T) {
 	shardChoices := []int{1, 2, 8}
 	for fam := range boundedFamilies {
@@ -77,32 +114,19 @@ func TestBoundedResumeEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if base.Phases < 1 {
-						continue
-					}
-					cursor := 1 + rng.Intn(base.Phases)
-
-					var snap *assign.Snapshot
-					sopt := opt
-					sopt.SnapshotAt = cursor
-					sopt.OnSnapshot = func(s *assign.Snapshot) error { snap = s; return nil }
-					again, err := assign.SolveSharded(fb, sopt)
-					if err != nil {
-						t.Fatal(err)
-					}
+					again, snaps := captureEvery(t, fb, opt)
 					checkBoundedResumeMatch(t, "capture run", base, again)
-					if snap == nil {
-						t.Fatalf("no snapshot at phase %d of %d", cursor, base.Phases)
-					}
 
 					ropt := opt
 					ropt.Shards = shardChoices[(i+1)%len(shardChoices)]
-					ropt.ResumeFrom = snap
-					resumed, err := assign.SolveSharded(fb, ropt)
-					if err != nil {
-						t.Fatalf("resume at phase %d: %v", cursor, err)
+					for _, snap := range snaps {
+						ropt.ResumeFrom = snap
+						resumed, err := assign.SolveSharded(fb, ropt)
+						if err != nil {
+							t.Fatalf("resume at phase %d: %v", snap.Phase, err)
+						}
+						checkBoundedResumeMatch(t, fmt.Sprintf("run resumed at phase %d", snap.Phase), base, resumed)
 					}
-					checkBoundedResumeMatch(t, "resumed run", base, resumed)
 				}
 			}
 		})
@@ -116,20 +140,8 @@ func TestBoundedResumeRejectsBadSnapshots(t *testing.T) {
 	fb := graph.NewCSRBipartiteFromBipartite(
 		graph.MustBipartite(graph.RandomBipartite(40, 8, 3, rng), 40))
 	opt := assign.ShardedOptions{K: 2, Tie: core.TieFirstPort, Seed: 1, Shards: 2}
-	base, err := assign.SolveSharded(fb, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap *assign.Snapshot
-	sopt := opt
-	sopt.SnapshotAt = 1 + base.Phases/2
-	if sopt.SnapshotAt > base.Phases {
-		sopt.SnapshotAt = base.Phases
-	}
-	sopt.OnSnapshot = func(s *assign.Snapshot) error { snap = s; return nil }
-	if _, err := assign.SolveSharded(fb, sopt); err != nil {
-		t.Fatal(err)
-	}
+	base, snaps := captureEvery(t, fb, opt)
+	snap := snaps[min(1+base.Phases/2, base.Phases)-1]
 
 	cases := []struct {
 		name   string
@@ -146,15 +158,7 @@ func TestBoundedResumeRejectsBadSnapshots(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := &assign.Snapshot{
-				K:          snap.K,
-				Phase:      snap.Phase,
-				Rounds:     snap.Rounds,
-				ServerOf:   append([]int32(nil), snap.ServerOf...),
-				Load:       append([]int32(nil), snap.Load...),
-				Unassigned: append([]int32(nil), snap.Unassigned...),
-				PhaseLog:   append([]assign.PhaseRecord(nil), snap.PhaseLog...),
-			}
+			bad := copySnapshot(snap)
 			tc.mutate(bad)
 			ropt := opt
 			ropt.ResumeFrom = bad

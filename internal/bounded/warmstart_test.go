@@ -77,7 +77,7 @@ func TestWarmStartValidation(t *testing.T) {
 	if _, err := assign.SolveSharded(fb, assign.ShardedOptions{
 		K:          2,
 		WarmStart:  &assign.WarmStart{ServerOf: res.ServerOf, Load: res.Load},
-		ResumeFrom: &assign.Snapshot{K: 2},
+		Checkpoint: core.Checkpoint[assign.Snapshot]{ResumeFrom: &assign.Snapshot{K: 2}},
 	}); err == nil {
 		t.Fatal("WarmStart+ResumeFrom accepted")
 	}

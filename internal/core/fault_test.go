@@ -122,7 +122,7 @@ func TestInjectedErrorAutoResume(t *testing.T) {
 	reg := fault.NewRegistry(1)
 	reg.Arm(local.FaultSiteRound, fault.Schedule{Kind: fault.KindError, TriggerAt: 3})
 	got, err := SolveProposalSharded(fi, ShardedSolveOptions{
-		Shards: 2, Fault: reg, AutoResume: 1, SnapshotEvery: 2,
+		Shards: 2, Fault: reg, AutoResume: 1, Checkpoint: Checkpoint[Snapshot]{SnapshotEvery: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestAutoResumeBudgetExhausted(t *testing.T) {
 	reg := fault.NewRegistry(1)
 	reg.Arm(local.FaultSiteRound, fault.Schedule{Kind: fault.KindCrash, Every: 1})
 	_, err := SolveProposalSharded(fi, ShardedSolveOptions{
-		Shards: 2, Fault: reg, AutoResume: 3, SnapshotEvery: 1,
+		Shards: 2, Fault: reg, AutoResume: 3, Checkpoint: Checkpoint[Snapshot]{SnapshotEvery: 1},
 	})
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected after budget exhaustion", err)
@@ -181,10 +181,12 @@ func TestAutoResumeDoesNotRetryHookErrors(t *testing.T) {
 	hookErr := errors.New("disk full")
 	calls := 0
 	_, err := SolveProposalSharded(fi, ShardedSolveOptions{
-		Shards:        2,
-		AutoResume:    5,
-		SnapshotEvery: 2,
-		OnSnapshot:    func(*Snapshot) error { calls++; return hookErr },
+		Shards:     2,
+		AutoResume: 5,
+		Checkpoint: Checkpoint[Snapshot]{
+			SnapshotEvery: 2,
+			OnSnapshot:    func(*Snapshot) error { calls++; return hookErr },
+		},
 	})
 	if !errors.Is(err, hookErr) {
 		t.Fatalf("err = %v, want the hook error", err)

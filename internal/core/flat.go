@@ -199,32 +199,9 @@ type ShardedSolveOptions struct {
 	// must not be shared by concurrent solves.
 	Workspace *SolverWorkspace
 
-	// SnapshotEvery, when positive, captures a Snapshot after every
-	// SnapshotEvery-th round and hands it to OnSnapshot. Captures run at
-	// the engine's round barrier — a quiescent point, so they are
-	// crash-consistent by construction. Zero disables periodic capture;
-	// a disabled solve pays nothing (no closures, no allocations).
-	SnapshotEvery int
-	// SnapshotAt, when positive, additionally captures a Snapshot after
-	// exactly that round (no capture happens if the game ends earlier).
-	SnapshotAt int
-	// OnSnapshot receives every capture. The pointed-to Snapshot is
-	// reused across captures when SnapshotInto is set — encode or copy
-	// it before returning. A non-nil error aborts the solve.
-	OnSnapshot func(*Snapshot) error
-	// SnapshotInto, if non-nil, is the caller-owned buffer captures are
-	// written into; its placement slice is grown once and reused, so
-	// steady-state captures allocate nothing. Nil allocates a fresh
-	// Snapshot per capture.
-	SnapshotInto *Snapshot
-	// ResumeFrom, when non-nil, replays a recorded run through the given
-	// cursor: the solver re-executes rounds 1..ResumeFrom.Round (the run
-	// is a deterministic function of instance, tie rule, and seed) and
-	// verifies that the placement and move count at the cursor bit-match
-	// the snapshot, failing loudly on the first divergence. The
-	// continuation past the cursor is then bit-identical to the
-	// uninterrupted run.
-	ResumeFrom *Snapshot
+	// Checkpoint holds the snapshot cadence, hook and resume cursor
+	// (rounds; validated fast-forward resume).
+	Checkpoint[Snapshot]
 
 	// Fault, if non-nil, arms the failpoints of this solve: the engine's
 	// round-barrier site (local.FaultSiteRound) is resolved from it and
@@ -234,9 +211,9 @@ type ShardedSolveOptions struct {
 	// AutoResume, when positive, is the crash-recovery retry budget:
 	// if the run dies on an injected fault or a worker crash
 	// (local.WorkerCrashError — injected or organic) and snapshots are
-	// being captured (SnapshotEvery/SnapshotAt with OnSnapshot, or
-	// AutoResume alone, which retains captures internally), the solver
-	// re-runs from the last quiescent snapshot up to AutoResume times.
+	// being captured (SnapshotEvery with OnSnapshot, or AutoResume
+	// alone, which retains captures internally), the solver re-runs
+	// from the last quiescent snapshot up to AutoResume times.
 	// Core resume is validated fast-forward, so the recovered result
 	// bit-matches the uninterrupted run. Zero disables recovery and
 	// surfaces the first failure.
@@ -289,6 +266,7 @@ type snapHooks struct {
 	opt     ShardedSolveOptions
 	gs      gameState
 	n       int
+	snap    Snapshot // the solve's capture buffer, rewritten per capture
 	snapErr error
 	checked bool // resume cursor reached and verified
 }
@@ -303,14 +281,9 @@ func (h *snapHooks) onRound(round, awake int) {
 		h.checked = true
 		h.snapErr = verifyCursor(h.gs, rs)
 	}
-	if h.snapErr == nil && h.opt.OnSnapshot != nil &&
-		((h.opt.SnapshotEvery > 0 && round%h.opt.SnapshotEvery == 0) || round == h.opt.SnapshotAt) {
-		snap := h.opt.SnapshotInto
-		if snap == nil {
-			snap = new(Snapshot)
-		}
-		captureInto(snap, h.gs, h.n, round)
-		h.snapErr = h.opt.OnSnapshot(snap)
+	if h.snapErr == nil && h.opt.Due(round) {
+		captureInto(&h.snap, h.gs, h.n, round)
+		h.snapErr = h.opt.OnSnapshot(&h.snap)
 	}
 }
 
@@ -386,7 +359,7 @@ func runFlatRecovering(csr *graph.CSR, prog local.FlatProgram, opt ShardedSolveO
 	var retained Snapshot
 	have := false
 	user := opt.OnSnapshot
-	if opt.SnapshotEvery > 0 || opt.SnapshotAt > 0 {
+	if opt.SnapshotEvery > 0 {
 		// The tee satisfies snapshotsEnabled even with a nil user hook,
 		// so arming AutoResume plus a cadence is enough to get capture.
 		opt.OnSnapshot = func(s *Snapshot) error {

@@ -35,9 +35,7 @@ type Snapshot struct {
 	// Round is the cursor: the number of completed rounds at capture.
 	Round int
 	// Occupied[v] reports whether vertex v held a token after Round
-	// rounds. When the snapshot was captured through a reused buffer
-	// (ShardedSolveOptions.SnapshotInto), the slice is rewritten by the
-	// next capture.
+	// rounds.
 	Occupied []bool
 	// Moves is the length of the move log at the cursor.
 	Moves int
@@ -78,7 +76,7 @@ func (opt *ShardedSolveOptions) snapshotsEnabled() bool {
 	if opt.ResumeFrom != nil {
 		return true
 	}
-	return opt.OnSnapshot != nil && (opt.SnapshotEvery > 0 || opt.SnapshotAt > 0)
+	return opt.OnSnapshot != nil && opt.SnapshotEvery > 0
 }
 
 // captureInto fills snap from the program state at the given cursor,

@@ -49,10 +49,23 @@ func runSharded(t *testing.T, three bool, fi *FlatInstance, opt ShardedSolveOpti
 	return res
 }
 
+// captureEvery solves with a capture after every round and returns the
+// result with a copy of each capture (the solver rewrites its buffer).
+func captureEvery(t *testing.T, three bool, fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, []*Snapshot) {
+	t.Helper()
+	var snaps []*Snapshot
+	opt.SnapshotEvery = 1
+	opt.OnSnapshot = func(s *Snapshot) error {
+		snaps = append(snaps, &Snapshot{Round: s.Round, Moves: s.Moves, Occupied: append([]bool(nil), s.Occupied...)})
+		return nil
+	}
+	return runSharded(t, three, fi, opt), snaps
+}
+
 // TestResumeEquivalence is the core resume-equivalence property suite:
-// across graph families, tie rules, and shard counts, a run snapshotted
-// at a random round cursor and resumed from that snapshot produces the
-// bit-identical result of the uninterrupted run.
+// across graph families, tie rules, and shard counts, a run resumed from
+// the snapshot at every round cursor produces the bit-identical result
+// of the uninterrupted run.
 func TestResumeEquivalence(t *testing.T) {
 	shardChoices := []int{1, 2, 8}
 	for fam := range snapshotFamilies {
@@ -68,21 +81,12 @@ func TestResumeEquivalence(t *testing.T) {
 						Shards: shardChoices[i%len(shardChoices)],
 					}
 					base := runSharded(t, three, fi, opt)
-					if base.Stats.Rounds < 1 {
-						continue
-					}
-					cursor := 1 + rng.Intn(base.Stats.Rounds)
-
-					var snap *Snapshot
-					sopt := opt
-					sopt.SnapshotAt = cursor
-					sopt.OnSnapshot = func(s *Snapshot) error { snap = s; return nil }
-					again := runSharded(t, three, fi, sopt)
+					again, snaps := captureEvery(t, three, fi, opt)
 					if !reflect.DeepEqual(base, again) {
 						t.Fatalf("%s[%d] tie=%v: snapshot capture perturbed the run", f.name, i, tie)
 					}
-					if snap == nil {
-						t.Fatalf("%s[%d]: no snapshot at round %d of %d", f.name, i, cursor, base.Stats.Rounds)
+					if len(snaps) != base.Stats.Rounds {
+						t.Fatalf("%s[%d]: %d snapshots over %d rounds", f.name, i, len(snaps), base.Stats.Rounds)
 					}
 
 					// Resume under a different shard count: results are
@@ -90,17 +94,20 @@ func TestResumeEquivalence(t *testing.T) {
 					// bit-match the uninterrupted one.
 					ropt := opt
 					ropt.Shards = shardChoices[(i+1)%len(shardChoices)]
-					ropt.ResumeFrom = snap
-					resumed := runSharded(t, three, fi, ropt)
-					if !reflect.DeepEqual(base.Final, resumed.Final) {
-						t.Fatalf("%s[%d] tie=%v cursor=%d: resumed final placement diverged", f.name, i, tie, cursor)
-					}
-					if !reflect.DeepEqual(base.Moves, resumed.Moves) {
-						t.Fatalf("%s[%d] tie=%v cursor=%d: resumed move log diverged", f.name, i, tie, cursor)
-					}
-					if base.Stats.Rounds != resumed.Stats.Rounds {
-						t.Fatalf("%s[%d] tie=%v cursor=%d: rounds %d != %d",
-							f.name, i, tie, cursor, base.Stats.Rounds, resumed.Stats.Rounds)
+					for _, snap := range snaps {
+						cursor := snap.Round
+						ropt.ResumeFrom = snap
+						resumed := runSharded(t, three, fi, ropt)
+						if !reflect.DeepEqual(base.Final, resumed.Final) {
+							t.Fatalf("%s[%d] tie=%v cursor=%d: resumed final placement diverged", f.name, i, tie, cursor)
+						}
+						if !reflect.DeepEqual(base.Moves, resumed.Moves) {
+							t.Fatalf("%s[%d] tie=%v cursor=%d: resumed move log diverged", f.name, i, tie, cursor)
+						}
+						if base.Stats.Rounds != resumed.Stats.Rounds {
+							t.Fatalf("%s[%d] tie=%v cursor=%d: rounds %d != %d",
+								f.name, i, tie, cursor, base.Stats.Rounds, resumed.Stats.Rounds)
+						}
 					}
 				}
 			}
@@ -123,17 +130,8 @@ func TestResumeRejectsDivergence(t *testing.T) {
 	if base.Stats.Rounds < 2 {
 		t.Fatalf("workload too small: %d rounds", base.Stats.Rounds)
 	}
-	capture := func(round int) *Snapshot {
-		var snap *Snapshot
-		sopt := opt
-		sopt.SnapshotAt = round
-		sopt.OnSnapshot = func(s *Snapshot) error { snap = s; return nil }
-		if _, err := SolveProposalSharded(fi, sopt); err != nil {
-			t.Fatal(err)
-		}
-		return snap
-	}
-	snap := capture(base.Stats.Rounds / 2)
+	_, snaps := captureEvery(t, false, fi, opt)
+	snap := snaps[base.Stats.Rounds/2-1]
 
 	cases := []struct {
 		name   string
@@ -176,7 +174,6 @@ func TestSnapshotEverySchedule(t *testing.T) {
 	var rounds []int
 	sopt := opt
 	sopt.SnapshotEvery = every
-	sopt.SnapshotInto = new(Snapshot) // reused buffer: values must be read during the hook
 	sopt.OnSnapshot = func(s *Snapshot) error {
 		rounds = append(rounds, s.Round)
 		if len(s.Occupied) != fi.N() {
@@ -209,8 +206,10 @@ func TestSnapshotHookErrorAborts(t *testing.T) {
 	sentinel := fmt.Errorf("disk full")
 	opt := ShardedSolveOptions{
 		Tie: TieFirstPort, MaxRounds: 1 << 16, Shards: 2,
-		SnapshotEvery: 1,
-		OnSnapshot:    func(*Snapshot) error { return sentinel },
+		Checkpoint: Checkpoint[Snapshot]{
+			SnapshotEvery: 1,
+			OnSnapshot:    func(*Snapshot) error { return sentinel },
+		},
 	}
 	_, err := SolveProposalSharded(fi, opt)
 	if err == nil {
@@ -244,8 +243,7 @@ func TestSnapshotDisabledSolveAllocFree(t *testing.T) {
 }
 
 // TestSnapshotCaptureAllocFree pins the capture path's allocation
-// discipline: with a warmed caller-owned buffer, captureInto performs no
-// allocations.
+// discipline: with a warmed buffer, captureInto performs no allocations.
 func TestSnapshotCaptureAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	fi := FlatRandomLayered(LayeredConfig{Levels: 4, Width: 16, ParentDeg: 3, TokenProb: 0.6, FreeBottom: true}, rng)

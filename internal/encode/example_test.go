@@ -28,15 +28,20 @@ func Example_recordAndResume() {
 		panic(err)
 	}
 
-	// Record: capture a snapshot after phase 2 and encode it as the
-	// versioned, graph-hash-bound interchange form.
+	// Record: capture a snapshot after every second phase and encode the
+	// first (phase 2) as the versioned, graph-hash-bound interchange form,
+	// which copies the solver-owned capture.
 	var captured *encode.SnapshotJSON
 	_, err = orient.SolveSharded(c, orient.ShardedOptions{
-		Shards:     2,
-		SnapshotAt: 2,
-		OnSnapshot: func(s *orient.Snapshot) error {
-			captured = encode.FromOrientSnapshot(s, c, meta)
-			return nil
+		Shards: 2,
+		Checkpoint: core.Checkpoint[orient.Snapshot]{
+			SnapshotEvery: 2,
+			OnSnapshot: func(s *orient.Snapshot) error {
+				if captured == nil {
+					captured = encode.FromOrientSnapshot(s, c, meta)
+				}
+				return nil
+			},
 		},
 	})
 	if err != nil {
@@ -51,7 +56,7 @@ func Example_recordAndResume() {
 	}
 	resumed, err := orient.SolveSharded(c, orient.ShardedOptions{
 		Shards:     4, // results are shard-count invariant
-		ResumeFrom: snap,
+		Checkpoint: core.Checkpoint[orient.Snapshot]{ResumeFrom: snap},
 	})
 	if err != nil {
 		panic(err)

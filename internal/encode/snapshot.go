@@ -279,11 +279,33 @@ func (sj *SnapshotJSON) ToCoreSnapshot(fi *core.FlatInstance) (*core.Snapshot, e
 	return snap, nil
 }
 
-// fromPhaseRecords converts a phase log generically.
-func fromPhaseRecords[T any](log []T, conv func(T) PhaseRecordJSON) []PhaseRecordJSON {
+// fromPhaseLog converts a phase log to its on-disk form; a bounded
+// layer's records carry their badness as max_k_badness.
+func fromPhaseLog(log []core.PhaseRecord, bounded bool) []PhaseRecordJSON {
 	out := make([]PhaseRecordJSON, 0, len(log))
 	for _, r := range log {
-		out = append(out, conv(r))
+		pr := PhaseRecordJSON{Phase: r.Phase, Proposals: r.Proposals, Accepted: r.Accepted,
+			GameEdges: r.GameEdges, GameRounds: r.GameRounds, TokensMoved: r.TokensMoved}
+		if bounded {
+			pr.MaxKBadness = r.MaxBadness
+		} else {
+			pr.MaxBadness = r.MaxBadness
+		}
+		out = append(out, pr)
+	}
+	return out
+}
+
+// toPhaseLog inverts fromPhaseLog.
+func toPhaseLog(log []PhaseRecordJSON, bounded bool) []core.PhaseRecord {
+	out := make([]core.PhaseRecord, 0, len(log))
+	for _, r := range log {
+		badness := r.MaxBadness
+		if bounded {
+			badness = r.MaxKBadness
+		}
+		out = append(out, core.PhaseRecord{Phase: r.Phase, Proposals: r.Proposals, Accepted: r.Accepted,
+			GameEdges: r.GameEdges, GameRounds: r.GameRounds, TokensMoved: r.TokensMoved, MaxBadness: badness})
 	}
 	return out
 }
@@ -302,10 +324,7 @@ func FromOrientSnapshot(snap *orient.Snapshot, c *graph.CSR, meta RunMetaJSON) *
 		Head:      append([]int32(nil), snap.Head...),
 		Load:      append([]int32(nil), snap.Load...),
 		Rngs:      append([]uint64(nil), snap.Rngs...),
-		PhaseLog: fromPhaseRecords(snap.PhaseLog, func(r orient.PhaseRecord) PhaseRecordJSON {
-			return PhaseRecordJSON{Phase: r.Phase, Proposals: r.Proposals, Accepted: r.Accepted,
-				GameEdges: r.GameEdges, GameRounds: r.GameRounds, TokensMoved: r.TokensMoved, MaxBadness: r.MaxBadness}
-		}),
+		PhaseLog:  fromPhaseLog(snap.PhaseLog, false),
 	}
 }
 
@@ -323,17 +342,8 @@ func (sj *SnapshotJSON) ToOrientSnapshot(c *graph.CSR) (*orient.Snapshot, error)
 		Head:     append([]int32(nil), sj.Head...),
 		Load:     append([]int32(nil), sj.Load...),
 		Rngs:     append([]uint64(nil), sj.Rngs...),
-		PhaseLog: toOrientLog(sj.PhaseLog),
+		PhaseLog: toPhaseLog(sj.PhaseLog, false),
 	}, nil
-}
-
-func toOrientLog(log []PhaseRecordJSON) []orient.PhaseRecord {
-	out := make([]orient.PhaseRecord, 0, len(log))
-	for _, r := range log {
-		out = append(out, orient.PhaseRecord{Phase: r.Phase, Proposals: r.Proposals, Accepted: r.Accepted,
-			GameEdges: r.GameEdges, GameRounds: r.GameRounds, TokensMoved: r.TokensMoved, MaxBadness: r.MaxBadness})
-	}
-	return out
 }
 
 // FromAssignSnapshot converts an assignment snapshot to its on-disk
@@ -359,16 +369,7 @@ func FromAssignSnapshot(snap *assign.Snapshot, fb *graph.CSRBipartite, meta RunM
 		Unassigned: append([]int32(nil), snap.Unassigned...),
 		CustRng:    append([]uint64(nil), snap.CustRng...),
 		ServRng:    append([]uint64(nil), snap.ServRng...),
-		PhaseLog: fromPhaseRecords(snap.PhaseLog, func(r assign.PhaseRecord) PhaseRecordJSON {
-			pr := PhaseRecordJSON{Phase: r.Phase, Proposals: r.Proposals, Accepted: r.Accepted,
-				GameEdges: r.GameEdges, GameRounds: r.GameRounds, TokensMoved: r.TokensMoved}
-			if snap.K > 0 {
-				pr.MaxKBadness = r.MaxBadness
-			} else {
-				pr.MaxBadness = r.MaxBadness
-			}
-			return pr
-		}),
+		PhaseLog:   fromPhaseLog(snap.PhaseLog, snap.K > 0),
 	}
 }
 
@@ -386,7 +387,7 @@ func (sj *SnapshotJSON) ToAssignSnapshot(fb *graph.CSRBipartite, layer string) (
 	if (sj.K > 0) != (layer == LayerBounded) {
 		return nil, fmt.Errorf("encode: %s snapshot carries threshold k = %d", layer, sj.K)
 	}
-	snap := &assign.Snapshot{
+	return &assign.Snapshot{
 		K:          sj.K,
 		Phase:      sj.Phase,
 		Rounds:     sj.Rounds,
@@ -395,17 +396,8 @@ func (sj *SnapshotJSON) ToAssignSnapshot(fb *graph.CSRBipartite, layer string) (
 		Unassigned: append([]int32(nil), sj.Unassigned...),
 		CustRng:    append([]uint64(nil), sj.CustRng...),
 		ServRng:    append([]uint64(nil), sj.ServRng...),
-	}
-	for _, r := range sj.PhaseLog {
-		badness := r.MaxBadness
-		if layer == LayerBounded {
-			badness = r.MaxKBadness
-		}
-		snap.PhaseLog = append(snap.PhaseLog, assign.PhaseRecord{Phase: r.Phase, Proposals: r.Proposals,
-			Accepted: r.Accepted, GameEdges: r.GameEdges, GameRounds: r.GameRounds,
-			TokensMoved: r.TokensMoved, MaxBadness: badness})
-	}
-	return snap, nil
+		PhaseLog:   toPhaseLog(sj.PhaseLog, layer == LayerBounded),
+	}, nil
 }
 
 // FromResolver serializes a live Resolver — overlay graph plus

@@ -29,12 +29,15 @@ func coreFixture(t *testing.T) (*core.Snapshot, *core.FlatInstance, RunMetaJSON)
 		Levels: 4, Width: 6, ParentDeg: 2, TokenProb: 0.6, FreeBottom: true,
 	}, rng)
 	var snap *core.Snapshot
-	_, err := core.SolveProposalSharded(fi, core.ShardedSolveOptions{
-		Tie: core.TieFirstPort, MaxRounds: 1 << 16, Shards: 2,
-		SnapshotAt: 2,
-		OnSnapshot: func(s *core.Snapshot) error { snap = s; return nil },
-	})
-	if err != nil {
+	opt := core.ShardedSolveOptions{Tie: core.TieFirstPort, MaxRounds: 1 << 16, Shards: 2}
+	opt.SnapshotEvery = 2
+	opt.OnSnapshot = func(s *core.Snapshot) error {
+		if snap == nil {
+			snap = &core.Snapshot{Round: s.Round, Moves: s.Moves, Occupied: append([]bool(nil), s.Occupied...)}
+		}
+		return nil
+	}
+	if _, err := core.SolveProposalSharded(fi, opt); err != nil {
 		t.Fatal(err)
 	}
 	if snap == nil {
@@ -50,12 +53,21 @@ func orientFixture(t *testing.T) (*orient.Snapshot, *graph.CSR, RunMetaJSON) {
 	rng := rand.New(rand.NewSource(42))
 	c := graph.CSRRandomRegular(24, 4, rng)
 	var snap *orient.Snapshot
-	_, err := orient.SolveSharded(c, orient.ShardedOptions{
-		Tie: core.TieRandom, Seed: 7, Shards: 2,
-		SnapshotAt: 1,
-		OnSnapshot: func(s *orient.Snapshot) error { snap = s; return nil },
-	})
-	if err != nil {
+	opt := orient.ShardedOptions{Tie: core.TieRandom, Seed: 7, Shards: 2}
+	opt.SnapshotEvery = 1
+	opt.OnSnapshot = func(s *orient.Snapshot) error {
+		if snap == nil {
+			snap = &orient.Snapshot{
+				Phase: s.Phase, Oriented: s.Oriented, Rounds: s.Rounds,
+				Head:     append([]int32(nil), s.Head...),
+				Load:     append([]int32(nil), s.Load...),
+				Rngs:     append([]uint64(nil), s.Rngs...),
+				PhaseLog: append([]orient.PhaseRecord(nil), s.PhaseLog...),
+			}
+		}
+		return nil
+	}
+	if _, err := orient.SolveSharded(c, opt); err != nil {
 		t.Fatal(err)
 	}
 	if snap == nil {
@@ -73,21 +85,38 @@ func bipartiteFixture(t *testing.T) *graph.CSRBipartite {
 		graph.MustBipartite(graph.RandomBipartite(24, 6, 3, rng), 24))
 }
 
-func assignFixture(t *testing.T) (*assign.Snapshot, *graph.CSRBipartite, RunMetaJSON) {
+// firstAssignCapture returns a copy of the phase-1 capture of a solve.
+func firstAssignCapture(t *testing.T, fb *graph.CSRBipartite, opt assign.ShardedOptions) *assign.Snapshot {
 	t.Helper()
-	fb := bipartiteFixture(t)
 	var snap *assign.Snapshot
-	_, err := assign.SolveSharded(fb, assign.ShardedOptions{
-		Tie: core.TieFirstPort, Seed: 1, Shards: 2,
-		SnapshotAt: 1,
-		OnSnapshot: func(s *assign.Snapshot) error { snap = s; return nil },
-	})
-	if err != nil {
+	opt.SnapshotEvery = 1
+	opt.OnSnapshot = func(s *assign.Snapshot) error {
+		if snap == nil {
+			snap = &assign.Snapshot{
+				K: s.K, Phase: s.Phase, Rounds: s.Rounds,
+				ServerOf:   append([]int32(nil), s.ServerOf...),
+				Load:       append([]int32(nil), s.Load...),
+				Unassigned: append([]int32(nil), s.Unassigned...),
+				CustRng:    append([]uint64(nil), s.CustRng...),
+				ServRng:    append([]uint64(nil), s.ServRng...),
+				PhaseLog:   append([]assign.PhaseRecord(nil), s.PhaseLog...),
+			}
+		}
+		return nil
+	}
+	if _, err := assign.SolveSharded(fb, opt); err != nil {
 		t.Fatal(err)
 	}
 	if snap == nil {
 		t.Fatal("fixture solve finished before phase 1")
 	}
+	return snap
+}
+
+func assignFixture(t *testing.T) (*assign.Snapshot, *graph.CSRBipartite, RunMetaJSON) {
+	t.Helper()
+	fb := bipartiteFixture(t)
+	snap := firstAssignCapture(t, fb, assign.ShardedOptions{Tie: core.TieFirstPort, Seed: 1, Shards: 2})
 	meta := RunMetaJSON{Workload: "bipartite customers=24 servers=6 cdeg=3", GenSeed: 42,
 		Tie: TieName(core.TieFirstPort), Seed: 1, Shards: 2}
 	return snap, fb, meta
@@ -96,18 +125,7 @@ func assignFixture(t *testing.T) (*assign.Snapshot, *graph.CSRBipartite, RunMeta
 func boundedFixture(t *testing.T) (*assign.Snapshot, *graph.CSRBipartite, RunMetaJSON) {
 	t.Helper()
 	fb := bipartiteFixture(t)
-	var snap *assign.Snapshot
-	_, err := assign.SolveSharded(fb, assign.ShardedOptions{
-		K: 2, Tie: core.TieFirstPort, Seed: 1, Shards: 2,
-		SnapshotAt: 1,
-		OnSnapshot: func(s *assign.Snapshot) error { snap = s; return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("fixture solve finished before phase 1")
-	}
+	snap := firstAssignCapture(t, fb, assign.ShardedOptions{K: 2, Tie: core.TieFirstPort, Seed: 1, Shards: 2})
 	meta := RunMetaJSON{Workload: "bipartite customers=24 servers=6 cdeg=3", GenSeed: 42,
 		Tie: TieName(core.TieFirstPort), Seed: 1, Shards: 2}
 	return snap, fb, meta

@@ -163,11 +163,9 @@ func workerRun(conn *local.FrameConn) error {
 		MaxRounds: h.MaxRounds,
 		Session:   sess,
 	}
-	var snapBuf core.Snapshot
 	var snapBits []byte
 	if h.SnapshotEvery > 0 {
 		sopt.SnapshotEvery = h.SnapshotEvery
-		sopt.SnapshotInto = &snapBuf
 		sopt.OnSnapshot = func(s *core.Snapshot) error {
 			snapBits = local.PackBools(snapBits, s.Occupied[vLo:vHi])
 			p, err := json.Marshal(snapPayload{Round: s.Round, Moves: s.Moves, Occupied: snapBits})

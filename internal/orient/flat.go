@@ -71,28 +71,9 @@ type ShardedOptions struct {
 	// object form and runs core.Verify on its solution. Quadratic-ish in
 	// allocations at scale — meant for tests, not million-node runs.
 	VerifyGames bool
-	// SnapshotEvery, when positive, captures a Snapshot after every
-	// SnapshotEvery-th phase and hands it to OnSnapshot. Phase boundaries
-	// are the crash-consistent capture points of the phase loop: the
-	// engine session is quiescent there, so the orientation arrays are
-	// the entire mid-solve state. Zero disables periodic capture.
-	SnapshotEvery int
-	// SnapshotAt, when positive, additionally captures a Snapshot after
-	// exactly that phase (no capture if the solve finishes earlier).
-	SnapshotAt int
-	// OnSnapshot receives every capture. The pointed-to Snapshot is
-	// reused across captures when SnapshotInto is set — encode or copy
-	// it before returning. A non-nil error aborts the solve.
-	OnSnapshot func(*Snapshot) error
-	// SnapshotInto, if non-nil, is the caller-owned buffer captures are
-	// written into; its slices are grown once and reused.
-	SnapshotInto *Snapshot
-	// ResumeFrom, when non-nil, restores the snapshot's orientation
-	// state and continues from the phase after its cursor. The
-	// continuation is bit-identical to the uninterrupted run (same phase
-	// log, rounds, and final orientation) because every phase is a
-	// deterministic function of the restored state and the options.
-	ResumeFrom *Snapshot
+	// Checkpoint holds the snapshot cadence, hook and resume cursor
+	// (phases; validated restore resume).
+	core.Checkpoint[Snapshot]
 }
 
 // ShardedResult is the outcome of SolveSharded: the orientation in flat
@@ -422,6 +403,7 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 
 	oriented := 0
 	startPhase := 1
+	var snap *Snapshot // the solve's capture buffer, allocated at the first capture
 	if rs := opt.ResumeFrom; rs != nil {
 		cursor, err := restoreSnapshot(rs, eu, ev, opt.Tie, head, load, rngs)
 		if err != nil {
@@ -549,9 +531,7 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 		res.PhaseLog = append(res.PhaseLog, rec)
 		res.Phases = phase
 
-		if opt.OnSnapshot != nil &&
-			((opt.SnapshotEvery > 0 && phase%opt.SnapshotEvery == 0) || phase == opt.SnapshotAt) {
-			snap := opt.SnapshotInto
+		if opt.Due(phase) {
 			if snap == nil {
 				snap = new(Snapshot)
 			}

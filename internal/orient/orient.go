@@ -43,15 +43,7 @@ type Options struct {
 }
 
 // PhaseRecord captures one phase for experiments and invariant reports.
-type PhaseRecord struct {
-	Phase       int // 1-based
-	Proposals   int // unoriented edges at phase start
-	Accepted    int // edges oriented this phase (= tokens in the game)
-	GameEdges   int // badness-1 edges included in the game
-	GameRounds  int // communication rounds of the token dropping run
-	TokensMoved int // tokens that travelled at least one hop
-	MaxBadness  int // max badness after the phase (Lemma 5.4: ≤ 1)
-}
+type PhaseRecord = core.PhaseRecord
 
 // Result is the outcome of Solve.
 type Result struct {

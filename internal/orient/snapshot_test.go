@@ -1,6 +1,7 @@
 package orient
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -48,9 +49,31 @@ func checkOrientResumeMatch(t *testing.T, label string, base, resumed *ShardedRe
 	}
 }
 
+// captureEvery solves with a capture after every phase and returns the
+// result with a copy of each capture (the solver rewrites its buffer).
+func captureEvery(t *testing.T, c *graph.CSR, opt ShardedOptions) (*ShardedResult, []*Snapshot) {
+	t.Helper()
+	var snaps []*Snapshot
+	opt.SnapshotEvery = 1
+	opt.OnSnapshot = func(s *Snapshot) error {
+		cp := new(Snapshot)
+		captureSnapshot(cp, s.Phase, s.Oriented, s.Rounds, s.Head, s.Load, s.Rngs, s.PhaseLog)
+		snaps = append(snaps, cp)
+		return nil
+	}
+	res, err := SolveSharded(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != res.Phases {
+		t.Fatalf("%d snapshots over %d phases", len(snaps), res.Phases)
+	}
+	return res, snaps
+}
+
 // TestOrientResumeEquivalence: across graph families, tie rules, and
-// shard counts, a run snapshotted at a random phase cursor and resumed
-// from the snapshot bit-matches the uninterrupted run.
+// shard counts, a run resumed from the snapshot at every phase cursor
+// bit-matches the uninterrupted run.
 func TestOrientResumeEquivalence(t *testing.T) {
 	shardChoices := []int{1, 2, 8}
 	for fam := range orientFamilies {
@@ -68,32 +91,19 @@ func TestOrientResumeEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if base.Phases < 1 {
-						continue
-					}
-					cursor := 1 + rng.Intn(base.Phases)
-
-					var snap *Snapshot
-					sopt := opt
-					sopt.SnapshotAt = cursor
-					sopt.OnSnapshot = func(s *Snapshot) error { snap = s; return nil }
-					again, err := SolveSharded(c, sopt)
-					if err != nil {
-						t.Fatal(err)
-					}
+					again, snaps := captureEvery(t, c, opt)
 					checkOrientResumeMatch(t, "capture run", base, again)
-					if snap == nil {
-						t.Fatalf("no snapshot at phase %d of %d", cursor, base.Phases)
-					}
 
 					ropt := opt
 					ropt.Shards = shardChoices[(i+1)%len(shardChoices)]
-					ropt.ResumeFrom = snap
-					resumed, err := SolveSharded(c, ropt)
-					if err != nil {
-						t.Fatalf("resume at phase %d: %v", cursor, err)
+					for _, snap := range snaps {
+						ropt.ResumeFrom = snap
+						resumed, err := SolveSharded(c, ropt)
+						if err != nil {
+							t.Fatalf("resume at phase %d: %v", snap.Phase, err)
+						}
+						checkOrientResumeMatch(t, fmt.Sprintf("run resumed at phase %d", snap.Phase), base, resumed)
 					}
-					checkOrientResumeMatch(t, "resumed run", base, resumed)
 				}
 			}
 		})
@@ -109,19 +119,8 @@ func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := graph.CSRRandomRegular(40, 4, rng)
 	opt := ShardedOptions{Tie: core.TieFirstPort, Seed: 1, Shards: 2}
-	base, err := SolveSharded(c, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps []*Snapshot
-	for _, at := range []int{max(base.Phases/2, 1), base.Phases} {
-		sopt := opt
-		sopt.SnapshotAt = at
-		sopt.OnSnapshot = func(s *Snapshot) error { snaps = append(snaps, s); return nil }
-		if _, err := SolveSharded(c, sopt); err != nil {
-			t.Fatal(err)
-		}
-	}
+	base, all := captureEvery(t, c, opt)
+	snaps := []*Snapshot{all[max(base.Phases/2, 1)-1], all[base.Phases-1]}
 
 	cases := []struct {
 		name   string
@@ -178,31 +177,30 @@ func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
 	}
 }
 
-// TestOrientSnapshotBufferReuse checks the caller-owned buffer
-// discipline: with SnapshotInto set, every capture arrives in the same
-// Snapshot value and its slices are reused once grown.
+// TestOrientSnapshotBufferReuse checks the solver-owned buffer: every
+// capture of a solve arrives in the same Snapshot value and its slices
+// are reused once grown.
 func TestOrientSnapshotBufferReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := graph.CSRRandomRegular(60, 6, rng)
-	buf := new(Snapshot)
+	var buf *Snapshot
 	var captures int
 	var firstHead *int32
-	opt := ShardedOptions{
-		Tie: core.TieFirstPort, Seed: 1, Shards: 2,
-		SnapshotEvery: 1,
-		SnapshotInto:  buf,
-		OnSnapshot: func(s *Snapshot) error {
-			if s != buf {
-				t.Fatal("capture bypassed the caller-owned buffer")
-			}
-			captures++
-			if firstHead == nil {
-				firstHead = &s.Head[0]
-			} else if firstHead != &s.Head[0] {
-				t.Fatal("snapshot buffer reallocated between captures")
-			}
-			return nil
-		},
+	opt := ShardedOptions{Tie: core.TieFirstPort, Seed: 1, Shards: 2}
+	opt.SnapshotEvery = 1
+	opt.OnSnapshot = func(s *Snapshot) error {
+		if buf == nil {
+			buf = s
+		} else if s != buf {
+			t.Fatal("capture bypassed the solver-owned buffer")
+		}
+		captures++
+		if firstHead == nil {
+			firstHead = &s.Head[0]
+		} else if firstHead != &s.Head[0] {
+			t.Fatal("snapshot buffer reallocated between captures")
+		}
+		return nil
 	}
 	res, err := SolveSharded(c, opt)
 	if err != nil {
