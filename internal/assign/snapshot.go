@@ -66,8 +66,10 @@ func captureAssignSnapshot(snap *Snapshot, k, phase, rounds int, serverOf, load,
 // restoreAssignSnapshot validates rs against the solve's network and
 // threshold and installs its state. The unassigned slice is returned
 // re-sliced to the snapshot's list; every assignment is checked against
-// the adjacency and the loads are recounted from it, so a corrupt
-// snapshot fails here rather than phases later.
+// the adjacency, the loads are recounted from it, every customer must
+// have badness at most 1 on effective loads (the inter-phase invariant),
+// and the phase log must account for the cursors, so a corrupt snapshot
+// fails here rather than phases later.
 func restoreAssignSnapshot(rs *Snapshot, fb *graph.CSRBipartite, k int, tie core.TieBreak,
 	serverOf, load, unassigned []int32, custRng, servRng []uint64) ([]int32, error) {
 	nl, ns := fb.NumLeft, fb.NumServers()
@@ -78,8 +80,8 @@ func restoreAssignSnapshot(rs *Snapshot, fb *graph.CSRBipartite, k int, tie core
 		return nil, fmt.Errorf("resume snapshot shaped %d customers / %d servers, network has %d / %d",
 			len(rs.ServerOf), len(rs.Load), nl, ns)
 	}
-	if rs.Phase < 0 {
-		return nil, fmt.Errorf("resume snapshot at negative phase %d", rs.Phase)
+	if err := core.CheckPhaseLog(rs.Phase, rs.Rounds, rs.PhaseLog); err != nil {
+		return nil, fmt.Errorf("resume snapshot: %w", err)
 	}
 	if len(rs.Unassigned) > nl {
 		return nil, fmt.Errorf("resume snapshot lists %d unassigned customers of %d", len(rs.Unassigned), nl)
@@ -117,6 +119,13 @@ func restoreAssignSnapshot(rs *Snapshot, fb *graph.CSRBipartite, k int, tie core
 	}
 	if err := recountLoads(fb, rs.ServerOf, rs.Load); err != nil {
 		return nil, fmt.Errorf("resume snapshot: %w", err)
+	}
+	kc, err := loadCap(rs.K)
+	if err != nil {
+		return nil, err
+	}
+	if b := flatMaxBadness(fb, rs.ServerOf, rs.Load, kc); b > 1 {
+		return nil, fmt.Errorf("resume snapshot has a customer of badness %d (at most 1 between phases)", b)
 	}
 	copy(serverOf, rs.ServerOf)
 	copy(load, rs.Load)

@@ -122,10 +122,11 @@ func TestAssignResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestAssignResumeRejectsBadSnapshots checks restore validation for the
-// general problem and the k-bounded relaxation, on a mid-run snapshot
-// and on the last phase's (which has no later phase to trip over a
-// corrupt state by accident).
+// TestAssignResumeRejectsBadSnapshots checks restore validation — shape,
+// ranges, recounted loads, the phase log against the cursors, and the
+// inter-phase badness bound — for the general problem and the k-bounded
+// relaxation, on a mid-run snapshot and on the last phase's (which has
+// no later phase to trip over a corrupt state by accident).
 func TestAssignResumeRejectsBadSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	fb := graph.NewCSRBipartiteFromBipartite(
@@ -175,6 +176,10 @@ func TestAssignResumeRejectsBadSnapshots(t *testing.T) {
 			s.CustRng = make([]uint64, len(s.ServerOf))
 			s.ServRng = make([]uint64, len(s.Load))
 		}},
+		{"phase log truncated", func(s *Snapshot) { s.PhaseLog = s.PhaseLog[:len(s.PhaseLog)-1] }},
+		{"phase record renumbered", func(s *Snapshot) { s.PhaseLog[len(s.PhaseLog)-1].Phase++ }},
+		{"rounds drift", func(s *Snapshot) { s.Rounds++ }},
+		{"badness above 1", func(s *Snapshot) { drainLeastLoaded(fb, s) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -196,5 +201,34 @@ func TestAssignResumeRejectsBadSnapshots(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// drainLeastLoaded moves every customer of the least-loaded nonempty
+// server to its most-loaded other adjacent server, keeping the loads
+// consistent. A moved customer then sits on a server of load at least 2
+// next to an empty one: badness 2 on effective loads at any threshold.
+// (At k = 2 no single move does this once every load is at least 2.)
+func drainLeastLoaded(fb *graph.CSRBipartite, s *Snapshot) {
+	d := int32(-1)
+	for x, l := range s.Load {
+		if l > 0 && (d < 0 || l < s.Load[d]) {
+			d = int32(x)
+		}
+	}
+	for c, so := range s.ServerOf {
+		if so != d {
+			continue
+		}
+		to := int32(-1)
+		lo, hi := fb.C.ArcRange(c)
+		for i := lo; i < hi; i++ {
+			if x := fb.C.Col[i] - int32(fb.NumLeft); x != d && (to < 0 || s.Load[x] > s.Load[to]) {
+				to = x
+			}
+		}
+		s.ServerOf[c] = to
+		s.Load[d]--
+		s.Load[to]++
 	}
 }

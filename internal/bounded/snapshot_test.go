@@ -134,14 +134,15 @@ func TestBoundedResumeEquivalence(t *testing.T) {
 }
 
 // TestBoundedResumeRejectsBadSnapshots checks restore validation,
-// including the threshold-mismatch guard unique to the k-bounded layer.
+// including the threshold-mismatch guard unique to the k-bounded layer,
+// on a mid-run snapshot and on the last phase's.
 func TestBoundedResumeRejectsBadSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	fb := graph.NewCSRBipartiteFromBipartite(
 		graph.MustBipartite(graph.RandomBipartite(40, 8, 3, rng), 40))
 	opt := assign.ShardedOptions{K: 2, Tie: core.TieFirstPort, Seed: 1, Shards: 2}
-	base, snaps := captureEvery(t, fb, opt)
-	snap := snaps[min(1+base.Phases/2, base.Phases)-1]
+	base, all := captureEvery(t, fb, opt)
+	snaps := []*assign.Snapshot{all[min(1+base.Phases/2, base.Phases)-1], all[base.Phases-1]}
 
 	cases := []struct {
 		name   string
@@ -155,15 +156,48 @@ func TestBoundedResumeRejectsBadSnapshots(t *testing.T) {
 			s.CustRng = make([]uint64, len(s.ServerOf))
 			s.ServRng = make([]uint64, len(s.Load))
 		}},
+		{"phase log truncated", func(s *assign.Snapshot) { s.PhaseLog = s.PhaseLog[:len(s.PhaseLog)-1] }},
+		{"phase record renumbered", func(s *assign.Snapshot) { s.PhaseLog[len(s.PhaseLog)-1].Phase++ }},
+		{"rounds drift", func(s *assign.Snapshot) { s.Rounds++ }},
+		{"badness above 1", func(s *assign.Snapshot) {
+			// Drain the least-loaded nonempty server onto its customers'
+			// most-loaded other servers, keeping the loads consistent: a
+			// moved customer then sits on a server of load at least 2
+			// next to an empty one, badness 2 at k = 2. (No single move
+			// does this once every load is at least 2.)
+			d := int32(-1)
+			for x, l := range s.Load {
+				if l > 0 && (d < 0 || l < s.Load[d]) {
+					d = int32(x)
+				}
+			}
+			for c, so := range s.ServerOf {
+				if so != d {
+					continue
+				}
+				to := int32(-1)
+				lo, hi := fb.C.ArcRange(c)
+				for i := lo; i < hi; i++ {
+					if x := fb.C.Col[i] - int32(fb.NumLeft); x != d && (to < 0 || s.Load[x] > s.Load[to]) {
+						to = x
+					}
+				}
+				s.ServerOf[c] = to
+				s.Load[d]--
+				s.Load[to]++
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := copySnapshot(snap)
-			tc.mutate(bad)
-			ropt := opt
-			ropt.ResumeFrom = bad
-			if _, err := assign.SolveSharded(fb, ropt); err == nil {
-				t.Fatal("tampered snapshot resumed without error")
+			for _, snap := range snaps {
+				bad := copySnapshot(snap)
+				tc.mutate(bad)
+				ropt := opt
+				ropt.ResumeFrom = bad
+				if _, err := assign.SolveSharded(fb, ropt); err == nil {
+					t.Fatalf("tampered snapshot at phase %d resumed without error", snap.Phase)
+				}
 			}
 		})
 	}

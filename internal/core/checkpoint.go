@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // Checkpoint is the snapshot block every sharded solver embeds in its
 // options (ShardedSolveOptions here, orient.ShardedOptions and
 // assign.ShardedOptions in the phase loops); S is the solver's snapshot
@@ -47,4 +49,30 @@ type PhaseRecord struct {
 	GameRounds  int // communication rounds of the token dropping run
 	TokensMoved int // tokens that travelled at least one hop
 	MaxBadness  int // max badness after the phase, on effective loads (Lemma 5.4: ≤ 1)
+}
+
+// CheckPhaseLog validates the phase log a phase-loop snapshot carries
+// against its cursors: one record per completed phase, the i-th numbered
+// i, and a round counter equal to Σ(2 + GameRounds) over the records.
+func CheckPhaseLog(phase, rounds int, log []PhaseRecord) error {
+	if len(log) != phase {
+		return fmt.Errorf("phase log holds %d records for %d completed phases", len(log), phase)
+	}
+	// Charge each record against the counter. Every step starts at
+	// rest ≥ 2 with GameRounds ≥ 0, so the subtraction stays exact and a
+	// crafted log cannot match by overflow.
+	rest := rounds
+	for i, r := range log {
+		if r.Phase != i+1 {
+			return fmt.Errorf("phase log record %d is numbered %d", i+1, r.Phase)
+		}
+		if rest < 2 || r.GameRounds < 0 {
+			return fmt.Errorf("round counter %d does not match the phase log", rounds)
+		}
+		rest -= 2 + r.GameRounds
+	}
+	if rest != 0 {
+		return fmt.Errorf("round counter %d does not match the phase log", rounds)
+	}
+	return nil
 }

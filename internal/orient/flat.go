@@ -405,7 +405,7 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	startPhase := 1
 	var snap *Snapshot // the solve's capture buffer, allocated at the first capture
 	if rs := opt.ResumeFrom; rs != nil {
-		cursor, err := restoreSnapshot(rs, eu, ev, opt.Tie, head, load, rngs)
+		cursor, err := restoreSnapshot(rs, res, opt.Tie, rngs)
 		if err != nil {
 			return nil, err
 		}

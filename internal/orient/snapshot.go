@@ -55,17 +55,19 @@ func captureSnapshot(snap *Snapshot, phase, oriented, rounds int, head, load []i
 }
 
 // restoreSnapshot validates rs against the solve's graph — every head an
-// endpoint of its edge, every load the indegree the heads encode — and
-// installs its state into the phase-loop arrays. eu/ev are the per-edge
-// endpoints. It returns the phase cursor.
-func restoreSnapshot(rs *Snapshot, eu, ev []int32, tie core.TieBreak, head, load []int32, rngs []uint64) (int, error) {
+// endpoint of its edge, every load the indegree the heads encode, every
+// edge of badness at most 1 (Lemma 5.4, which holds between phases), and
+// a phase log that accounts for the cursors — and installs its state
+// into r's orientation arrays and rngs. It returns the phase cursor.
+func restoreSnapshot(rs *Snapshot, r *ShardedResult, tie core.TieBreak, rngs []uint64) (int, error) {
+	head, load, eu, ev := r.Head, r.Load, r.eu, r.ev
 	n, m := len(load), len(head)
 	if len(rs.Head) != m || len(rs.Load) != n {
 		return 0, fmt.Errorf("orient: resume snapshot shaped %d edges / %d vertices, graph has %d / %d",
 			len(rs.Head), len(rs.Load), m, n)
 	}
-	if rs.Phase < 0 {
-		return 0, fmt.Errorf("orient: resume snapshot at negative phase %d", rs.Phase)
+	if err := core.CheckPhaseLog(rs.Phase, rs.Rounds, rs.PhaseLog); err != nil {
+		return 0, fmt.Errorf("orient: resume snapshot: %w", err)
 	}
 	if tie == core.TieRandom {
 		if len(rs.Rngs) != n {
@@ -96,6 +98,9 @@ func restoreSnapshot(rs *Snapshot, eu, ev []int32, tie core.TieBreak, head, load
 		}
 	}
 	copy(head, rs.Head)
+	if b := r.MaxBadness(); b > 1 {
+		return 0, fmt.Errorf("orient: resume snapshot has an edge of badness %d (at most 1 between phases)", b)
+	}
 	if tie == core.TieRandom {
 		copy(rngs, rs.Rngs)
 	}

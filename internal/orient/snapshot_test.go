@@ -111,8 +111,9 @@ func TestOrientResumeEquivalence(t *testing.T) {
 }
 
 // TestOrientResumeRejectsBadSnapshots checks restore validation: shape
-// mismatches, inconsistent counters and loads, heads off their edges, and
-// tie-rule mismatches fail loudly, on a mid-run snapshot and on the last
+// mismatches, inconsistent counters and loads, heads off their edges,
+// tie-rule mismatches, a phase log that does not account for the
+// cursors, and a state breaking Lemma 5.4 fail loudly, on a mid-run snapshot and on the last
 // phase's (which has no later phase to trip over a corrupt state by
 // accident).
 func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
@@ -154,6 +155,26 @@ func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
 			panic("no oriented edge")
 		}},
 		{"stray rng streams", func(s *Snapshot) { s.Rngs = make([]uint64, c.N()) }},
+		{"phase log truncated", func(s *Snapshot) { s.PhaseLog = s.PhaseLog[:len(s.PhaseLog)-1] }},
+		{"phase record renumbered", func(s *Snapshot) { s.PhaseLog[len(s.PhaseLog)-1].Phase++ }},
+		{"rounds drift", func(s *Snapshot) { s.Rounds++ }},
+		{"badness above 1", func(s *Snapshot) {
+			// Flip an oriented edge whose head is no more loaded than its
+			// tail, keeping the loads consistent: it ends at badness ≥ 2.
+			for v := 0; v < c.N(); v++ {
+				lo, hi := c.ArcRange(v)
+				for i := lo; i < hi; i++ {
+					id, w := c.EID[i], c.Col[i]
+					if s.Head[id] == w && s.Load[w] <= s.Load[v] {
+						s.Head[id] = int32(v)
+						s.Load[w]--
+						s.Load[v]++
+						return
+					}
+				}
+			}
+			panic("no oriented edge of badness ≤ 0")
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
