@@ -2,16 +2,25 @@ package encode
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"tokendrop/internal/assign"
+	"tokendrop/internal/core"
+	"tokendrop/internal/graph"
+	"tokendrop/internal/orient"
 )
 
 // The fuzz targets pin the decoder hardening contract: arbitrary bytes
 // never panic or allocate beyond the input's own size (every slice the
 // decoders build is bounded by a length check against fields already
 // decoded), and any input that decodes successfully survives an
-// encode/decode round trip unchanged. Seed corpora live under
-// testdata/fuzz/; CI runs each target briefly on every push.
+// encode/decode round trip unchanged. FuzzResumeSnapshot carries the
+// contract on to the phase-loop solvers: a snapshot either fails restore
+// validation or resumes to a stable result with a consistent phase log.
+// Seed corpora live under testdata/fuzz/ or are built in the target; CI
+// runs each target briefly on every push.
 
 // FuzzReadInstance: hostile instance JSON either errors or round-trips.
 func FuzzReadInstance(f *testing.F) {
@@ -100,4 +109,168 @@ func FuzzReadSnapshot(f *testing.F) {
 			t.Fatalf("DiffSnapshots flags a clean round trip: %v", d)
 		}
 	})
+}
+
+// FuzzResumeSnapshot: hostile snapshot bytes, bound to a fixed graph
+// (orient layer) or network (assign and bounded layers), either fail to
+// decode, bind or restore, or resume SolveSharded — under the tie rule and
+// seed of their meta — to a Stable (orient) or KStable (assign) result
+// whose log holds Phases records numbered 1..Phases and whose Rounds is
+// the sum of 2 + GameRounds over them. The seeds are every capture of
+// orient under both tie rules and of assign at K = 0 and K = 2, plus each
+// run's last capture tampered in the four ways restore must reject.
+func FuzzResumeSnapshot(f *testing.F) {
+	c := graph.CSRRandomRegular(24, 4, rand.New(rand.NewSource(42)))
+	fb := bipartiteFixture(f)
+	for _, sj := range resumeSeeds(f, c, fb) {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, sj); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sj, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		tie, err := ParseTie(sj.Meta.Tie)
+		if err != nil {
+			return
+		}
+		var stable bool
+		var phases, rounds int
+		var log []core.PhaseRecord
+		switch sj.Layer {
+		case LayerOrient:
+			snap, err := sj.ToOrientSnapshot(c)
+			if err != nil {
+				return
+			}
+			opt := orient.ShardedOptions{Tie: tie, Seed: sj.Meta.Seed, Shards: 1}
+			opt.ResumeFrom = snap
+			res, err := orient.SolveSharded(c, opt)
+			if err != nil {
+				return
+			}
+			stable, phases, rounds, log = res.Stable(), res.Phases, res.Rounds, res.PhaseLog
+		case LayerAssign, LayerBounded:
+			snap, err := sj.ToAssignSnapshot(fb, sj.Layer)
+			if err != nil {
+				return
+			}
+			opt := assign.ShardedOptions{K: snap.K, Tie: tie, Seed: sj.Meta.Seed, Shards: 1}
+			opt.ResumeFrom = snap
+			res, err := assign.SolveSharded(fb, opt)
+			if err != nil {
+				return
+			}
+			stable, phases, rounds, log = res.KStable(), res.Phases, res.Rounds, res.PhaseLog
+		default:
+			return
+		}
+		if !stable {
+			t.Fatalf("%s snapshot at phase %d resumed to an unstable result", sj.Layer, sj.Phase)
+		}
+		if len(log) != phases {
+			t.Fatalf("%s result: %d phases, %d log records", sj.Layer, phases, len(log))
+		}
+		sum := 0
+		for i, r := range log {
+			if r.Phase != i+1 {
+				t.Fatalf("%s result: log record %d numbered %d", sj.Layer, i+1, r.Phase)
+			}
+			sum += 2 + r.GameRounds
+		}
+		if sum != rounds {
+			t.Fatalf("%s result: %d rounds, log charges %d", sj.Layer, rounds, sum)
+		}
+	})
+}
+
+// resumeSeeds returns FuzzResumeSnapshot's seeds in on-disk form.
+func resumeSeeds(f *testing.F, c *graph.CSR, fb *graph.CSRBipartite) []*SnapshotJSON {
+	var seeds []*SnapshotJSON
+	tamper := func(last *SnapshotJSON, badness func(*SnapshotJSON)) {
+		for _, mutate := range []func(*SnapshotJSON){
+			func(sj *SnapshotJSON) { sj.PhaseLog = sj.PhaseLog[:len(sj.PhaseLog)-1] },
+			func(sj *SnapshotJSON) { sj.PhaseLog[len(sj.PhaseLog)-1].Phase++ },
+			func(sj *SnapshotJSON) { sj.Rounds++ },
+			badness,
+		} {
+			sj := *last
+			sj.Head = append([]int32(nil), last.Head...)
+			sj.Load = append([]int32(nil), last.Load...)
+			sj.ServerOf = append([]int32(nil), last.ServerOf...)
+			sj.PhaseLog = append([]PhaseRecordJSON(nil), last.PhaseLog...)
+			mutate(&sj)
+			seeds = append(seeds, &sj)
+		}
+	}
+	for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
+		meta := RunMetaJSON{Tie: TieName(tie), Seed: 7}
+		opt := orient.ShardedOptions{Tie: tie, Seed: meta.Seed, Shards: 2}
+		opt.SnapshotEvery = 1
+		opt.OnSnapshot = func(s *orient.Snapshot) error {
+			seeds = append(seeds, FromOrientSnapshot(s, c, meta))
+			return nil
+		}
+		if _, err := orient.SolveSharded(c, opt); err != nil {
+			f.Fatal(err)
+		}
+		tamper(seeds[len(seeds)-1], func(sj *SnapshotJSON) {
+			// Flip an oriented edge whose head is no more loaded than
+			// its tail, loads kept consistent: badness ≥ 2.
+			for v := 0; v < c.N(); v++ {
+				lo, hi := c.ArcRange(v)
+				for i := lo; i < hi; i++ {
+					if id, w := c.EID[i], c.Col[i]; sj.Head[id] == w && sj.Load[w] <= sj.Load[v] {
+						sj.Head[id] = int32(v)
+						sj.Load[w]--
+						sj.Load[v]++
+						return
+					}
+				}
+			}
+		})
+	}
+	for _, k := range []int{0, 2} {
+		meta := RunMetaJSON{Tie: TieName(core.TieFirstPort), Seed: 1}
+		opt := assign.ShardedOptions{K: k, Tie: core.TieFirstPort, Seed: meta.Seed, Shards: 2}
+		opt.SnapshotEvery = 1
+		opt.OnSnapshot = func(s *assign.Snapshot) error {
+			seeds = append(seeds, FromAssignSnapshot(s, fb, meta))
+			return nil
+		}
+		if _, err := assign.SolveSharded(fb, opt); err != nil {
+			f.Fatal(err)
+		}
+		tamper(seeds[len(seeds)-1], func(sj *SnapshotJSON) {
+			// Drain the least-loaded nonempty server onto its customers'
+			// most-loaded other servers, loads kept consistent: a moved
+			// customer sits on a server of load ≥ 2 next to an empty one.
+			d := int32(-1)
+			for x, l := range sj.Load {
+				if l > 0 && (d < 0 || l < sj.Load[d]) {
+					d = int32(x)
+				}
+			}
+			for cu, so := range sj.ServerOf {
+				if so != d {
+					continue
+				}
+				to := int32(-1)
+				lo, hi := fb.C.ArcRange(cu)
+				for i := lo; i < hi; i++ {
+					if x := fb.C.Col[i] - int32(fb.NumLeft); x != d && (to < 0 || sj.Load[x] > sj.Load[to]) {
+						to = x
+					}
+				}
+				sj.ServerOf[cu] = to
+				sj.Load[d]--
+				sj.Load[to]++
+			}
+		})
+	}
+	return seeds
 }

@@ -78,7 +78,7 @@ func orientFixture(t *testing.T) (*orient.Snapshot, *graph.CSR, RunMetaJSON) {
 	return snap, c, meta
 }
 
-func bipartiteFixture(t *testing.T) *graph.CSRBipartite {
+func bipartiteFixture(t testing.TB) *graph.CSRBipartite {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	return graph.NewCSRBipartiteFromBipartite(
