@@ -113,9 +113,9 @@ func TestOrientResumeEquivalence(t *testing.T) {
 // TestOrientResumeRejectsBadSnapshots checks restore validation: shape
 // mismatches, inconsistent counters and loads, heads off their edges,
 // tie-rule mismatches, a phase log that does not account for the
-// cursors, and a state breaking Lemma 5.4 fail loudly, on a mid-run snapshot and on the last
-// phase's (which has no later phase to trip over a corrupt state by
-// accident).
+// cursors, and a state breaking Lemma 5.4 fail loudly, on a mid-run
+// snapshot and on the last phase's (which has no later phase to trip
+// over a corrupt state by accident).
 func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := graph.CSRRandomRegular(40, 4, rng)
