@@ -48,9 +48,6 @@ type Options struct {
 	Seed int64
 	// Workers for the LOCAL runtime (0 = GOMAXPROCS).
 	Workers int
-	// MaxPhases guards against non-termination; 0 means 4·C·S + 8
-	// (Lemma 7.2 gives C·S + 1).
-	MaxPhases int
 	// CheckInvariants verifies the per-phase game solutions and the
 	// badness/load invariants (the Section 7.2 analogues of Lemmas
 	// 5.3–5.4).
@@ -99,18 +96,16 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("assign: customer %d has no adjacent server", c)
 		}
 	}
+	// Lemma 7.2 bounds the phase count by C·S + 1; the loop aborts past
+	// 4·C·S + 8, a margin that only non-termination crosses.
 	cs := b.MaxCustomerDegree() * b.MaxServerDegree()
-	maxPhases := opt.MaxPhases
-	if maxPhases == 0 {
-		maxPhases = 4*cs + 8
-	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	a := graph.NewAssignment(b)
 	res := &Result{Assignment: a, K: opt.K}
 
 	for phase := 1; !a.Complete(); phase++ {
-		if phase > maxPhases {
+		if phase > 4*cs+8 {
 			return nil, fmt.Errorf("assign: phase %d exceeds the Lemma 7.2 budget (C·S=%d)", phase, cs)
 		}
 		rec := PhaseRecord{Phase: phase}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"tokendrop/internal/core"
@@ -278,7 +279,8 @@ func TestSolveShardedCSRNative(t *testing.T) {
 	}
 }
 
-// TestSolveShardedErrors mirrors Solve's input validation, and checks
+// TestSolveShardedErrors mirrors Solve's input validation, pins the
+// phase-budget guard, and checks
 // both engines reject thresholds below 2 other than 0.
 func TestSolveShardedErrors(t *testing.T) {
 	g := graph.New(3) // customer 0 isolated, customer 1 sees server 2
@@ -292,8 +294,26 @@ func TestSolveShardedErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := graph.MustBipartite(graph.RandomBipartite(20, 4, 3, rng), 20)
 	fb = graph.NewCSRBipartiteFromBipartite(b)
-	if _, err := SolveSharded(fb, ShardedOptions{MaxPhases: 1}); err == nil {
-		t.Fatal("no error when the phase budget is exceeded")
+	// The phase budget: resume from a valid snapshot that has spent all
+	// 4·C·S + 8 phases without assigning anyone, so the next phase
+	// crosses the Lemma 7.2 guard.
+	budget := 4*fb.MaxCustomerDegree()*fb.MaxServerDegree() + 8
+	for _, k := range []int{0, 2} {
+		rs := &Snapshot{
+			K: k, Phase: budget, Rounds: 2 * budget,
+			ServerOf: make([]int32, fb.NumLeft), Load: make([]int32, fb.NumServers()),
+		}
+		for c := range rs.ServerOf {
+			rs.ServerOf[c] = -1
+			rs.Unassigned = append(rs.Unassigned, int32(c))
+		}
+		for p := 1; p <= budget; p++ {
+			rs.PhaseLog = append(rs.PhaseLog, PhaseRecord{Phase: p})
+		}
+		_, err := SolveSharded(fb, ShardedOptions{K: k, Checkpoint: core.Checkpoint[Snapshot]{ResumeFrom: rs}})
+		if err == nil || !strings.Contains(err.Error(), "exceeds the Lemma 7.2 budget") {
+			t.Fatalf("k=%d: resume at the phase budget: %v", k, err)
+		}
 	}
 	for _, k := range []int{1, -1} {
 		if _, err := SolveSharded(fb, ShardedOptions{K: k}); err == nil {

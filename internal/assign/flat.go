@@ -3,7 +3,6 @@ package assign
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
@@ -71,9 +70,6 @@ type ShardedOptions struct {
 	// phase's subgame; 0 means runtime.GOMAXPROCS(0). The result does
 	// not depend on it.
 	Shards int
-	// MaxPhases guards against non-termination; 0 means 4·C·S + 8
-	// (Lemma 7.2 gives C·S + 1), as in Options.
-	MaxPhases int
 	// CheckInvariants replays the Section 7.2 analogues of Lemmas 5.3–5.4
 	// (loads grow by exactly one at token destinations, badness at most 1
 	// after every phase), the subgame potential identity, and a load
@@ -99,14 +95,6 @@ type ShardedOptions struct {
 	// subgames are assembled in; the caller keeps ownership. Single-
 	// caller, like the session.
 	Workspace *hypergame.Workspace
-	// WarmStart seeds the solve from a prior assignment on the same
-	// network instead of from scratch, so a perturbed instance re-solves
-	// at the cost of its dirty region: the phase loop's unassigned scans
-	// are seeded from the listed dirty customers plus the closure their
-	// release destabilizes, and the per-phase subgames stay proportional
-	// to the badness the perturbation created. Incompatible with
-	// ResumeFrom.
-	WarmStart *WarmStart
 
 	// Scratch, when non-nil, owns every per-solve allocation — the
 	// assignment arrays, the per-phase scratch, the subgame result, and
@@ -116,130 +104,6 @@ type ShardedOptions struct {
 	// like the session; the returned result and its slices are only
 	// valid until the next solve with the same scratch.
 	Scratch *SolveScratch
-}
-
-// WarmStart is a prior assignment SolveSharded can continue from. The
-// prior must be stable (the usual case: it is a previous solve's
-// output); the solver releases the dirty customers plus the closure
-// their release destabilizes, so the clean region re-enters the phase
-// loop at badness ≤ 1 — the inter-phase invariant — without the caller
-// computing anything beyond the directly-perturbed set. The arrays are
-// copied, never aliased.
-type WarmStart struct {
-	// ServerOf holds the prior assignment as a server index per customer
-	// (-1 for unassigned; every unassigned customer must be listed in
-	// Dirty).
-	ServerOf []int32
-	// Load holds the prior per-server load, consistent with ServerOf.
-	Load []int32
-	// Dirty lists the perturbed customers in ascending order — the seed
-	// of the re-solve. Their prior assignments (if any) are released
-	// before the first phase, and the phase loop solves only them.
-	Dirty []int32
-}
-
-// applyWarmStart seeds the scratch's serverOf/load/unassigned from ws,
-// validates its shape, and releases the dirty closure: dropping a dirty
-// customer's assignment lowers its server's load, which can push an
-// untouched neighbor's badness to 2 (its cheapest alternative got
-// cheaper), so the release cascades — any assigned customer whose
-// badness (on effective loads) reaches 2 is released too, each release
-// strictly shrinking the assigned set until the remaining clean region
-// is back at badness ≤ 1 (the inter-phase invariant the phase loop
-// needs). Returns the ascending unassigned list: the dirty customers
-// plus the closure.
-func (sc *SolveScratch) applyWarmStart(ws *WarmStart) ([]int32, error) {
-	fb := sc.fb
-	serverOf, load, unassigned := sc.serverOf, sc.load, sc.unassigned
-	nl, ns := fb.NumLeft, fb.NumServers()
-	if len(ws.ServerOf) != nl || len(ws.Load) != ns {
-		return nil, fmt.Errorf("warm start shaped %d/%d for a %d/%d network",
-			len(ws.ServerOf), len(ws.Load), nl, ns)
-	}
-	copy(serverOf, ws.ServerOf)
-	copy(load, ws.Load)
-	unassigned = unassigned[:0]
-	prev := int32(-1)
-	for _, c := range ws.Dirty {
-		if c <= prev || int(c) >= nl {
-			return nil, fmt.Errorf("warm start dirty list not ascending in [0,%d): %d after %d", nl, c, prev)
-		}
-		prev = c
-		if so := serverOf[c]; so >= 0 {
-			if int(so) >= ns {
-				return nil, fmt.Errorf("warm start assigns customer %d to server %d (ns=%d)", c, so, ns)
-			}
-			load[so]--
-			serverOf[c] = -1
-		}
-		unassigned = append(unassigned, c)
-	}
-	di := 0
-	var total int64
-	for c := 0; c < nl; c++ {
-		if di < len(unassigned) && unassigned[di] == int32(c) {
-			di++
-			continue
-		}
-		if serverOf[c] < 0 {
-			return nil, fmt.Errorf("warm start leaves customer %d unassigned but not dirty", c)
-		}
-		if int(serverOf[c]) >= ns {
-			return nil, fmt.Errorf("warm start assigns customer %d to server %d (ns=%d)", c, serverOf[c], ns)
-		}
-		total++
-	}
-	var loadSum int64
-	for _, l := range load {
-		if l < 0 {
-			return nil, fmt.Errorf("warm start load went negative")
-		}
-		loadSum += int64(l)
-	}
-	if loadSum != total {
-		return nil, fmt.Errorf("warm start loads sum to %d for %d assigned customers", loadSum, total)
-	}
-
-	// The closure cascade. Work is proportional to the perturbed
-	// neighborhood: only customers incident to a load-dropped server are
-	// ever re-examined (a release at server d can only raise badness at
-	// customers that can see d).
-	csr, k := fb.C, sc.k
-	dropped := sc.dropped[:0]
-	for _, c := range ws.Dirty {
-		if so := ws.ServerOf[c]; so >= 0 {
-			dropped = append(dropped, so)
-		}
-	}
-	for len(dropped) > 0 {
-		d := dropped[len(dropped)-1]
-		dropped = dropped[:len(dropped)-1]
-		slo, shi := csr.ArcRange(nl + int(d))
-		for i := slo; i < shi; i++ {
-			c := csr.Col[i]
-			so := serverOf[c]
-			if so < 0 {
-				continue
-			}
-			alo, ahi := csr.ArcRange(int(c))
-			least := int32(-1)
-			for j := alo; j < ahi; j++ {
-				if l := min(load[int(csr.Col[j])-nl], k); least < 0 || l < least {
-					least = l
-				}
-			}
-			if min(load[so], k)-least < 2 {
-				continue
-			}
-			load[so]--
-			serverOf[c] = -1
-			unassigned = append(unassigned, c)
-			dropped = append(dropped, so)
-		}
-	}
-	sc.dropped = dropped
-	slices.Sort(unassigned)
-	return unassigned, nil
 }
 
 // ShardedResult is the outcome of SolveSharded: the assignment in flat
@@ -413,7 +277,6 @@ type SolveScratch struct {
 	partAccepted []int32
 	partKept     []int32
 	partMaxBad   []int32
-	dropped      []int32
 	sol          hypergame.FlatResult
 	res          ShardedResult
 	snap         Snapshot // capture buffer, rewritten per capture
@@ -613,11 +476,9 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 			return nil, fmt.Errorf("assign: customer %d has no adjacent server", c)
 		}
 	}
+	// Lemma 7.2 bounds the phase count by C·S + 1; the loop aborts past
+	// 4·C·S + 8, a margin that only non-termination crosses.
 	cs := fb.MaxCustomerDegree() * fb.MaxServerDegree()
-	maxPhases := opt.MaxPhases
-	if maxPhases == 0 {
-		maxPhases = 4*cs + 8
-	}
 
 	sc := opt.Scratch
 	if sc == nil {
@@ -714,8 +575,9 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	// workspace rebuilds the incidence network and the flat program state
 	// in place per phase, so the steady-state phase loop performs no
 	// engine or program allocations. Callers with many solves to run
-	// (warm-started re-solves, serving daemons) pass their own session
-	// and workspace through the options and keep them across calls.
+	// (the incremental Resolver, the strategy arena) pass their own
+	// session and workspace through the options and keep them across
+	// calls.
 	sess := opt.Session
 	if sess == nil {
 		sess = local.NewSession(opt.Shards)
@@ -735,24 +597,6 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	sc.partMaxBad = reuse.Grown(sc.partMaxBad, shards)
 
 	startPhase := 1
-	if ws := opt.WarmStart; ws != nil {
-		if opt.ResumeFrom != nil {
-			return nil, fmt.Errorf("assign: WarmStart and ResumeFrom are mutually exclusive")
-		}
-		ua, err := sc.applyWarmStart(ws)
-		if err != nil {
-			return nil, fmt.Errorf("assign: %w", err)
-		}
-		sc.unassigned = ua
-		if opt.CheckInvariants {
-			if err := recountLoads(fb, serverOf, load); err != nil {
-				return nil, fmt.Errorf("assign: warm start: %w", err)
-			}
-			if mb := flatMaxBadness(fb, serverOf, load, k); mb > 1 {
-				return nil, fmt.Errorf("assign: warm start clean region has badness %d", mb)
-			}
-		}
-	}
 	if rs := opt.ResumeFrom; rs != nil {
 		ua, err := restoreAssignSnapshot(rs, fb, opt.K, opt.Tie, serverOf, load, sc.unassigned, custRng, servRng)
 		if err != nil {
@@ -766,7 +610,7 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	}
 
 	for phase := startPhase; len(sc.unassigned) > 0; phase++ {
-		if phase > maxPhases {
+		if phase > 4*cs+8 {
 			return nil, fmt.Errorf("assign: phase %d exceeds the Lemma 7.2 budget (C·S=%d)", phase, cs)
 		}
 		rec := PhaseRecord{Phase: phase, Proposals: len(sc.unassigned)}

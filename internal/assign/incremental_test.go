@@ -307,119 +307,6 @@ func TestResolverSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmStartSharded checks the dirty-region path through the batch
-// solver: release a random subset of a stable assignment, re-solve with
-// WarmStart, and oracle-verify the result. The general problem and
-// k = 2, 3 (whose closure runs on effective loads), both tie rules,
-// shards 1/2/8.
-func TestWarmStartSharded(t *testing.T) {
-	for _, kc := range []struct{ k, nl, nr int }{{0, 80, 20}, {2, 60, 15}, {3, 60, 15}} {
-		for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
-			for _, shards := range []int{1, 2, 8} {
-				rng := rand.New(rand.NewSource(100 + int64(kc.k)*50 + int64(shards) + int64(tie)))
-				b := graph.MustBipartite(graph.RandomBipartite(kc.nl, kc.nr, 3, rng), kc.nl)
-				fb := graph.NewCSRBipartiteFromBipartite(b)
-				res, err := SolveSharded(fb, ShardedOptions{K: kc.k, Tie: tie, Seed: 4, Shards: shards, CheckInvariants: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				dirty := make([]int32, 0, 20)
-				for c := 0; c < fb.NumLeft; c++ {
-					if rng.Intn(4) == 0 {
-						dirty = append(dirty, int32(c))
-					}
-				}
-				warm, err := SolveSharded(fb, ShardedOptions{
-					K: kc.k, Tie: tie, Seed: 5, Shards: shards, CheckInvariants: true,
-					WarmStart: &WarmStart{ServerOf: res.ServerOf, Load: res.Load, Dirty: dirty},
-				})
-				if err != nil {
-					t.Fatalf("k %d tie %v shards %d: warm solve: %v", kc.k, tie, shards, err)
-				}
-				if !warm.KStable() {
-					t.Fatalf("k %d tie %v shards %d: warm solve unstable", kc.k, tie, shards)
-				}
-				// The warm solve only worked the dirty region: phase-1
-				// proposals are the dirty customers plus their released
-				// closure, never fewer than the dirty set.
-				if len(warm.PhaseLog) > 0 && warm.PhaseLog[0].Proposals < len(dirty) {
-					t.Fatalf("k %d tie %v shards %d: warm solve proposed %d customers for %d dirty",
-						kc.k, tie, shards, warm.PhaseLog[0].Proposals, len(dirty))
-				}
-			}
-		}
-	}
-}
-
-// TestWarmStartClosureUsesEffectiveLoads pins the warm-start closure to
-// effective loads: releasing b1 drops server B to load 1, which gives a1
-// (on A at load 4, adjacent to B) true badness 3 but k-badness
-// min(4,2) - 1 = 1 at k = 2, so a 2-bounded warm start re-solves b1 alone.
-func TestWarmStartClosureUsesEffectiveLoads(t *testing.T) {
-	g := graph.New(8) // customers a1..a4 = 0..3, b1, b2 = 4, 5; servers A = 6, B = 7
-	g.AddEdge(0, 6)
-	g.AddEdge(0, 7)
-	for _, c := range []int{1, 2, 3} {
-		g.AddEdge(c, 6)
-	}
-	g.AddEdge(4, 7)
-	g.AddEdge(5, 7)
-	fb := graph.NewCSRBipartiteFromBipartite(bip(t, g, 6))
-	res, err := SolveSharded(fb, ShardedOptions{K: 2, CheckInvariants: true, WarmStart: &WarmStart{
-		ServerOf: []int32{0, 0, 0, 0, 1, 1}, Load: []int32{4, 2}, Dirty: []int32{4},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.PhaseLog[0].Proposals; got != 1 {
-		t.Fatalf("warm start re-solved %d customers, want only the dirty one", got)
-	}
-	if !res.KStable() {
-		t.Fatal("warm solve not 2-stable")
-	}
-}
-
-// TestWarmStartValidation pins the warm-start error paths, for the
-// general problem and k = 2.
-func TestWarmStartValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	b := graph.MustBipartite(graph.RandomBipartite(30, 8, 3, rng), 30)
-	fb := graph.NewCSRBipartiteFromBipartite(b)
-	for _, k := range []int{0, 2} {
-		res, err := SolveSharded(fb, ShardedOptions{K: k, CheckInvariants: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		solve := func(ws *WarmStart) error {
-			_, err := SolveSharded(fb, ShardedOptions{K: k, CheckInvariants: true, WarmStart: ws})
-			return err
-		}
-		if err := solve(&WarmStart{ServerOf: res.ServerOf[:5], Load: res.Load}); err == nil {
-			t.Fatalf("k=%d: short ServerOf accepted", k)
-		}
-		if err := solve(&WarmStart{ServerOf: res.ServerOf, Load: res.Load, Dirty: []int32{5, 5}}); err == nil {
-			t.Fatalf("k=%d: non-ascending dirty list accepted", k)
-		}
-		bad := append([]int32(nil), res.ServerOf...)
-		bad[7] = -1 // unassigned but not dirty
-		if err := solve(&WarmStart{ServerOf: bad, Load: res.Load, Dirty: nil}); err == nil {
-			t.Fatalf("k=%d: undeclared unassigned customer accepted", k)
-		}
-		badLoad := append([]int32(nil), res.Load...)
-		badLoad[0]++
-		if err := solve(&WarmStart{ServerOf: res.ServerOf, Load: badLoad}); err == nil {
-			t.Fatalf("k=%d: inconsistent loads accepted", k)
-		}
-		if _, err := SolveSharded(fb, ShardedOptions{
-			K:          k,
-			WarmStart:  &WarmStart{ServerOf: res.ServerOf, Load: res.Load},
-			Checkpoint: core.Checkpoint[Snapshot]{ResumeFrom: &Snapshot{K: k}},
-		}); err == nil {
-			t.Fatalf("k=%d: WarmStart+ResumeFrom accepted", k)
-		}
-	}
-}
-
 // TestSingleDeltaSpeedup pins the acceptance criterion of the
 // incremental layer: under a churning workload on a network of 10^5
 // customers, a single-customer delta re-solves at least 10× faster than

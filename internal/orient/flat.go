@@ -60,9 +60,6 @@ type ShardedOptions struct {
 	// phase's subgame; 0 means runtime.GOMAXPROCS(0). The result does
 	// not depend on it.
 	Shards int
-	// MaxPhases aborts if the phase count exceeds the Lemma 5.5 bound by a
-	// wide margin; 0 means 4·Δ + 8.
-	MaxPhases int
 	// CheckInvariants replays the Lemma 5.3/5.4 checks, the subgame
 	// potential identity, and a load recount after every phase. Linear per
 	// phase; tests and experiments keep it on.
@@ -170,11 +167,9 @@ func (r *ShardedResult) Orientation() *graph.Orientation {
 // and final orientation).
 func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	n, m := c.N(), c.M()
+	// Lemma 5.5 bounds the phase count by 2Δ; the loop aborts past
+	// 4·Δ + 8, a margin that only non-termination crosses.
 	delta := c.MaxDegree()
-	maxPhases := opt.MaxPhases
-	if maxPhases == 0 {
-		maxPhases = 4*delta + 8
-	}
 
 	// Per-edge endpoints (eu < ev, matching graph.Edge normalization), and
 	// the edge ids in lexicographic endpoint order — the insertion order
@@ -416,7 +411,7 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 		startPhase = cursor + 1
 	}
 	for phase := startPhase; oriented < m; phase++ {
-		if phase > maxPhases {
+		if phase > 4*delta+8 {
 			return nil, fmt.Errorf("orient: phase %d exceeds the Lemma 5.5 budget (Δ=%d)", phase, delta)
 		}
 		rec := PhaseRecord{Phase: phase}

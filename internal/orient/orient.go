@@ -33,9 +33,6 @@ type Options struct {
 	Seed int64
 	// Workers is passed through to the LOCAL runtime (0 = GOMAXPROCS).
 	Workers int
-	// MaxPhases aborts if the phase count exceeds the Lemma 5.5 bound by
-	// a wide margin; 0 means 4·Δ + 8.
-	MaxPhases int
 	// CheckInvariants replays the Lemma 5.3/5.4 checks after every phase
 	// and returns an error on violation. Cheap (linear per phase); tests
 	// and experiments keep it on.
@@ -73,18 +70,16 @@ func WorstCaseBound(delta int) int {
 
 // Solve runs the Theorem 5.1 algorithm on g.
 func Solve(g *graph.Graph, opt Options) (*Result, error) {
+	// Lemma 5.5 bounds the phase count by 2Δ; the loop aborts past
+	// 4·Δ + 8, a margin that only non-termination crosses.
 	delta := g.MaxDegree()
-	maxPhases := opt.MaxPhases
-	if maxPhases == 0 {
-		maxPhases = 4*delta + 8
-	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	o := graph.NewOrientation(g)
 	res := &Result{Orientation: o, WorstCaseRounds: WorstCaseBound(delta)}
 
 	for phase := 1; !o.Complete(); phase++ {
-		if phase > maxPhases {
+		if phase > 4*delta+8 {
 			return nil, fmt.Errorf("orient: phase %d exceeds the Lemma 5.5 budget (Δ=%d)", phase, delta)
 		}
 		rec := PhaseRecord{Phase: phase}

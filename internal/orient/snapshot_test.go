@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tokendrop/internal/core"
@@ -115,7 +116,8 @@ func TestOrientResumeEquivalence(t *testing.T) {
 // tie-rule mismatches, a phase log that does not account for the
 // cursors, and a state breaking Lemma 5.4 fail loudly, on a mid-run
 // snapshot and on the last phase's (which has no later phase to trip
-// over a corrupt state by accident).
+// over a corrupt state by accident). A snapshot that has spent the
+// whole phase budget fails at its next phase.
 func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := graph.CSRRandomRegular(40, 4, rng)
@@ -195,6 +197,24 @@ func TestOrientResumeRejectsBadSnapshots(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// The phase budget stays outside the table, whose rows also run on
+	// the last capture, where no phase remains: a valid all-unoriented
+	// snapshot that has spent all 4·Δ + 8 phases crosses the Lemma 5.5
+	// guard on its next phase.
+	budget := 4*c.MaxDegree() + 8
+	spent := &Snapshot{Phase: budget, Rounds: 2 * budget, Head: make([]int32, c.M()), Load: make([]int32, c.N())}
+	for id := range spent.Head {
+		spent.Head[id] = -1
+	}
+	for p := 1; p <= budget; p++ {
+		spent.PhaseLog = append(spent.PhaseLog, PhaseRecord{Phase: p})
+	}
+	ropt := opt
+	ropt.ResumeFrom = spent
+	if _, err := SolveSharded(c, ropt); err == nil || !strings.Contains(err.Error(), "exceeds the Lemma 5.5 budget") {
+		t.Fatalf("resume at the phase budget: %v", err)
 	}
 }
 
