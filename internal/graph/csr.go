@@ -73,9 +73,9 @@ func (c *CSR) Tail(i int) int {
 
 // Validate checks internal consistency: monotone Row, in-range heads and
 // edge ids, Rev a fixed-point-free involution pairing the two halves of
-// each edge, matching edge ids across reverse arcs, no self-loops, and no
-// duplicate edges. It is O(arcs) plus a duplicate check and meant for
-// tests and generators, not hot paths.
+// each edge, matching edge ids across reverse arcs, one edge per edge id,
+// no self-loops, and no duplicate edges. It is O(arcs) plus a duplicate
+// check and meant for tests, generators and decoders, not hot paths.
 func (c *CSR) Validate() error {
 	n := c.N()
 	if len(c.Row) == 0 || c.Row[0] != 0 {
@@ -99,6 +99,7 @@ func (c *CSR) Validate() error {
 	}
 	m := arcs / 2
 	seen := make(map[Edge]bool, m)
+	idTaken := make([]bool, m)
 	for v := 0; v < n; v++ {
 		for i := int(c.Row[v]); i < int(c.Row[v+1]); i++ {
 			to := int(c.Col[i])
@@ -130,6 +131,10 @@ func (c *CSR) Validate() error {
 					return fmt.Errorf("graph: duplicate edge %v", e)
 				}
 				seen[e] = true
+				if idTaken[c.EID[i]] {
+					return fmt.Errorf("graph: edge %v shares edge id %d with another edge", e, c.EID[i])
+				}
+				idTaken[c.EID[i]] = true
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -333,8 +334,9 @@ func TestInstanceCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInstanceCodecRejectsCorruption: truncated and size-inconsistent
-// instance payloads fail with structured errors rather than panicking.
+// TestInstanceCodecRejectsCorruption: truncated, size-inconsistent and
+// inconsistent-graph instance payloads fail with errors rather than
+// panicking.
 func TestInstanceCodecRejectsCorruption(t *testing.T) {
 	payload := EncodeInstance(core.FlatLayeredGrid(3, 20, 1))
 	for _, tc := range []struct {
@@ -345,9 +347,32 @@ func TestInstanceCodecRejectsCorruption(t *testing.T) {
 		{"header only", payload[:8]},
 		{"truncated", payload[:len(payload)-3]},
 		{"oversized", append(append([]byte(nil), payload...), 0xff)},
+		{"shared edge id", sharedEdgeIDPayload()},
 	} {
 		if _, err := DecodeInstance(tc.b); err == nil {
 			t.Fatalf("%s instance payload decoded without error", tc.name)
 		}
 	}
+}
+
+// sharedEdgeIDPayload is an instance payload in EncodeInstance's layout
+// whose two edges, 0–1 and 2–3, both carry edge id 0. Every other field
+// is consistent, so only Validate's one-edge-per-id rule rejects it;
+// accepted, a solve reports two moves through edge 0 and Instance()
+// panics on the edge id no edge carries.
+func sharedEdgeIDPayload() []byte {
+	var b []byte
+	for _, xs := range [][]int32{
+		{4, 4},          // n, arcs
+		{0, 1, 2, 3, 4}, // Row
+		{1, 0, 3, 2},    // Col
+		{0, 0, 0, 0},    // EID
+		{1, 0, 3, 2},    // Rev
+		{1, 0, 1, 0},    // levels
+	} {
+		for _, x := range xs {
+			b = binary.BigEndian.AppendUint32(b, uint32(x))
+		}
+	}
+	return append(b, local.PackBools(nil, []bool{true, false, true, false})...)
 }
