@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -375,4 +376,38 @@ func sharedEdgeIDPayload() []byte {
 		}
 	}
 	return append(b, local.PackBools(nil, []bool{true, false, true, false})...)
+}
+
+// FuzzDecodeInstance drives the worker's instance decoder over arbitrary
+// bytes: it must never panic, and an accepted instance must convert to
+// object form and re-encode to a fixed point. The fixed point is checked
+// from the first re-encoding, not the input, because the token bitmap's
+// padding bits are ignored on decode.
+func FuzzDecodeInstance(f *testing.F) {
+	for _, fi := range []*core.FlatInstance{
+		core.FlatLayeredGrid(3, 20, 1),
+		core.FlatRandomLayered(core.LayeredConfig{Levels: 4, Width: 6, ParentDeg: 2, TokenProb: 0.5},
+			rand.New(rand.NewSource(1))),
+	} {
+		payload := EncodeInstance(fi)
+		f.Add(payload)
+		f.Add(payload[:8])
+		f.Add(payload[:len(payload)-3])
+	}
+	f.Add(sharedEdgeIDPayload())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fi, err := DecodeInstance(data)
+		if err != nil {
+			return
+		}
+		_ = fi.Instance()
+		once := EncodeInstance(fi)
+		back, err := DecodeInstance(once)
+		if err != nil {
+			t.Fatalf("re-encoded instance rejected: %v", err)
+		}
+		if !bytes.Equal(EncodeInstance(back), once) {
+			t.Fatal("re-encode not a fixed point")
+		}
+	})
 }
