@@ -90,8 +90,9 @@ func postJSON(t *testing.T, url string, body string) *http.Response {
 
 // TestErrorJSONShape pins the unified {"error":...,"code":N} contract
 // across every failure class: bad method, bad body, unknown field,
-// missing id, trailing data, unknown path, and a domain refusal. None of
-// the refused requests may change the daemon's state.
+// missing id, trailing data, an oversized body, unknown path, and a
+// domain refusal. None of the refused requests may change the daemon's
+// state.
 func TestErrorJSONShape(t *testing.T) {
 	_, srv := startDaemon(t, testConfig())
 	before := getStats(t, srv.URL)
@@ -116,8 +117,9 @@ func TestErrorJSONShape(t *testing.T) {
 		{"/release", `{"customer":5}{"customer":6}`, http.StatusBadRequest},
 		{"/release", `{"customer":99999}`, http.StatusConflict},
 		{"/drain", `{"server":99999}`, http.StatusConflict},
+		{"/assign", `{"servers":[` + strings.Repeat("99999,", maxBodyBytes/6) + `99999]}`, http.StatusRequestEntityTooLarge},
 	} {
-		t.Logf("POST %s %q", c.path, c.body)
+		t.Logf("POST %s %.60q (%d bytes)", c.path, c.body, len(c.body))
 		decodeErr(t, postJSON(t, srv.URL+c.path, c.body), c.status)
 	}
 

@@ -244,20 +244,34 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errResp{Error: msg, Code: status})
 }
 
+// maxBodyBytes caps a request body. Decoding runs before admission, so
+// without a cap one oversized body costs its full size in memory however
+// few deltas are in flight; a real /assign body lists one customer's
+// servers and stays far below it.
+const maxBodyBytes = 1 << 20
+
 // decode parses a JSON request body strictly: unknown fields and
 // anything but whitespace after the one JSON value are rejected, so
 // client typos and concatenated bodies fail loudly instead of silently
-// no-opping. An empty body decodes as the zero request.
+// no-opping. An empty body decodes as the zero request, and a body over
+// maxBodyBytes answers 413.
 func decode(w http.ResponseWriter, req *http.Request, v any) bool {
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil && err != io.EOF {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	reject := func(err error, msg string) bool {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooBig.Limit))
+		} else {
+			writeErr(w, http.StatusBadRequest, msg)
+		}
 		return false
 	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil && err != io.EOF {
+		return reject(err, err.Error())
+	}
 	if _, err := dec.Token(); err != io.EOF {
-		writeErr(w, http.StatusBadRequest, "unexpected data after the JSON request body")
-		return false
+		return reject(err, "unexpected data after the JSON request body")
 	}
 	return true
 }
