@@ -7,8 +7,6 @@ import (
 	"tokendrop/internal/baseline"
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
-	"tokendrop/internal/hypergame"
-	"tokendrop/internal/local"
 	"tokendrop/internal/reuse"
 )
 
@@ -20,9 +18,10 @@ import (
 // arena's zero-allocation pins hold them to.
 
 // TokenDropping runs assign.SolveSharded — the paper's token-dropping
-// assignment layer on the flat engine. The adapter keeps a warmed
-// session, workspace, and scratch, so repeat Assign calls on a
-// same-shape workload allocate nothing; Close releases the session.
+// assignment layer on the flat engine. The adapter keeps one warmed
+// solve scratch (engine session, workspace, and result storage), so
+// repeat Assign calls on a same-shape workload allocate nothing; Close
+// releases the session.
 type TokenDropping struct {
 	// Shards is the engine session's worker count; 0 means GOMAXPROCS.
 	Shards int
@@ -30,31 +29,18 @@ type TokenDropping struct {
 	// per Assign call, so fixed seeds reproduce runs exactly).
 	Tie core.TieBreak
 
-	sess *local.Session
-	gws  *hypergame.Workspace
-	sc   *assign.SolveScratch
-	res  Result
+	sc  assign.SolveScratch
+	res Result
 }
 
 func (t *TokenDropping) Name() string { return "token-dropping" }
 
 // Close releases the warmed engine session.
-func (t *TokenDropping) Close() {
-	if t.sess != nil {
-		t.sess.Close()
-		t.sess = nil
-	}
-}
+func (t *TokenDropping) Close() { t.sc.Close() }
 
 func (t *TokenDropping) Assign(w *Workload, seed int64) (*Result, error) {
-	if t.sess == nil {
-		t.sess = local.NewSession(t.Shards)
-		t.gws = hypergame.NewWorkspace()
-		t.sc = new(assign.SolveScratch)
-	}
 	sr, err := assign.SolveSharded(w.FB, assign.ShardedOptions{
-		Tie: t.Tie, Seed: seed,
-		Session: t.sess, Workspace: t.gws, Scratch: t.sc,
+		Tie: t.Tie, Seed: seed, Shards: t.Shards, Scratch: &t.sc,
 	})
 	if err != nil {
 		return nil, err

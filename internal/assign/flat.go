@@ -67,8 +67,9 @@ type ShardedOptions struct {
 	// Seed drives all randomized tie-breaking.
 	Seed int64
 	// Shards is the worker count of the engine session that plays every
-	// phase's subgame; 0 means runtime.GOMAXPROCS(0). The result does
-	// not depend on it.
+	// phase's subgame; 0 means runtime.GOMAXPROCS(0). A Scratch starts
+	// its session on its first solve, so later solves on the same
+	// scratch keep that solve's count. The result does not depend on it.
 	Shards int
 	// CheckInvariants replays the Section 7.2 analogues of Lemmas 5.3–5.4
 	// (loads grow by exactly one at token destinations, badness at most 1
@@ -85,24 +86,15 @@ type ShardedOptions struct {
 	// resume too.
 	core.Checkpoint[Snapshot]
 
-	// Session, when non-nil, is the engine session every phase runs on;
-	// the caller keeps ownership (it is not closed) and Shards is
-	// ignored. Long-running callers — the incremental Resolver, serving
-	// daemons — hold one warmed session across many solves so repeat
-	// solves stay allocation-lean.
-	Session *local.Session
-	// Workspace, when non-nil, is the hypergame workspace the per-phase
-	// subgames are assembled in; the caller keeps ownership. Single-
-	// caller, like the session.
-	Workspace *hypergame.Workspace
-
-	// Scratch, when non-nil, owns every per-solve allocation — the
-	// assignment arrays, the per-phase scratch, the subgame result, and
-	// the returned ShardedResult itself. Together with a caller-owned
-	// Session and Workspace it makes warmed repeat solves completely
-	// allocation-free (the arena's scoreboard contract). Single-caller,
-	// like the session; the returned result and its slices are only
-	// valid until the next solve with the same scratch.
+	// Scratch, when non-nil, is the caller's reuse handle: it owns the
+	// engine session and the hypergame workspace every phase runs on and
+	// every per-solve allocation, so warmed repeat solves are completely
+	// allocation-free (the arena's scoreboard contract). Long-running
+	// callers — the incremental Resolver, the strategy arena — hold one
+	// across many solves and Close it when done. Without one the solve
+	// uses a temporary scratch and closes it. Single-caller; the returned
+	// result and its slices are only valid until the next solve with the
+	// same scratch.
 	Scratch *SolveScratch
 }
 
@@ -241,14 +233,20 @@ func flatMaxBadness(fb *graph.CSRBipartite, serverOf, load []int32, k int32) int
 	return max
 }
 
-// SolveScratch owns the per-solve storage of SolveSharded: the
-// assignment arrays, the proposal/accept index, the per-phase subgame
-// scratch, the subgame result, and the ShardedResult handed back. All of
-// it is reused grow-only across solves, and the six central-pass kernels
-// are built once per scratch (capturing only the scratch pointer), so a
-// warmed solve with a caller-owned Session and Workspace performs no
-// heap allocations at all. Single-caller, like the session.
+// SolveScratch owns the per-solve storage of SolveSharded: the engine
+// session and hypergame workspace every phase runs on, the assignment
+// arrays, the proposal/accept index, the per-phase subgame scratch, the
+// subgame result, and the ShardedResult handed back. All of it is reused
+// grow-only across solves, and the six central-pass kernels are built
+// once per scratch (capturing only the scratch pointer), so a warmed
+// solve performs no heap allocations at all. The zero value is ready to
+// use: the first solve starts the session with its opt.Shards workers
+// and creates the workspace. Close releases the session. Not safe for
+// concurrent use.
 type SolveScratch struct {
+	sess *local.Session
+	gws  *hypergame.Workspace
+
 	// Per-solve bindings the kernels read through the scratch pointer.
 	fb  *graph.CSRBipartite
 	tie core.TieBreak
@@ -282,6 +280,16 @@ type SolveScratch struct {
 	snap         Snapshot // capture buffer, rewritten per capture
 
 	propose, accept, mark, scatter, compact, badness func(sh, lo, hi int)
+}
+
+// Close releases the scratch's engine session and drops its workspace, so
+// a closed scratch — and a result still pointing into it — pins neither;
+// a later solve starts both afresh. Close is idempotent.
+func (sc *SolveScratch) Close() {
+	if sc.sess != nil {
+		sc.sess.Close()
+	}
+	sc.sess, sc.gws = nil, nil
 }
 
 // ensureKernels builds the central per-phase kernels on first use. They
@@ -483,6 +491,7 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	sc := opt.Scratch
 	if sc == nil {
 		sc = new(SolveScratch)
+		defer sc.Close()
 	}
 	sc.fb = fb
 	sc.tie = opt.Tie
@@ -574,19 +583,15 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	// pool and message buffers) plays every phase's hypergame, and one
 	// workspace rebuilds the incidence network and the flat program state
 	// in place per phase, so the steady-state phase loop performs no
-	// engine or program allocations. Callers with many solves to run
-	// (the incremental Resolver, the strategy arena) pass their own
-	// session and workspace through the options and keep them across
-	// calls.
-	sess := opt.Session
-	if sess == nil {
-		sess = local.NewSession(opt.Shards)
-		defer sess.Close()
+	// engine or program allocations. Both live in the scratch, so callers
+	// with many solves to run keep them across calls.
+	if sc.sess == nil {
+		sc.sess = local.NewSession(opt.Shards)
 	}
-	gws := opt.Workspace
-	if gws == nil {
-		gws = hypergame.NewWorkspace()
+	if sc.gws == nil {
+		sc.gws = hypergame.NewWorkspace()
 	}
+	sess, gws := sc.sess, sc.gws
 
 	// The central per-phase passes run as the kernels of ensureKernels on
 	// the session's parked workers (Session.ParallelFor); their

@@ -34,8 +34,6 @@ import (
 	"tokendrop/internal/core"
 	"tokendrop/internal/fault"
 	"tokendrop/internal/graph"
-	"tokendrop/internal/hypergame"
-	"tokendrop/internal/local"
 )
 
 // ResolverOptions configures a Resolver.
@@ -49,7 +47,7 @@ type ResolverOptions struct {
 	// solves.
 	Seed int64
 	// Shards is the worker count of the persistent engine session the
-	// Resolver keeps for from-scratch solves; 0 means
+	// Resolver starts on its first from-scratch solve; 0 means
 	// runtime.GOMAXPROCS(0).
 	Shards int
 	// FragThreshold is passed to the overlay (0 means its 0.5 default).
@@ -107,10 +105,12 @@ type Resolver struct {
 	failRepair *fault.Site // FaultSiteRepair; nil without a registry
 	jr         journal     // per-delta undo log; disarmed without a registry
 
-	// The persistent from-scratch machinery: one warmed session,
-	// workspace, and builder serve every FullSolve and oracle rebuild.
-	sess    *local.Session
-	gws     *hypergame.Workspace
+	// The persistent from-scratch machinery: one warmed solve scratch
+	// (engine session, workspace, and result storage) and builder serve
+	// every FullSolve and oracle rebuild. The session starts on the
+	// first FullSolve, so a Resolver built from a prior parks no workers.
+	shards  int
+	sc      SolveScratch
 	builder *graph.CSRBuilder
 	oc      graph.OverlayCSR
 }
@@ -121,7 +121,8 @@ type Resolver struct {
 // place itself; the Resolver adopts it and repairs it to stability,
 // which costs nothing when the prior is already stable. When prior is
 // nil and fb has customers, a from-scratch SolveSharded produces the
-// initial assignment. Close releases the engine session.
+// initial assignment. Close releases the engine session, if a solve
+// started one.
 func NewResolver(fb *graph.CSRBipartite, prior []int32, opt ResolverOptions) (*Resolver, error) {
 	if prior != nil {
 		nl := 0
@@ -148,8 +149,7 @@ func NewResolverFromOverlay(ov *graph.BipartiteOverlay, prior []int32, opt Resol
 		ov:      ov,
 		tie:     opt.Tie,
 		seed:    opt.Seed,
-		sess:    local.NewSession(opt.Shards),
-		gws:     hypergame.NewWorkspace(),
+		shards:  opt.Shards,
 		builder: graph.NewCSRBuilder(0, 0),
 	}
 	if opt.FragThreshold != 0 {
@@ -227,8 +227,8 @@ func NewResolverFromOverlay(ov *graph.BipartiteOverlay, prior []int32, opt Resol
 	return r, nil
 }
 
-// Close releases the Resolver's engine session.
-func (r *Resolver) Close() { r.sess.Close() }
+// Close releases the Resolver's engine session, if a solve started one.
+func (r *Resolver) Close() { r.sc.Close() }
 
 // Overlay returns the live network. Callers must not mutate it directly
 // — assignments would drift; use the Resolver's delta operations.
@@ -540,17 +540,17 @@ func (r *Resolver) DrainServer(s int) error {
 }
 
 // FullSolve discards the current assignment and re-solves the live
-// network from scratch on the Resolver's persistent session, replacing
+// network from scratch on the Resolver's persistent scratch, replacing
 // the assignment with the batch solver's. The entry point for callers
 // that suspect drift, and the oracle the equivalence tests compare
 // against.
 func (r *Resolver) FullSolve() error {
 	r.ov.BuildCSR(r.builder, &r.oc)
 	res, err := SolveSharded(r.oc.Bipartite(), ShardedOptions{
-		Tie:       r.tie,
-		Seed:      r.seed + int64(r.stats.FullSolves)*1_000_003,
-		Session:   r.sess,
-		Workspace: r.gws,
+		Tie:     r.tie,
+		Seed:    r.seed + int64(r.stats.FullSolves)*1_000_003,
+		Shards:  r.shards,
+		Scratch: &r.sc,
 	})
 	if err != nil {
 		return fmt.Errorf("assign: resolver full solve: %w", err)

@@ -307,6 +307,34 @@ func TestResolverSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestResolverFullSolveZeroAllocWarmed pins the Resolver's one reuse
+// handle: once from-scratch solves have warmed its solve scratch (engine
+// session, hypergame workspace, and result storage) and its CSR builder,
+// a repeat FullSolve allocates nothing, under both tie rules.
+func TestResolverFullSolveZeroAllocWarmed(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	b := graph.MustBipartite(graph.RandomBipartite(200, 40, 3, rng), 200)
+	fb := graph.NewCSRBipartiteFromBipartite(b)
+	for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
+		r, err := NewResolver(fb, nil, ResolverOptions{Tie: tie, Seed: 9, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := func() {
+			if err := r.FullSolve(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ { // warm: every FullSolve draws a fresh seed
+			full()
+		}
+		if avg := testing.AllocsPerRun(5, full); avg != 0 {
+			t.Errorf("tie=%v: warmed FullSolve allocates %v objects per solve; want 0", tie, avg)
+		}
+		r.Close()
+	}
+}
+
 // TestSingleDeltaSpeedup pins the acceptance criterion of the
 // incremental layer: under a churning workload on a network of 10^5
 // customers, a single-customer delta re-solves at least 10× faster than

@@ -7,19 +7,15 @@ import (
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
-	"tokendrop/internal/hypergame"
-	"tokendrop/internal/local"
 )
 
 // TestSolveScratchMatchesFresh solves a varied sequence of networks
 // (growing and shrinking, both tie rules, the general problem and k = 2)
-// through one scratch + session + workspace and demands exactly the
-// fresh-solve results, including the new message accounting.
+// through one scratch (and so one session and workspace) and demands
+// exactly the fresh-solve results, including the new message accounting.
 func TestSolveScratchMatchesFresh(t *testing.T) {
-	sess := local.NewSession(3)
-	defer sess.Close()
-	gws := hypergame.NewWorkspace()
 	sc := new(SolveScratch)
+	defer sc.Close()
 	rng := rand.New(rand.NewSource(21))
 	sizes := []struct{ nl, nr, c, k int }{
 		{40, 10, 3, 0}, {120, 25, 4, 2}, {30, 8, 2, 0}, {200, 30, 3, 0}, {60, 12, 5, 2}, {90, 20, 3, 2},
@@ -36,8 +32,8 @@ func TestSolveScratchMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		reused, err := SolveSharded(fb, ShardedOptions{
-			K: sz.k, Tie: tie, Seed: int64(i), CheckInvariants: true,
-			Session: sess, Workspace: gws, Scratch: sc,
+			K: sz.k, Tie: tie, Seed: int64(i), Shards: 3, CheckInvariants: true,
+			Scratch: sc,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -57,7 +53,7 @@ func TestSolveScratchMatchesFresh(t *testing.T) {
 }
 
 // TestSolveShardedZeroAllocWarmed pins the scoreboard contract the arena
-// relies on: a warmed scratch + session + workspace repeat solve of the
+// relies on: a warmed scratch (session, workspace, and arrays) repeat solve of the
 // full batch solver performs no heap allocations, under both tie rules,
 // for the general problem and for k = 2 (three-level subgames).
 func TestSolveShardedZeroAllocWarmed(t *testing.T) {
@@ -66,12 +62,10 @@ func TestSolveShardedZeroAllocWarmed(t *testing.T) {
 	fb := graph.NewCSRBipartiteFromBipartite(graph.MustBipartite(g, 150))
 	for _, k := range []int{0, 2} {
 		for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
-			sess := local.NewSession(2)
-			gws := hypergame.NewWorkspace()
 			sc := new(SolveScratch)
 			run := func() {
 				if _, err := SolveSharded(fb, ShardedOptions{
-					K: k, Tie: tie, Seed: 9, Session: sess, Workspace: gws, Scratch: sc,
+					K: k, Tie: tie, Seed: 9, Shards: 2, Scratch: sc,
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -80,7 +74,7 @@ func TestSolveShardedZeroAllocWarmed(t *testing.T) {
 			if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
 				t.Errorf("k=%d tie=%v: warmed SolveSharded allocated %.1f objects per run; want 0", k, tie, allocs)
 			}
-			sess.Close()
+			sc.Close()
 		}
 	}
 }

@@ -30,7 +30,7 @@ func TestSessionZeroAllocProposal(t *testing.T) {
 	defer sess.Close()
 	ws := NewSolverWorkspace()
 	run := func() {
-		ws.prop.reset(fi, TieFirstPort, 0, nil)
+		ws.prop.reset(fi, TieFirstPort, 0, sess)
 		if _, err := sess.Run(fi.csr, &ws.prop, local.ShardedOptions{}); err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestSessionZeroAllocThreeLevel(t *testing.T) {
 	defer sess.Close()
 	ws := NewSolverWorkspace()
 	run := func() {
-		ws.three.reset(fi, TieFirstPort, 0, nil)
+		ws.three.reset(fi, TieFirstPort, 0, sess)
 		if _, err := sess.Run(fi.csr, &ws.three, local.ShardedOptions{}); err != nil {
 			t.Fatal(err)
 		}

@@ -110,9 +110,12 @@ func BenchmarkShardedEngineRunOnly(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		pr := newFlatProposal(fi, TieFirstPort, 0)
+		sess := local.NewSession(0)
+		pr := new(flatProposal)
+		pr.reset(fi, TieFirstPort, 0, sess)
 		b.StartTimer()
-		stats, err := local.RunSharded(fi.CSR(), pr, local.ShardedOptions{MaxRounds: 1 << 20})
+		stats, err := sess.Run(fi.CSR(), pr, local.ShardedOptions{MaxRounds: 1 << 20})
+		sess.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

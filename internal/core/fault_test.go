@@ -212,7 +212,7 @@ func TestDisarmedFaultSolveAllocFree(t *testing.T) {
 	reg.Site(local.FaultSiteRound) // declared, never armed
 	opt := ShardedSolveOptions{Tie: TieFirstPort, Session: sess, Fault: reg}
 	run := func() {
-		ws.prop.reset(fi, TieFirstPort, 0, nil)
+		ws.prop.reset(fi, TieFirstPort, 0, sess)
 		if _, err := runFlat(fi.csr, &ws.prop, opt); err != nil {
 			t.Fatal(err)
 		}

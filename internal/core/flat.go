@@ -15,7 +15,7 @@ import (
 // (flatproposal.go, flatthreelevel.go). The protocols are word-for-word
 // the ones of proposal.go and threelevel.go; only the representation
 // changes — message structs become single words, per-node machines become
-// struct-of-arrays programs for local.RunSharded. With TieFirstPort the
+// struct-of-arrays programs for local.Session.Run. With TieFirstPort the
 // flat and object engines execute the same deterministic protocol over
 // the same port numbering and therefore produce identical runs, which the
 // differential tests assert exactly.
@@ -185,13 +185,14 @@ type ShardedSolveOptions struct {
 	Tie       TieBreak
 	Seed      int64 // feeds the per-vertex PRNG streams of TieRandom
 	MaxRounds int
-	Shards    int // worker count; 0 = runtime.GOMAXPROCS(0)
+	Shards    int // worker count of the solve's own session; 0 = runtime.GOMAXPROCS(0)
 	// Stop, if non-nil, ends the run after the round for which it returns
 	// true even though the game is unfinished (throughput measurement).
 	Stop func(round int) bool
 	// Session, if non-nil, plays the game on this persistent engine
-	// session instead of a one-shot engine; its worker count overrides
-	// Shards. The phase loops keep one session alive across all their
+	// session; its worker count overrides Shards. Without one the solve
+	// starts its own session before the program reset and closes it on
+	// return. The phase loops keep one session alive across all their
 	// subgames so the worker pool and message buffers are built once.
 	Session *local.Session
 	// Workspace, if non-nil, rebuilds the program's struct-of-arrays
@@ -242,20 +243,6 @@ type SolverWorkspace struct {
 // NewSolverWorkspace returns an empty workspace; the first solve sizes it.
 func NewSolverWorkspace() *SolverWorkspace { return &SolverWorkspace{} }
 
-// runInitKernel runs a program's reset kernel over [0, n): on the
-// session's parked workers when the solve has one (the phase loops — so
-// program construction shards exactly like the rounds and the central
-// passes), inline otherwise (one-shot solves). Reset kernels only write
-// per-vertex and own-arc state, so the result cannot depend on the
-// split.
-func runInitKernel(sess *local.Session, n int, k local.Kernel) {
-	if sess == nil {
-		k(0, 0, n)
-		return
-	}
-	sess.ParallelFor(n, k)
-}
-
 // snapHooks is the snapshot capture / resume-validation state of one
 // runFlat call. It exists as a struct (rather than locals captured by
 // closures) so the disabled path allocates nothing: closure-captured
@@ -293,13 +280,12 @@ func (h *snapHooks) stop(round int) bool {
 	return h.snapErr != nil || (h.opt.Stop != nil && h.opt.Stop(round))
 }
 
-// runFlat executes prog on the options' session when one is set, else on
-// a one-shot engine, wiring the snapshot capture and resume-validation
-// hooks into the engine's round barrier when the options ask for them.
+// runFlat executes prog on the options' session, wiring the snapshot
+// capture and resume-validation hooks into the engine's round barrier
+// when the options ask for them.
 func runFlat(csr *graph.CSR, prog local.FlatProgram, opt ShardedSolveOptions) (local.ShardedStats, error) {
 	sopt := local.ShardedOptions{
 		MaxRounds: opt.MaxRounds,
-		Shards:    opt.Shards,
 		Stop:      opt.Stop,
 		Fault:     opt.engineFaultSite(),
 	}
@@ -323,7 +309,7 @@ func runFlat(csr *graph.CSR, prog local.FlatProgram, opt ShardedSolveOptions) (l
 		sopt.OnRound = hooks.onRound
 		sopt.Stop = hooks.stop
 	}
-	stats, err := runEngine(csr, prog, opt, sopt)
+	stats, err := opt.Session.Run(csr, prog, sopt)
 	if err == nil && hooks != nil {
 		if hooks.snapErr != nil {
 			err = hooks.snapErr
@@ -392,14 +378,6 @@ func runFlatRecovering(csr *graph.CSR, prog local.FlatProgram, opt ShardedSolveO
 		}
 		reset()
 	}
-}
-
-// runEngine dispatches to the options' session or a one-shot engine.
-func runEngine(csr *graph.CSR, prog local.FlatProgram, opt ShardedSolveOptions, sopt local.ShardedOptions) (local.ShardedStats, error) {
-	if opt.Session != nil {
-		return opt.Session.Run(csr, prog, sopt)
-	}
-	return local.RunSharded(csr, prog, sopt)
 }
 
 // FlatResult is the outcome of a sharded solve: the final token placement

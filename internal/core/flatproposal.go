@@ -87,17 +87,13 @@ type flatProposal struct {
 	shardMsgs   []int64
 }
 
-func newFlatProposal(fi *FlatInstance, tie TieBreak, seed int64) *flatProposal {
-	pr := &flatProposal{}
-	pr.reset(fi, tie, seed, nil)
-	return pr
-}
-
 // reset rebuilds the program state for a fresh solve of fi in place,
 // growing the arrays only when fi outgrows them — a warmed program
 // (same-sized or shrinking games) resets without allocating. Used by the
-// per-solve workspaces of the phase loops. With a session, the
-// per-vertex rebuild itself runs sharded on the parked workers.
+// per-solve workspaces of the phase loops. The per-vertex rebuild runs
+// sharded on the session's parked workers, like the rounds; the kernel
+// only writes per-vertex and own-arc state, so the result cannot depend
+// on the split.
 func (pr *flatProposal) reset(fi *FlatInstance, tie TieBreak, seed int64, sess *local.Session) {
 	n := fi.N()
 	pr.fi = fi
@@ -116,7 +112,7 @@ func (pr *flatProposal) reset(fi *FlatInstance, tie TieBreak, seed int64, sess *
 	if pr.initKernel == nil {
 		pr.initKernel = pr.initVertices
 	}
-	runInitKernel(sess, n, pr.initKernel)
+	sess.ParallelFor(n, pr.initKernel)
 }
 
 // initVertices is the reset kernel: it rederives all per-vertex state
@@ -471,8 +467,13 @@ var _ local.FlatProgram = (*flatProposal)(nil)
 // moves, and final placement); under TieRandom the tie-break streams are
 // engine-specific. Use FlatResult.Solution to verify the outcome. With
 // opt.Session and opt.Workspace set, the engine and the program state are
-// rebuilt in place across solves (see SolverWorkspace).
+// rebuilt in place across solves (see SolverWorkspace); without a
+// session the solve runs on one of its own.
 func SolveProposalSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, error) {
+	if opt.Session == nil {
+		opt.Session = local.NewSession(opt.Shards)
+		defer opt.Session.Close()
+	}
 	pr := &flatProposal{}
 	if opt.Workspace != nil {
 		pr = &opt.Workspace.prop

@@ -37,16 +37,9 @@ type flatThreeLevel struct {
 	shardMsgs  []int64
 }
 
-func newFlatThreeLevel(fi *FlatInstance, tie TieBreak, seed int64) *flatThreeLevel {
-	pr := &flatThreeLevel{}
-	pr.reset(fi, tie, seed, nil)
-	return pr
-}
-
 // reset rebuilds the program state for a fresh solve of fi in place,
-// growing the arrays only when fi outgrows them (see flatProposal.reset).
-// With a session, the per-vertex rebuild itself runs sharded on the
-// parked workers.
+// growing the arrays only when fi outgrows them, with the per-vertex
+// rebuild sharded on the session (see flatProposal.reset).
 func (pr *flatThreeLevel) reset(fi *FlatInstance, tie TieBreak, seed int64, sess *local.Session) {
 	n := fi.N()
 	arcs := fi.csr.NumArcs()
@@ -70,7 +63,7 @@ func (pr *flatThreeLevel) reset(fi *FlatInstance, tie TieBreak, seed int64, sess
 	if pr.initKernel == nil {
 		pr.initKernel = pr.initVertices
 	}
-	runInitKernel(sess, n, pr.initKernel)
+	sess.ParallelFor(n, pr.initKernel)
 }
 
 // initVertices is the reset kernel: it rederives all per-vertex state
@@ -442,10 +435,15 @@ var _ local.FlatProgram = (*flatThreeLevel)(nil)
 // ThreeLevelMaxLevel. Under TieFirstPort the run is bit-identical to
 // SolveThreeLevel on the same game. With opt.Session and opt.Workspace
 // set, the engine and the program state are rebuilt in place across
-// solves (see SolverWorkspace).
+// solves (see SolverWorkspace); without a session the solve runs on one
+// of its own.
 func SolveThreeLevelSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, error) {
 	if h := fi.Height(); h > ThreeLevelMaxLevel {
 		return nil, fmt.Errorf("core: three-level solver got height %d > %d", h, ThreeLevelMaxLevel)
+	}
+	if opt.Session == nil {
+		opt.Session = local.NewSession(opt.Shards)
+		defer opt.Session.Close()
 	}
 	pr := &flatThreeLevel{}
 	if opt.Workspace != nil {

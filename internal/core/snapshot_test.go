@@ -231,7 +231,7 @@ func TestSnapshotDisabledSolveAllocFree(t *testing.T) {
 	ws := NewSolverWorkspace()
 	opt := ShardedSolveOptions{Tie: TieFirstPort, Session: sess}
 	run := func() {
-		ws.prop.reset(fi, TieFirstPort, 0, nil)
+		ws.prop.reset(fi, TieFirstPort, 0, sess)
 		if _, err := runFlat(fi.csr, &ws.prop, opt); err != nil {
 			t.Fatal(err)
 		}
@@ -247,8 +247,10 @@ func TestSnapshotDisabledSolveAllocFree(t *testing.T) {
 func TestSnapshotCaptureAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	fi := FlatRandomLayered(LayeredConfig{Levels: 4, Width: 16, ParentDeg: 3, TokenProb: 0.6, FreeBottom: true}, rng)
+	sess := local.NewSession(1)
+	defer sess.Close()
 	ws := NewSolverWorkspace()
-	ws.prop.reset(fi, TieFirstPort, 0, nil)
+	ws.prop.reset(fi, TieFirstPort, 0, sess)
 	snap := new(Snapshot)
 	captureInto(snap, &ws.prop, fi.N(), 1) // warm the buffer
 	if allocs := testing.AllocsPerRun(50, func() {

@@ -17,7 +17,7 @@ import (
 // threelevel.go; only the representation changes — the incidence network
 // becomes a graph.CSR, message structs become single words, and the
 // per-node server/relay machines become one struct-of-arrays program for
-// local.RunSharded whose behavior branches on whether the stepped vertex is
+// local.Session.Run whose behavior branches on whether the stepped vertex is
 // a server (0..n-1) or a hyperedge relay (n..n+m-1).
 //
 // The incidence CSR inserts edges exactly as the object solvers build their
@@ -326,26 +326,16 @@ type ShardedSolveOptions struct {
 	RandomTies bool
 	Seed       int64
 	MaxRounds  int
-	Shards     int // worker count; 0 = runtime.GOMAXPROCS(0)
+	Shards     int // worker count of the solve's own session; 0 = runtime.GOMAXPROCS(0)
 	// Session, if non-nil, plays the game on this persistent engine
-	// session instead of a one-shot engine; its worker count overrides
-	// Shards. The assignment phase loops keep one session alive across
-	// all their subgames so the worker pool and message buffers are
-	// built once.
+	// session; its worker count overrides Shards. Without one the solve
+	// starts its own session and closes it on return. The assignment
+	// phase loops keep one session alive across all their subgames so
+	// the worker pool and message buffers are built once.
 	Session *local.Session
 	// Workspace, if non-nil, rebuilds the program's struct-of-arrays
 	// state in place instead of allocating it per solve (see Workspace).
 	Workspace *Workspace
-}
-
-// runFlatHyper executes prog on the options' session when one is set,
-// else on a one-shot engine.
-func runFlatHyper(inc *graph.CSR, prog local.FlatProgram, opt ShardedSolveOptions) (local.ShardedStats, error) {
-	sopt := local.ShardedOptions{MaxRounds: opt.MaxRounds, Shards: opt.Shards}
-	if opt.Session != nil {
-		return opt.Session.Run(inc, prog, sopt)
-	}
-	return local.RunSharded(inc, prog, sopt)
 }
 
 // FlatResult is the outcome of a sharded hypergame solve: the final token
@@ -401,12 +391,6 @@ type flatHyperState struct {
 
 	shardMoves [][]Move
 	shardMsgs  []int64
-}
-
-func newFlatHyperState(fi *FlatInstance, opt ShardedSolveOptions) *flatHyperState {
-	st := &flatHyperState{}
-	st.reset(fi, opt)
-	return st
 }
 
 // reset rebuilds the shared program state for a fresh solve of fi in
@@ -920,7 +904,8 @@ var _ local.FlatProgram = (*flatHyperProposal)(nil)
 // on the same game (same rounds, messages, moves, and final placement);
 // RandomTies draws engine-specific streams. With opt.Session and
 // opt.Workspace set, the engine and the program state are rebuilt in
-// place across solves (see Workspace).
+// place across solves (see Workspace); without a session the solve runs
+// on one of its own.
 func SolveProposalSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, error) {
 	out := new(FlatResult)
 	if err := SolveProposalShardedInto(fi, opt, out); err != nil {
@@ -934,8 +919,9 @@ func SolveProposalSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResul
 // the whole solve performs no heap allocations, which is what the
 // assignment phase loop's own zero-allocation contract is built on.
 func SolveProposalShardedInto(fi *FlatInstance, opt ShardedSolveOptions, out *FlatResult) error {
-	if opt.MaxRounds == 0 {
-		opt.MaxRounds = 1 << 20
+	if opt.Session == nil {
+		opt.Session = local.NewSession(opt.Shards)
+		defer opt.Session.Close()
 	}
 	var pr *flatHyperProposal
 	if opt.Workspace != nil {
@@ -944,7 +930,7 @@ func SolveProposalShardedInto(fi *FlatInstance, opt ShardedSolveOptions, out *Fl
 		pr = &flatHyperProposal{&flatHyperState{}}
 	}
 	pr.reset(fi, opt)
-	stats, err := runFlatHyper(fi.inc, pr, opt)
+	stats, err := opt.Session.Run(fi.inc, pr, local.ShardedOptions{MaxRounds: opt.MaxRounds})
 	if err != nil {
 		return err
 	}

@@ -555,7 +555,8 @@ var _ local.FlatProgram = (*flatHyper3)(nil)
 // Under first-port tie-breaking the run is bit-identical to SolveThreeLevel
 // on the same game; RandomTies draws engine-specific streams. With
 // opt.Session and opt.Workspace set, the engine and the program state are
-// rebuilt in place across solves (see Workspace).
+// rebuilt in place across solves (see Workspace); without a session the
+// solve runs on one of its own.
 func SolveThreeLevelSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, error) {
 	out := new(FlatResult)
 	if err := SolveThreeLevelShardedInto(fi, opt, out); err != nil {
@@ -571,8 +572,9 @@ func SolveThreeLevelShardedInto(fi *FlatInstance, opt ShardedSolveOptions, out *
 	if h := fi.Height(); h > ThreeLevelMaxLevel {
 		return fmt.Errorf("hypergame: 3-level solver got height %d > %d", h, ThreeLevelMaxLevel)
 	}
-	if opt.MaxRounds == 0 {
-		opt.MaxRounds = 1 << 20
+	if opt.Session == nil {
+		opt.Session = local.NewSession(opt.Shards)
+		defer opt.Session.Close()
 	}
 	var pr *flatHyper3
 	if opt.Workspace != nil {
@@ -581,7 +583,7 @@ func SolveThreeLevelShardedInto(fi *FlatInstance, opt ShardedSolveOptions, out *
 		pr = &flatHyper3{flatHyperState: &flatHyperState{}}
 	}
 	pr.reset3(fi, opt)
-	stats, err := runFlatHyper(fi.inc, pr, opt)
+	stats, err := opt.Session.Run(fi.inc, pr, local.ShardedOptions{MaxRounds: opt.MaxRounds})
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,7 @@ func TestInjectedCrashSurfacesAndPoolSurvives(t *testing.T) {
 	csr := graph.NewCSRFromGraph(graph.Torus2D(6, 6))
 	clean := func() [][]Word {
 		p := &flatDigest{csr: csr, rounds: 8, digest: make([][]Word, csr.N())}
-		if _, err := RunSharded(csr, p, ShardedOptions{Shards: 3}); err != nil {
+		if _, err := runOnce(csr, p, 3, ShardedOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return p.digest
@@ -71,7 +71,7 @@ func TestInjectedErrorAbortsAtQuiescentBarrier(t *testing.T) {
 	reg := fault.NewRegistry(1)
 	site := reg.Arm(FaultSiteRound, fault.Schedule{Kind: fault.KindError, TriggerAt: 3})
 	p := newFlatCountdown(csr, 10)
-	stats, err := RunSharded(csr, p, ShardedOptions{Shards: 2, Fault: site})
+	stats, err := runOnce(csr, p, 2, ShardedOptions{Fault: site})
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected chain", err)
 	}
@@ -90,7 +90,7 @@ func TestInjectedStallChangesNothing(t *testing.T) {
 	csr := graph.NewCSRFromGraph(graph.Torus2D(5, 5))
 	run := func(site *fault.Site) [][]Word {
 		p := &flatDigest{csr: csr, rounds: 6, digest: make([][]Word, csr.N())}
-		if _, err := RunSharded(csr, p, ShardedOptions{Shards: 4, Fault: site}); err != nil {
+		if _, err := runOnce(csr, p, 4, ShardedOptions{Fault: site}); err != nil {
 			t.Fatal(err)
 		}
 		return p.digest
@@ -156,7 +156,7 @@ func TestCrashVictimDeterministic(t *testing.T) {
 		reg := fault.NewRegistry(seed)
 		site := reg.Arm(FaultSiteRound, fault.Schedule{Kind: fault.KindCrash, TriggerAt: 3})
 		p := &flatDigest{csr: csr, rounds: 8, digest: make([][]Word, csr.N())}
-		_, err := RunSharded(csr, p, ShardedOptions{Shards: 8, Fault: site})
+		_, err := runOnce(csr, p, 8, ShardedOptions{Fault: site})
 		var wce *WorkerCrashError
 		if !errors.As(err, &wce) {
 			t.Fatalf("err = %v, want WorkerCrashError", err)
@@ -174,7 +174,7 @@ func TestDisabledFaultRunBitMatches(t *testing.T) {
 	csr := graph.NewCSRFromGraph(graph.Torus2D(6, 6))
 	run := func(site *fault.Site) [][]Word {
 		p := &flatDigest{csr: csr, rounds: 8, digest: make([][]Word, csr.N())}
-		if _, err := RunSharded(csr, p, ShardedOptions{Shards: 2, Fault: site}); err != nil {
+		if _, err := runOnce(csr, p, 2, ShardedOptions{Fault: site}); err != nil {
 			t.Fatal(err)
 		}
 		return p.digest

@@ -34,8 +34,7 @@ func TestOnRoundQuiescence(t *testing.T) {
 	prog := &instrumentedCountdown{flatCountdown: newFlatCountdown(csr, 6)}
 	var rounds []int
 	var stepsAtHook []int64
-	stats, err := RunSharded(csr, prog, ShardedOptions{
-		Shards: 4,
+	stats, err := runOnce(csr, prog, 4, ShardedOptions{
 		OnRound: func(round, awake int) {
 			if got := prog.inFlight.Load(); got != 0 {
 				t.Errorf("round %d: %d StepShard calls in flight during OnRound", round, got)
@@ -77,8 +76,7 @@ func TestOnRoundStopInterplay(t *testing.T) {
 	prog := newFlatCountdown(csr, 100) // far more rounds than the stop cutoff
 	var hookRounds, stopRounds []int
 	const cutoff = 3
-	stats, err := RunSharded(csr, prog, ShardedOptions{
-		Shards: 2,
+	stats, err := runOnce(csr, prog, 2, ShardedOptions{
 		OnRound: func(round, awake int) {
 			hookRounds = append(hookRounds, round)
 		},

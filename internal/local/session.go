@@ -10,25 +10,23 @@ import (
 	"tokendrop/internal/reuse"
 )
 
-// This file adds the reusable execution layer of the sharded engine. A
-// RunSharded call pays three construction costs the LOCAL model never
-// charges for: it allocates both message buffers and the halted/awake
-// bookkeeping, and it spawns (and then tears down) one worker goroutine
-// per shard. A single game amortizes that over its whole run, but the
-// phase loops of the orientation and assignment layers solve dozens of
-// subgames per solve — at 10⁶ vertices the churn dominates the
-// non-algorithmic cost. A Session hoists all of it: the worker pool is
-// spawned once and parked on channels between runs, the buffers and
-// per-shard lists are grown monotonically and rebuilt in place, and the
-// shard bounds are recomputed in place for every subgame. A warmed
-// Session therefore executes steady-state rounds — and entire repeat
-// Run calls — without a single heap allocation (asserted by the
-// AllocsPerRun regression tests in this package and in internal/core).
-//
-// The execution semantics are exactly RunSharded's (which is now a thin
-// wrapper over a one-shot Session): same barrier discipline, same scrub
-// protocol, same determinism argument. Results never depend on the
-// session's worker count.
+// This file adds the reusable execution layer of the sharded engine,
+// which is also its only entry point. Running a game pays three
+// construction costs the LOCAL model never charges for: both message
+// buffers and the halted/awake bookkeeping are allocated, and one worker
+// goroutine per shard is spawned (and later torn down). A single game
+// amortizes that over its whole run, but the phase loops of the
+// orientation and assignment layers solve dozens of subgames per solve —
+// at 10⁶ vertices the churn dominates the non-algorithmic cost. A Session
+// hoists all of it: the worker pool is spawned once and parked on
+// channels between runs, the buffers and per-shard lists are grown
+// monotonically and rebuilt in place, and the shard bounds are
+// recomputed in place for every subgame. A warmed Session therefore
+// executes steady-state rounds — and entire repeat Run calls — without a
+// single heap allocation (asserted by the AllocsPerRun regression tests
+// in this package and in internal/core). A one-shot solve is a session
+// too: the solver starts one, runs on it, and closes it. Results never
+// depend on the session's worker count.
 
 // scrubEntry queues a recently halted vertex whose two stale out-buffers
 // must be zeroed before it can be left alone for good.
@@ -309,9 +307,9 @@ func shardBoundsInto(bounds []int, csr *graph.CSR, shards int) []int {
 
 // Run initializes prog and executes synchronous rounds on csr until every
 // vertex has halted, opt.MaxRounds is exceeded (an error), or opt.Stop
-// says so. The session's worker count applies; opt.Shards is ignored. All
-// engine state is rebuilt in place from the previous run — a warmed
-// session (same or smaller graph) allocates nothing.
+// says so. The session's worker count applies. All engine state is
+// rebuilt in place from the previous run — a warmed session (same or
+// smaller graph) allocates nothing.
 //
 // Under a remote transport the session steps only its owned global
 // shards: prog is initialized over the full global shard map (so vertex

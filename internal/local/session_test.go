@@ -8,7 +8,7 @@ import (
 
 // TestSessionReuseMatchesRunSharded drives one session through a sequence
 // of graphs of varying sizes (growing and shrinking) and checks every run
-// against a fresh RunSharded execution of the same program.
+// against a fresh one-shot execution (runOnce) of the same program.
 func TestSessionReuseMatchesRunSharded(t *testing.T) {
 	sess := NewSession(3)
 	defer sess.Close()
@@ -20,7 +20,7 @@ func TestSessionReuseMatchesRunSharded(t *testing.T) {
 			t.Fatalf("n=%d: session run: %v", n, err)
 		}
 		p2 := newFlatCountdown(csr, n%4+2)
-		s2, err := RunSharded(csr, p2, ShardedOptions{Shards: 3})
+		s2, err := runOnce(csr, p2, 3, ShardedOptions{})
 		if err != nil {
 			t.Fatalf("n=%d: fresh run: %v", n, err)
 		}
@@ -50,7 +50,7 @@ func TestSessionMoreShardsThanVertices(t *testing.T) {
 	}
 }
 
-// TestSessionEmptyGraph mirrors the RunSharded contract on n = 0.
+// TestSessionEmptyGraph mirrors the one-shot contract on n = 0.
 func TestSessionEmptyGraph(t *testing.T) {
 	sess := NewSession(2)
 	defer sess.Close()
@@ -157,7 +157,7 @@ func TestSessionParallelForReuse(t *testing.T) {
 			t.Fatalf("n=%d: session run: %v", n, err)
 		}
 		p2 := newFlatCountdown(csr, n%4+2)
-		s2, err := RunSharded(csr, p2, ShardedOptions{Shards: 3})
+		s2, err := runOnce(csr, p2, 3, ShardedOptions{})
 		if err != nil {
 			t.Fatalf("n=%d: fresh run: %v", n, err)
 		}

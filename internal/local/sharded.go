@@ -1,10 +1,7 @@
 package local
 
 import (
-	"runtime"
-
 	"tokendrop/internal/fault"
-	"tokendrop/internal/graph"
 )
 
 // This file implements the sharded flat engine, the second LOCAL runtime of
@@ -43,7 +40,7 @@ import (
 type Word uint8
 
 // FlatProgram is a distributed algorithm in struct-of-arrays form, stepped
-// shard-by-shard by RunSharded. Implementations must be deterministic
+// shard-by-shard by Session.Run. Implementations must be deterministic
 // functions of their inputs, must only touch per-vertex state of vertices
 // in the [lo, hi) range they are given, and must not retain the buffer
 // slices across calls.
@@ -70,16 +67,12 @@ type FlatProgram interface {
 	StepShard(round, shard int, verts []int32, recv, send []Word, halted []bool)
 }
 
-// ShardedOptions configure a RunSharded execution.
+// ShardedOptions configure one Session.Run execution. The worker count
+// is the session's (NewSession); the result does not depend on it.
 type ShardedOptions struct {
 	// MaxRounds aborts the run if some vertex is still awake after this
 	// many rounds. Zero means 1<<20, as in Options.
 	MaxRounds int
-	// Shards is the number of worker goroutines (and state partitions);
-	// 0 means runtime.GOMAXPROCS(0). The result does not depend on it.
-	// Session.Run ignores this field in favor of the session's worker
-	// count.
-	Shards int
 	// OnRound, if non-nil, runs on the coordinating goroutine after every
 	// round with the round number and how many vertices are still awake.
 	//
@@ -104,33 +97,9 @@ type ShardedOptions struct {
 	Fault *fault.Site
 }
 
-// ShardedStats summarizes a RunSharded execution.
+// ShardedStats summarizes a Session.Run execution.
 type ShardedStats struct {
 	Rounds int // rounds executed
 	Shards int // shard count actually used
 	Halted int // vertices halted when the run ended
-}
-
-// RunSharded initializes prog and executes synchronous rounds until every
-// vertex has halted, MaxRounds is exceeded (an error), or Stop says so.
-// It is a one-shot Session (see session.go): callers that solve many
-// games — the phase loops of the orientation and assignment layers —
-// should hold a Session instead and amortize the worker pool and buffer
-// construction across all of them.
-func RunSharded(csr *graph.CSR, prog FlatProgram, opt ShardedOptions) (ShardedStats, error) {
-	n := csr.N()
-	if n == 0 {
-		prog.InitShards([]int{0})
-		return ShardedStats{}, nil
-	}
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > n {
-		shards = n
-	}
-	s := NewSession(shards)
-	defer s.Close()
-	return s.Run(csr, prog, opt)
 }

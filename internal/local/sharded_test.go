@@ -6,6 +6,15 @@ import (
 	"tokendrop/internal/graph"
 )
 
+// runOnce is a one-shot engine run, as the solvers do it without a
+// caller-held session: start a session of the given worker count (0 =
+// GOMAXPROCS), run prog once, and close it.
+func runOnce(csr *graph.CSR, prog FlatProgram, shards int, opt ShardedOptions) (ShardedStats, error) {
+	s := NewSession(shards)
+	defer s.Close()
+	return s.Run(csr, prog, opt)
+}
+
 // flatCountdown mirrors countdownMachine for the sharded engine: every
 // vertex broadcasts its remaining count and halts when it reaches zero.
 type flatCountdown struct {
@@ -59,7 +68,7 @@ func (p *flatCountdown) StepShard(round, shard int, verts []int32, recv, send []
 func TestShardedHaltsAndCountsRounds(t *testing.T) {
 	csr := graph.NewCSRFromGraph(graph.Cycle(5))
 	p := newFlatCountdown(csr, 3)
-	stats, err := RunSharded(csr, p, ShardedOptions{Shards: 2})
+	stats, err := runOnce(csr, p, 2, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +123,7 @@ func (p *flatFinalWord) StepShard(round, shard int, verts []int32, recv, send []
 func TestShardedFinalWordNoStaleRedelivery(t *testing.T) {
 	csr := graph.NewCSRFromGraph(graph.Path(2))
 	p := &flatFinalWord{csr: csr}
-	if _, err := RunSharded(csr, p, ShardedOptions{Shards: 2}); err != nil {
+	if _, err := runOnce(csr, p, 2, ShardedOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if p.nonZero != 1 {
@@ -154,7 +163,7 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 	csr := graph.NewCSRFromGraph(graph.Torus2D(6, 6))
 	run := func(shards int) [][]Word {
 		p := &flatDigest{csr: csr, rounds: 8, digest: make([][]Word, csr.N())}
-		if _, err := RunSharded(csr, p, ShardedOptions{Shards: shards}); err != nil {
+		if _, err := runOnce(csr, p, shards, ShardedOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return p.digest
@@ -176,14 +185,14 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 func TestShardedMaxRoundsGuard(t *testing.T) {
 	csr := graph.NewCSRFromGraph(graph.Path(3))
 	p := newFlatCountdown(csr, 1<<30)
-	if _, err := RunSharded(csr, p, ShardedOptions{MaxRounds: 10}); err == nil {
+	if _, err := runOnce(csr, p, 0, ShardedOptions{MaxRounds: 10}); err == nil {
 		t.Fatal("runaway protocol not caught")
 	}
 }
 
 func TestShardedEmptyGraph(t *testing.T) {
 	csr := graph.NewCSRFromGraph(graph.New(0))
-	stats, err := RunSharded(csr, newFlatCountdown(csr, 1), ShardedOptions{})
+	stats, err := runOnce(csr, newFlatCountdown(csr, 1), 0, ShardedOptions{})
 	if err != nil || stats.Rounds != 0 {
 		t.Fatalf("empty graph: %v %+v", err, stats)
 	}
@@ -193,8 +202,7 @@ func TestShardedStopCallback(t *testing.T) {
 	csr := graph.NewCSRFromGraph(graph.Cycle(4))
 	p := newFlatCountdown(csr, 1<<20)
 	var rounds []int
-	stats, err := RunSharded(csr, p, ShardedOptions{
-		Shards:  2,
+	stats, err := runOnce(csr, p, 2, ShardedOptions{
 		OnRound: func(round, awake int) { rounds = append(rounds, round) },
 		Stop:    func(round int) bool { return round >= 5 },
 	})
@@ -222,7 +230,7 @@ func TestShardedStressBarrier(t *testing.T) {
 		}
 		csr := graph.NewCSRFromGraph(g)
 		p := newFlatCountdown(csr, n%5+1)
-		if _, err := RunSharded(csr, p, ShardedOptions{Shards: 16}); err != nil {
+		if _, err := runOnce(csr, p, 16, ShardedOptions{}); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
