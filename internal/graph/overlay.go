@@ -168,6 +168,12 @@ type BipartiteOverlay struct {
 	edges              int
 	compactions        int
 
+	// seen[s] == epoch marks server s as already named by the adjacency
+	// list being checked, so the duplicate-port check is linear in the
+	// list. Grow-only, like the arenas.
+	seen  []uint32
+	epoch uint32
+
 	// FragThreshold is the leaked-word fraction of the internal arenas
 	// that triggers an automatic arena compaction on the next mutation
 	// (0 means the 0.5 default; set above 1 to disable). Compaction
@@ -283,16 +289,15 @@ func RestoreBipartiteOverlay(custIDs, adjPtr, adjServ, servIDs []int32) (*Bipart
 		if lo > hi {
 			return nil, fmt.Errorf("graph: overlay restore adjacency offsets decrease at customer %d", c)
 		}
-		adj := adjServ[lo:hi]
-		for j, s := range adj {
+		ep := o.nextEpoch()
+		for _, s := range adjServ[lo:hi] {
 			if int(s) >= nsIDs || s < 0 || !o.servLive[s] {
 				return nil, fmt.Errorf("graph: overlay restore customer %d adjacent to unlisted server %d", c, s)
 			}
-			for _, t := range adj[:j] {
-				if t == s {
-					return nil, fmt.Errorf("graph: overlay restore customer %d repeats port to server %d", c, s)
-				}
+			if o.seen[s] == ep {
+				return nil, fmt.Errorf("graph: overlay restore customer %d repeats port to server %d", c, s)
 			}
+			o.seen[s] = ep
 			incCount[s]++
 		}
 	}
@@ -382,6 +387,20 @@ func (o *BipartiteOverlay) maybeCompact() {
 	}
 }
 
+// nextEpoch starts a duplicate-port check over the current server id
+// space and returns its stamp.
+func (o *BipartiteOverlay) nextEpoch() uint32 {
+	if n := len(o.servLive); len(o.seen) < n {
+		o.seen = append(o.seen, make([]uint32, n-len(o.seen))...)
+	}
+	o.epoch++
+	if o.epoch == 0 { // wrapped: clear the stamps so none matches
+		clear(o.seen)
+		o.epoch = 1
+	}
+	return o.epoch
+}
+
 // AddCustomer inserts a customer adjacent to the given live servers
 // (ports left to right) and returns its id — a recycled id when one is
 // free, a fresh one otherwise.
@@ -389,15 +408,15 @@ func (o *BipartiteOverlay) AddCustomer(servers []int32) (int, error) {
 	if len(servers) == 0 {
 		return -1, fmt.Errorf("graph: overlay customer needs at least one adjacent server")
 	}
-	for i, s := range servers {
+	ep := o.nextEpoch()
+	for _, s := range servers {
 		if !o.ServerLive(int(s)) {
 			return -1, fmt.Errorf("graph: overlay customer adjacency names dead server %d", s)
 		}
-		for _, t := range servers[:i] {
-			if t == s {
-				return -1, fmt.Errorf("graph: overlay customer adjacency repeats server %d", s)
-			}
+		if o.seen[s] == ep {
+			return -1, fmt.Errorf("graph: overlay customer adjacency repeats server %d", s)
 		}
+		o.seen[s] = ep
 	}
 	var c int
 	if n := len(o.custFree); n > 0 {

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // refOverlay is the obvious map/slice model the arena-backed overlay is
@@ -351,6 +352,72 @@ func TestOverlaySteadyStateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, churn); avg != 0 {
 		t.Fatalf("warmed overlay churn allocates %.1f times per round", avg)
+	}
+}
+
+// TestOverlayDuplicateCheckLinear pins the duplicate-port check of
+// AddCustomer and RestoreBipartiteOverlay as linear in the adjacency
+// length: one customer listing 100k distinct servers must cost under 30×
+// one listing 10k. A linear check measures about 10×; a pairwise rescan
+// of the earlier ports measured over 100×. Each size takes the fastest
+// of a few runs, so one scheduling hiccup cannot fail the test.
+func TestOverlayDuplicateCheckLinear(t *testing.T) {
+	ids := func(n int) []int32 {
+		adj := make([]int32, n)
+		for i := range adj {
+			adj[i] = int32(i)
+		}
+		return adj
+	}
+	fastest := func(reps int, run func() error) time.Duration {
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < reps; i++ {
+			start := time.Now()
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	add := func(n int) time.Duration {
+		o := NewBipartiteOverlay(nil)
+		for i := 0; i < n; i++ {
+			o.AddServer()
+		}
+		adj := ids(n)
+		c, err := o.AddCustomer(adj) // warm the arenas and the stamps
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.RemoveCustomer(c); err != nil {
+			t.Fatal(err)
+		}
+		return fastest(3, func() error {
+			c, err := o.AddCustomer(adj)
+			if err != nil {
+				return err
+			}
+			return o.RemoveCustomer(c)
+		})
+	}
+	restore := func(n int) time.Duration {
+		adj := ids(n)
+		return fastest(3, func() error {
+			_, err := RestoreBipartiteOverlay([]int32{0}, []int32{0, int32(n)}, adj, adj)
+			return err
+		})
+	}
+	for _, c := range []struct {
+		name string
+		time func(n int) time.Duration
+	}{{"AddCustomer", add}, {"RestoreBipartiteOverlay", restore}} {
+		small, large := c.time(10_000), c.time(100_000)
+		ratio := float64(large) / float64(small)
+		t.Logf("%s: 10k servers %v, 100k servers %v, ratio %.1f×", c.name, small, large, ratio)
+		if ratio >= 30 {
+			t.Errorf("%s: 100k servers cost %.1f× 10k servers (%v vs %v); want under 30×", c.name, ratio, large, small)
+		}
 	}
 }
 
