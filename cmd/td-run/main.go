@@ -26,18 +26,6 @@ import (
 	"tokendrop/internal/mp"
 )
 
-// failFlags collects repeated -fail specs.
-type failFlags []string
-
-// String renders the collected specs for flag's usage output.
-func (f *failFlags) String() string { return fmt.Sprint([]string(*f)) }
-
-// Set appends one spec per flag occurrence.
-func (f *failFlags) Set(v string) error {
-	*f = append(*f, v)
-	return nil
-}
-
 func main() {
 	var (
 		workload  = flag.String("workload", "layered", "chain | layered | figure2 | bipartite | topheavy | grid | powerlaw")
@@ -64,9 +52,8 @@ func main() {
 		replay    = flag.String("replay", "", "replay a recorded run directory and verify bit-identical results; exits non-zero with the first divergence")
 		snapEvery = flag.Int("snapshot-every", 32, "with -record: snapshot every k completed rounds")
 		version   = cliutil.VersionFlag()
+		fail      = cliutil.NewFailFlag("mp/worker:crash:at=8")
 	)
-	var fail failFlags
-	flag.Var(&fail, "fail", "arm a failpoint, SITE:KIND:key=val,... (repeatable); e.g. mp/worker:crash:at=8")
 	flag.Parse()
 	cliutil.HandleVersionFlag(version)
 
@@ -205,14 +192,10 @@ func main() {
 			flat = tokendrop.NewFlatGame(inst)
 		}
 		var reg *fault.Registry
-		if len(fail) > 0 {
+		if len(*fail) > 0 {
 			reg = fault.NewRegistry(*seed)
-			for _, spec := range fail {
-				site, sched, perr := fault.ParseSpec(spec)
-				if perr != nil {
-					log.Fatalf("-fail %q: %v", spec, perr)
-				}
-				reg.Arm(site, sched)
+			if spec, err := fail.Arm(reg); err != nil {
+				log.Fatalf("-fail %q: %v", spec, err)
 			}
 		}
 		exe, eerr := os.Executable()

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"tokendrop"
+	"tokendrop/internal/cliutil"
 )
 
 // Serve-layer failpoints, armed through -fail.
@@ -52,7 +53,7 @@ type serveConfig struct {
 	queueWait     time.Duration
 	reqTimeout    time.Duration
 	drainTimeout  time.Duration
-	failSpecs     []string
+	failSpecs     cliutil.FailFlag
 }
 
 type assignReq struct {
@@ -149,12 +150,8 @@ func newShell(cfg serveConfig) (*daemon, error) {
 	}
 	d.failDelta = d.reg.Site(faultSiteDelta)
 	d.failSnapshot = d.reg.Site(faultSiteSnapshot)
-	for _, spec := range cfg.failSpecs {
-		name, sched, err := tokendrop.ParseFaultSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		d.reg.Arm(name, sched)
+	if _, err := cfg.failSpecs.Arm(d.reg); err != nil {
+		return nil, err
 	}
 	return d, nil
 }

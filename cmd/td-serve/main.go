@@ -58,23 +58,10 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"time"
 
 	"tokendrop/internal/cliutil"
 )
-
-// failFlags collects repeated -fail specs.
-type failFlags []string
-
-// String renders the collected specs for flag's usage output.
-func (f *failFlags) String() string { return fmt.Sprint([]string(*f)) }
-
-// Set appends one spec per flag occurrence.
-func (f *failFlags) Set(v string) error {
-	*f = append(*f, v)
-	return nil
-}
 
 func main() {
 	var (
@@ -95,9 +82,8 @@ func main() {
 		deltas        = flag.Int("deltas", 500, "with -churn: number of deltas to apply")
 		retries       = flag.Int("retries", 10, "with -churn: per-request retry budget for 429/503/connection errors")
 		version       = cliutil.VersionFlag()
-		fail          failFlags
+		fail          = cliutil.NewFailFlag("resolver/repair:error:p=0.01")
 	)
-	flag.Var(&fail, "fail", "arm a failpoint, SITE:KIND:key=val,... (repeatable); e.g. resolver/repair:error:p=0.01")
 	flag.Parse()
 	cliutil.HandleVersionFlag(version)
 
@@ -119,6 +105,6 @@ func main() {
 		queueWait:     *queueWait,
 		reqTimeout:    *reqTimeout,
 		drainTimeout:  *drainTimeout,
-		failSpecs:     fail,
+		failSpecs:     *fail,
 	})
 }
