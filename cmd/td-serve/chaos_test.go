@@ -88,6 +88,25 @@ func postJSON(t *testing.T, url string, body string) *http.Response {
 	return resp
 }
 
+// errorShapeCases are TestErrorJSONShape's refused POSTs, one or more
+// per failure class; FuzzDecodeRequest seeds its corpus with the bodies.
+var errorShapeCases = []struct {
+	path, body string
+	status     int
+}{
+	{"/assign", `{"servers":`, http.StatusBadRequest},
+	{"/assign", `{"serverz":[1]}`, http.StatusBadRequest},
+	{"/assign", `{}`, http.StatusBadRequest},
+	{"/assign", `{"servers":[1,2]} xx`, http.StatusBadRequest},
+	{"/drain", ``, http.StatusBadRequest},
+	{"/drain", `{"server":null}`, http.StatusBadRequest},
+	{"/release", `{}`, http.StatusBadRequest},
+	{"/release", `{"customer":5}{"customer":6}`, http.StatusBadRequest},
+	{"/release", `{"customer":99999}`, http.StatusConflict},
+	{"/drain", `{"server":99999}`, http.StatusConflict},
+	{"/assign", `{"servers":[` + strings.Repeat("99999,", maxBodyBytes/6) + `99999]}`, http.StatusRequestEntityTooLarge},
+}
+
 // TestErrorJSONShape pins the unified {"error":...,"code":N} contract
 // across every failure class: bad method, bad body, unknown field,
 // missing id, trailing data, an oversized body, unknown path, and a
@@ -103,22 +122,7 @@ func TestErrorJSONShape(t *testing.T) {
 	}
 	decodeErr(t, resp, http.StatusMethodNotAllowed)
 
-	for _, c := range []struct {
-		path, body string
-		status     int
-	}{
-		{"/assign", `{"servers":`, http.StatusBadRequest},
-		{"/assign", `{"serverz":[1]}`, http.StatusBadRequest},
-		{"/assign", `{}`, http.StatusBadRequest},
-		{"/assign", `{"servers":[1,2]} xx`, http.StatusBadRequest},
-		{"/drain", ``, http.StatusBadRequest},
-		{"/drain", `{"server":null}`, http.StatusBadRequest},
-		{"/release", `{}`, http.StatusBadRequest},
-		{"/release", `{"customer":5}{"customer":6}`, http.StatusBadRequest},
-		{"/release", `{"customer":99999}`, http.StatusConflict},
-		{"/drain", `{"server":99999}`, http.StatusConflict},
-		{"/assign", `{"servers":[` + strings.Repeat("99999,", maxBodyBytes/6) + `99999]}`, http.StatusRequestEntityTooLarge},
-	} {
+	for _, c := range errorShapeCases {
 		t.Logf("POST %s %.60q (%d bytes)", c.path, c.body, len(c.body))
 		decodeErr(t, postJSON(t, srv.URL+c.path, c.body), c.status)
 	}
