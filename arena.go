@@ -25,7 +25,8 @@ type (
 	// assignment of a workload's customers.
 	ArenaStrategy = arena.Strategy
 	// ChurnTrace is a replayable churn history in the versioned JSON
-	// trace format (see ReadChurnTrace).
+	// trace format that internal/arena's ReadTrace and WriteTrace read
+	// and write.
 	ChurnTrace = arena.Trace
 )
 

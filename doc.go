@@ -29,7 +29,8 @@
 //   - the seed engine (internal/local.Network): one Machine object per
 //     node stepped on a goroutine pool per round, arbitrary Go payloads —
 //     fully general, and the reference semantics;
-//   - the sharded engine (internal/local.RunSharded): a CSR graph
+//   - the sharded engine (internal/local.Session, its only entry point:
+//     a one-shot solve starts a session of its own): a CSR graph
 //     (internal/graph.CSR — compressed adjacency with flat arc, edge-id,
 //     and reverse-arc arrays), byte-word messages in double-buffered flat
 //     arrays, per-vertex state as struct-of-arrays, and persistent

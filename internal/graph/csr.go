@@ -10,7 +10,7 @@ import (
 // instead of per-vertex slices, so million-vertex instances fit in a few
 // contiguous allocations and round-based runtimes touch memory strictly
 // sequentially. It is the substrate of the sharded LOCAL engine
-// (internal/local.RunSharded); the pointer-based Graph remains the
+// (internal/local.Session); the pointer-based Graph remains the
 // representation of the structural tooling (BFS, girth, balls).
 //
 // Arcs are the directed halves of the undirected edges. The arcs leaving
