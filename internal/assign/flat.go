@@ -585,10 +585,8 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	// in place per phase, so the steady-state phase loop performs no
 	// engine or program allocations. Both live in the scratch, so callers
 	// with many solves to run keep them across calls.
-	if sc.sess == nil {
+	if sc.sess == nil { // a new or closed scratch: Close drops both
 		sc.sess = local.NewSession(opt.Shards)
-	}
-	if sc.gws == nil {
 		sc.gws = hypergame.NewWorkspace()
 	}
 	sess, gws := sc.sess, sc.gws

@@ -358,9 +358,9 @@ func TestOverlaySteadyStateAllocs(t *testing.T) {
 // TestOverlayDuplicateCheckLinear pins the duplicate-port check of
 // AddCustomer and RestoreBipartiteOverlay as linear in the adjacency
 // length: one customer listing 100k distinct servers must cost under 30×
-// one listing 10k. A linear check measures about 10×; a pairwise rescan
-// of the earlier ports measured over 100×. Each size takes the fastest
-// of a few runs, so one scheduling hiccup cannot fail the test.
+// one listing 10k. A linear check measures about 10×, a quadratic one
+// about 100×. Each size takes the fastest of a few runs, so one
+// scheduling hiccup cannot fail the test.
 func TestOverlayDuplicateCheckLinear(t *testing.T) {
 	ids := func(n int) []int32 {
 		adj := make([]int32, n)

@@ -1,8 +1,6 @@
 package local
 
-import (
-	"tokendrop/internal/fault"
-)
+import "tokendrop/internal/fault"
 
 // This file implements the sharded flat engine, the second LOCAL runtime of
 // the package. The goroutine-per-round Network above is the faithful,
