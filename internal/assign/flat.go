@@ -3,6 +3,7 @@ package assign
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
@@ -12,33 +13,21 @@ import (
 )
 
 // This file ports the Theorem 7.3 stable-assignment algorithm to the
-// sharded flat runtime, the last paper layer off the fast path: the
-// seed-engine Solve above builds per-phase object hypergraphs and plays
-// them goroutine-per-node, while SolveSharded keeps the whole phase loop in
-// flat arrays over a graph.CSRBipartite and plays each phase's hypergraph
-// token dropping subgame with hypergame.SolveProposalSharded — the
-// struct-of-arrays port of the Theorem 7.1 relay protocol.
-//
-// Assignment state is two flat arrays: serverOf[c] (the assigned server
-// index of customer c, -1 while unassigned) and load[s]. Per phase:
-//
-//   - proposals/accepts are computed directly from the shared load array
-//     (the same simulation shortcut Solve uses: the load broadcast and the
-//     acceptance notification are charged as 2 communication rounds but
-//     evaluated centrally, since both sides apply one deterministic rule to
-//     the same broadcast values). The central passes themselves run as
-//     flat kernels on the engine session's parked workers
-//     (local.Session.ParallelFor) in owner-computes form, so they shard
-//     exactly like the subgame rounds and the results stay independent of
-//     the worker count;
-//   - the phase's virtual token hypergraph — assigned customers of badness
-//     exactly 1 as hyperedges over the servers, levels = loads, tokens at
-//     acceptors — is assembled as a flat hypergame.FlatInstance with
-//     hyperedges in customer-id order and endpoints in adjacency order,
-//     exactly the insertion order Solve hands hypergame.SolveProposal, so
-//     the incidence network's port numbering matches the object solver's;
-//   - traversed hyperedges reassign their customers, accepted customers
-//     are assigned.
+// sharded flat runtime: the seed-engine Solve above builds per-phase
+// object hypergraphs and plays them goroutine-per-node, while
+// SolveSharded keeps the whole phase loop in flat arrays over a
+// graph.CSRBipartite and runs it on core.PhaseLoop, the frame it shares
+// with the orientation layer. Assignment state is two flat arrays:
+// serverOf[c] (the assigned server index of customer c, -1 while
+// unassigned) and load[s]. Per phase, the proposals and accepts are
+// evaluated centrally from the shared loads (Solve's simulation
+// shortcut, charged as 2 communication rounds) by owner-computes kernels
+// on the engine session (local.Session.ParallelFor); the badness-1
+// token hypergraph is assembled as a flat hypergame.FlatInstance with
+// hyperedges in customer-id order and endpoints in adjacency order —
+// exactly the insertion order Solve hands hypergame.SolveProposal — and
+// played with the Theorem 7.1 relay protocol; then traversed hyperedges
+// reassign their customers and accepted customers are assigned.
 //
 // With identical port numbering, levels, and tokens, the sharded subgame
 // run is bit-identical to the object-engine run under first-port
@@ -132,7 +121,7 @@ func (r *ShardedResult) Bipartite() *graph.CSRBipartite { return r.fb }
 // MaxBadness returns the maximum badness over assigned customers, on
 // true loads whatever the threshold.
 func (r *ShardedResult) MaxBadness() int {
-	return int(flatMaxBadness(r.fb, r.ServerOf, r.Load, math.MaxInt32))
+	return int(flatMaxBadness(r.fb, r.ServerOf, r.Load, math.MaxInt32, 0, r.fb.NumLeft))
 }
 
 // Stable reports the stable assignment condition of Section 7: every
@@ -152,12 +141,7 @@ func (r *ShardedResult) KStable() bool {
 // stableAt reports a complete assignment with badness at most 1 on loads
 // truncated at k.
 func (r *ShardedResult) stableAt(k int32) bool {
-	for _, s := range r.ServerOf {
-		if s < 0 {
-			return false
-		}
-	}
-	return flatMaxBadness(r.fb, r.ServerOf, r.Load, k) <= 1
+	return !slices.Contains(r.ServerOf, -1) && flatMaxBadness(r.fb, r.ServerOf, r.Load, k, 0, r.fb.NumLeft) <= 1
 }
 
 // SemimatchingCost returns Σ_s f(load(s)) with f(x) = x(x+1)/2, the
@@ -207,59 +191,89 @@ func ReduceToMatchingSharded(r *ShardedResult) (matchOf []int) {
 	return matchOf
 }
 
-// flatMaxBadness returns the maximum badness over assigned customers on
-// loads truncated at k (effective load of the assigned server minus the
-// minimum adjacent effective load); k = math.MaxInt32 gives true badness.
-func flatMaxBadness(fb *graph.CSRBipartite, serverOf, load []int32, k int32) int32 {
+// flatMaxBadness returns the maximum badness over the assigned customers
+// among [lo, hi) on loads truncated at k (effective load of the assigned
+// server minus the minimum adjacent effective load); k = math.MaxInt32
+// gives true badness.
+func flatMaxBadness(fb *graph.CSRBipartite, serverOf, load []int32, k int32, lo, hi int) int32 {
 	csr := fb.C
 	nl := fb.NumLeft
-	max := int32(0)
-	for c := 0; c < nl; c++ {
+	worst := int32(0)
+	for c := lo; c < hi; c++ {
 		so := serverOf[c]
 		if so < 0 {
 			continue
 		}
-		lo, hi := csr.ArcRange(c)
+		alo, ahi := csr.ArcRange(c)
 		least := int32(-1)
-		for i := lo; i < hi; i++ {
+		for i := alo; i < ahi; i++ {
 			if l := min(load[int(csr.Col[i])-nl], k); least < 0 || l < least {
 				least = l
 			}
 		}
-		if b := min(load[so], k) - least; b > max {
-			max = b
+		worst = max(worst, min(load[so], k)-least)
+	}
+	return worst
+}
+
+// leastLoaded returns the least-loaded of the servers adj[i] - offset on
+// loads truncated at k, and that load: the smallest id among the ties,
+// or, given a TieRandom stream rng, a uniform draw over them in port
+// order that advances the stream. It is the proposal rule of Step 1 and
+// the Resolver's placement rule.
+func leastLoaded(adj []int32, offset int32, load []int32, k int32, rng *uint64) (best, bestLoad int32) {
+	best = -1
+	for _, a := range adj {
+		if s, l := a-offset, min(load[a-offset], k); best < 0 || l < bestLoad || (l == bestLoad && s < best) {
+			best, bestLoad = s, l
 		}
 	}
-	return max
+	if rng == nil {
+		return best, bestLoad
+	}
+	count := 0
+	for _, a := range adj {
+		if min(load[a-offset], k) == bestLoad {
+			count++
+			var pick int
+			if *rng, pick = core.SplitMixIntn(*rng, count); pick == 0 {
+				best = a - offset
+			}
+		}
+	}
+	return best, bestLoad
 }
 
 // SolveScratch owns the per-solve storage of SolveSharded: the engine
 // session and hypergame workspace every phase runs on, the assignment
 // arrays, the proposal/accept index, the per-phase subgame scratch, the
-// subgame result, and the ShardedResult handed back. All of it is reused
-// grow-only across solves, and the six central-pass kernels are built
+// subgame result, the core.PhaseLoop with its log and snapshot buffer,
+// and the ShardedResult handed back. All of it is reused grow-only
+// across solves, and the central-pass kernels and the loop are built
 // once per scratch (capturing only the scratch pointer), so a warmed
-// solve performs no heap allocations at all. The zero value is ready to
-// use: the first solve starts the session with its opt.Shards workers
-// and creates the workspace. Close releases the session. Not safe for
-// concurrent use.
+// solve performs no heap allocations at all. The
+// zero value is ready to use: the first solve starts the session with
+// its opt.Shards workers and creates the workspace. Close releases the
+// session. Not safe for concurrent use.
 type SolveScratch struct {
 	sess *local.Session
 	gws  *hypergame.Workspace
 
-	// Per-solve bindings the kernels read through the scratch pointer.
-	fb  *graph.CSRBipartite
-	tie core.TieBreak
-	k   int32 // loads are truncated at k (math.MaxInt32 when unbounded)
+	// Per-solve bindings the kernels and hooks read through the scratch
+	// pointer.
+	fb            *graph.CSRBipartite
+	tie           core.TieBreak
+	kOpt          int   // the threshold as given (opt.K)
+	k             int32 // loads are truncated at k (math.MaxInt32 when unbounded)
+	seed          int64
+	verify, check bool // opt.VerifyGames, opt.CheckInvariants
 
 	serverOf   []int32
 	load       []int32
 	unassigned []int32
-	custRng    []uint64 // engine-specific TieRandom streams
+	custRng    []uint64 // engine-specific TieRandom streams; nil under TieFirstPort
 	servRng    []uint64
-	servPtr    []int32
-	servCust   []int32
-	servCursor []int32
+	servCust   []int32 // per server, its customers ascending (server-side arc order)
 	propServer []int32
 
 	// Reused per-phase scratch.
@@ -274,12 +288,11 @@ type SolveScratch struct {
 	loadsBefore  []int32
 	partAccepted []int32
 	partKept     []int32
-	partMaxBad   []int32
 	sol          hypergame.FlatResult
 	res          ShardedResult
-	snap         Snapshot // capture buffer, rewritten per capture
+	loop         core.PhaseLoop[Snapshot]
 
-	propose, accept, mark, scatter, compact, badness func(sh, lo, hi int)
+	propose, accept, mark, scatter, compact func(sh, lo, hi int)
 }
 
 // Close releases the scratch's engine session and drops its workspace, so
@@ -292,8 +305,8 @@ func (sc *SolveScratch) Close() {
 	sc.sess, sc.gws = nil, nil
 }
 
-// ensureKernels builds the central per-phase kernels on first use. They
-// run as flat kernels on the engine session's parked workers
+// ensureKernels builds the central per-phase kernels and the phase loop
+// on first use. The kernels run on the engine session's parked workers
 // (Session.ParallelFor) and read all state through the scratch pointer,
 // so one set of closures serves every solve the scratch sees.
 func (sc *SolveScratch) ensureKernels() {
@@ -306,36 +319,14 @@ func (sc *SolveScratch) ensureKernels() {
 	// seeded-random) — independent per customer, sharded over the
 	// unassigned list.
 	sc.propose = func(sh, lo, hi int) {
-		csr, nl, load, k := sc.fb.C, sc.fb.NumLeft, sc.load, sc.k
-		for idx := lo; idx < hi; idx++ {
-			c := sc.unassigned[idx]
+		csr, nl := sc.fb.C, int32(sc.fb.NumLeft)
+		for _, c := range sc.unassigned[lo:hi] {
 			alo, ahi := csr.ArcRange(int(c))
-			best := int32(-1)
-			bestLoad := int32(0)
-			for i := alo; i < ahi; i++ {
-				s := csr.Col[i] - int32(nl)
-				if l := min(load[s], k); best < 0 || l < bestLoad || (l == bestLoad && s < best) {
-					best, bestLoad = s, l
-				}
-			}
+			var rng *uint64
 			if sc.tie == core.TieRandom {
-				state := sc.custRng[c]
-				count := 0
-				for i := alo; i < ahi; i++ {
-					s := csr.Col[i] - int32(nl)
-					if min(load[s], k) != bestLoad {
-						continue
-					}
-					count++
-					var pick int
-					state, pick = core.SplitMixIntn(state, count)
-					if pick == 0 {
-						best = s
-					}
-				}
-				sc.custRng[c] = state
+				rng = &sc.custRng[c]
 			}
-			sc.propServer[c] = best
+			sc.propServer[c], _ = leastLoaded(csr.Col[alo:ahi], nl, sc.load, sc.k, rng)
 		}
 	}
 
@@ -347,32 +338,22 @@ func (sc *SolveScratch) ensureKernels() {
 	// entry this phase).
 	sc.accept = func(sh, lo, hi int) {
 		serverOf, propServer := sc.serverOf, sc.propServer
+		row, base := sc.fb.C.Row[sc.fb.NumLeft:], sc.fb.C.Row[sc.fb.NumLeft]
 		accepted := int32(0)
 		for s := lo; s < hi; s++ {
-			best := int32(-1)
-			if sc.tie == core.TieRandom {
-				state := sc.servRng[s]
-				count := 0
-				for j := sc.servPtr[s]; j < sc.servPtr[s+1]; j++ {
-					c := sc.servCust[j]
-					if serverOf[c] >= 0 || propServer[c] != int32(s) {
-						continue
-					}
-					count++
-					var pick int
-					state, pick = core.SplitMixIntn(state, count)
-					if pick == 0 {
-						best = c
-					}
+			best, count := int32(-1), 0
+			for _, c := range sc.servCust[row[s]-base : row[s+1]-base] {
+				if serverOf[c] >= 0 || propServer[c] != int32(s) {
+					continue
 				}
-				sc.servRng[s] = state
-			} else {
-				for j := sc.servPtr[s]; j < sc.servPtr[s+1]; j++ {
-					c := sc.servCust[j]
-					if serverOf[c] < 0 && propServer[c] == int32(s) {
-						best = c
-						break
-					}
+				if sc.tie != core.TieRandom {
+					best = c
+					break
+				}
+				count++
+				var pick int
+				if sc.servRng[s], pick = core.SplitMixIntn(sc.servRng[s], count); pick == 0 {
+					best = c
 				}
 			}
 			sc.acceptCust[s] = best
@@ -442,29 +423,17 @@ func (sc *SolveScratch) ensureKernels() {
 		sc.partKept[sh] = int32(w - lo)
 	}
 
-	// The per-phase max-badness recount of the phase log (on effective
-	// loads), as a max-reduction over customers.
-	sc.badness = func(sh, lo, hi int) {
-		csr, nl, load, k := sc.fb.C, sc.fb.NumLeft, sc.load, sc.k
-		max := int32(0)
-		for c := lo; c < hi; c++ {
-			so := sc.serverOf[c]
-			if so < 0 {
-				continue
-			}
-			alo, ahi := csr.ArcRange(c)
-			least := int32(-1)
-			for i := alo; i < ahi; i++ {
-				if l := min(load[int(csr.Col[i])-nl], k); least < 0 || l < least {
-					least = l
-				}
-			}
-			if b := min(load[so], k) - least; b > max {
-				max = b
-			}
-		}
-		sc.partMaxBad[sh] = max
-	}
+	sc.loop = core.PhaseLoop[Snapshot]{Layer: "assign", Lemma: "Lemma 7.2", Param: "C·S", Body: phases{sc}}
+}
+
+// phases is the core.PhaseBody of a scratch's loop, on the scratch's
+// arrays; its snapshot hooks are in snapshot.go.
+type phases struct{ *SolveScratch }
+
+func (p phases) Done() bool { return len(p.unassigned) == 0 }
+
+func (p phases) Badness(lo, hi int) int32 {
+	return flatMaxBadness(p.fb, p.serverOf, p.load, p.k, lo, hi)
 }
 
 // SolveSharded runs the Theorem 7.3 algorithm (Theorem 7.5 when
@@ -484,9 +453,7 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 			return nil, fmt.Errorf("assign: customer %d has no adjacent server", c)
 		}
 	}
-	// Lemma 7.2 bounds the phase count by C·S + 1; the loop aborts past
-	// 4·C·S + 8, a margin that only non-termination crosses.
-	cs := fb.MaxCustomerDegree() * fb.MaxServerDegree()
+	cs := fb.MaxCustomerDegree() * fb.MaxServerDegree() // Lemma 7.2 bounds the phases by C·S + 1
 
 	sc := opt.Scratch
 	if sc == nil {
@@ -495,75 +462,51 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	}
 	sc.fb = fb
 	sc.tie = opt.Tie
-	sc.k = k
+	sc.kOpt, sc.k = opt.K, k
+	sc.seed = opt.Seed
+	sc.verify, sc.check = opt.VerifyGames, opt.CheckInvariants
 	sc.ensureKernels()
 
 	sc.serverOf = reuse.Grown(sc.serverOf, nl)
 	sc.unassigned = reuse.Grown(sc.unassigned, nl)
-	serverOf := sc.serverOf
-	for c := range serverOf {
-		serverOf[c] = -1
+	for c := range sc.serverOf {
+		sc.serverOf[c] = -1
 		sc.unassigned[c] = int32(c)
 	}
 	sc.load = reuse.Grown(sc.load, ns)
 	clear(sc.load)
-	load := sc.load
 
+	sc.res = ShardedResult{ServerOf: sc.serverOf, Load: sc.load, K: opt.K, fb: fb}
 	res := &sc.res
-	res.ServerOf = serverOf
-	res.Load = load
-	res.K = opt.K
-	res.Phases = 0
-	res.Rounds = 0
-	res.Messages = 0
-	res.PhaseLog = res.PhaseLog[:0]
-	res.fb = fb
 
-	var custRng, servRng []uint64
 	if opt.Tie == core.TieRandom {
 		sc.custRng = reuse.Grown(sc.custRng, nl)
-		custRng = sc.custRng
-		for c := range custRng {
-			custRng[c] = core.SplitMix64(uint64(opt.Seed) ^ uint64(c)*0x9e3779b97f4a7c15)
+		for c := range sc.custRng {
+			sc.custRng[c] = core.SplitMix64(uint64(opt.Seed) ^ uint64(c)*0x9e3779b97f4a7c15)
 		}
 		sc.servRng = reuse.Grown(sc.servRng, ns)
-		servRng = sc.servRng
-		for s := range servRng {
-			servRng[s] = core.SplitMix64(uint64(opt.Seed) ^ uint64(nl+s)*0x9e3779b97f4a7c15)
+		for s := range sc.servRng {
+			sc.servRng[s] = core.SplitMix64(uint64(opt.Seed) ^ uint64(nl+s)*0x9e3779b97f4a7c15)
 		}
+	} else {
+		sc.custRng, sc.servRng = nil, nil
 	}
 
-	// Per-server incident customers in ascending customer order. The
-	// central accept pass runs owner-computes on the kernel executor —
-	// each server derives its own accepted customer — and this index
-	// keeps that bit-identical to the unassigned-list loop it replaces: a
-	// server's accept decision (and, under TieRandom, its per-server draw
-	// stream) depends only on the subsequence of its proposing customers
-	// in ascending customer order, which is exactly the order the
-	// ascending unassigned list presented them in. The input CSR's
-	// server-side port order may be arbitrary (CSR-native inputs), so
-	// the index is built from the customer side.
-	sc.servPtr = reuse.Grown(sc.servPtr, ns+1)
-	servPtr := sc.servPtr
-	clear(servPtr)
+	// Per-server incident customers in ascending customer order: the
+	// server side of the input's arcs, each server's sorted (CSR-native
+	// inputs may order a server's ports arbitrarily). The central accept
+	// pass runs owner-computes on the kernel executor — each server
+	// derives its own accepted customer — and this index keeps that
+	// bit-identical to the unassigned-list loop it replaces: a server's
+	// accept decision (and, under TieRandom, its per-server draw stream)
+	// depends only on the subsequence of its proposing customers in
+	// ascending customer order, which is exactly the order the ascending
+	// unassigned list presented them in.
 	custArcs := int(csr.Row[nl]) // arcs of the customer side
-	for i := 0; i < custArcs; i++ {
-		servPtr[int(csr.Col[i])-nl+1]++
-	}
-	for s := 0; s < ns; s++ {
-		servPtr[s+1] += servPtr[s]
-	}
-	sc.servCust = reuse.Grown(sc.servCust, custArcs)
-	sc.servCursor = reuse.Grown(sc.servCursor, ns)
-	servCust, servCursor := sc.servCust, sc.servCursor
-	copy(servCursor, servPtr[:ns])
-	for c := 0; c < nl; c++ {
-		lo, hi := csr.ArcRange(c)
-		for i := lo; i < hi; i++ {
-			s := int(csr.Col[i]) - nl
-			servCust[servCursor[s]] = int32(c)
-			servCursor[s]++
-		}
+	sc.servCust = append(sc.servCust[:0], csr.Col[custArcs:]...)
+	for s := nl; s < nl+ns; s++ {
+		lo, hi := csr.ArcRange(s)
+		slices.Sort(sc.servCust[lo-custArcs : hi-custArcs])
 	}
 	sc.propServer = reuse.Grown(sc.propServer, nl) // customer -> proposed-to server, this phase
 	for c := range sc.propServer {
@@ -589,166 +532,136 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 		sc.sess = local.NewSession(opt.Shards)
 		sc.gws = hypergame.NewWorkspace()
 	}
-	sess, gws := sc.sess, sc.gws
 
 	// The central per-phase passes run as the kernels of ensureKernels on
 	// the session's parked workers (Session.ParallelFor); their
 	// per-shard reductions land here.
-	shards := sess.Shards()
+	shards := sc.sess.Shards()
 	sc.partAccepted = reuse.Grown(sc.partAccepted, shards)
 	sc.partKept = reuse.Grown(sc.partKept, shards)
-	sc.partMaxBad = reuse.Grown(sc.partMaxBad, shards)
 
-	startPhase := 1
-	if rs := opt.ResumeFrom; rs != nil {
-		ua, err := restoreAssignSnapshot(rs, fb, opt.K, opt.Tie, serverOf, load, sc.unassigned, custRng, servRng)
-		if err != nil {
-			return nil, fmt.Errorf("assign: %w", err)
-		}
-		sc.unassigned = ua
-		res.Rounds = rs.Rounds
-		res.PhaseLog = append(res.PhaseLog, rs.PhaseLog...)
-		res.Phases = rs.Phase
-		startPhase = rs.Phase + 1
+	sc.loop.Bound, sc.loop.BadnessItems = cs, nl
+	if err := sc.loop.Run(sc.sess, opt.Tie, opt.Checkpoint); err != nil {
+		return nil, err
 	}
-
-	for phase := startPhase; len(sc.unassigned) > 0; phase++ {
-		if phase > 4*cs+8 {
-			return nil, fmt.Errorf("assign: phase %d exceeds the Lemma 7.2 budget (C·S=%d)", phase, cs)
-		}
-		rec := PhaseRecord{Phase: phase, Proposals: len(sc.unassigned)}
-
-		// Steps 1 and 2 — the proposal and accept passes (see
-		// ensureKernels). 2 communication rounds; in the distributed
-		// reading the broadcast costs one load announcement per
-		// customer-side arc, then one proposal and one acceptance
-		// notification per participating customer.
-		sess.ParallelFor(len(sc.unassigned), sc.propose)
-		sess.ParallelFor(ns, sc.accept)
-		for _, a := range sc.partAccepted {
-			rec.Accepted += int(a)
-		}
-		res.Rounds += 2
-		res.Messages += int64(custArcs) + int64(rec.Proposals) + int64(rec.Accepted)
-
-		// Step 3 — the virtual token hypergraph: server levels = effective
-		// loads, hyperedges = the assigned customers of badness exactly 1
-		// (heads = their servers), tokens at acceptors. The badness filter
-		// runs on the kernels (sc.mark); the insertion itself stays a
-		// sequential scan of the marks, because customer-id insertion
-		// order with adjacency-order endpoints is what reproduces the
-		// object network's port numbering (see the file comment).
-		for s, l := range load {
-			sc.gameLevel[s] = min(l, k)
-		}
-		sess.ParallelFor(nl, sc.mark)
-		sc.eptr = append(sc.eptr[:0], 0)
-		sc.ends = sc.ends[:0]
-		sc.heads = sc.heads[:0]
-		sc.gameCustomer = sc.gameCustomer[:0]
-		for c := 0; c < nl; c++ {
-			if sc.include[c] == 0 {
-				continue
-			}
-			lo, hi := csr.ArcRange(c)
-			for i := lo; i < hi; i++ {
-				sc.ends = append(sc.ends, csr.Col[i]-int32(nl))
-			}
-			sc.eptr = append(sc.eptr, int32(len(sc.ends)))
-			sc.heads = append(sc.heads, serverOf[c])
-			sc.gameCustomer = append(sc.gameCustomer, int32(c))
-		}
-		fi, err := gws.NewFlatInstance(sc.gameLevel, sc.token, sc.eptr, sc.ends, sc.heads)
-		if err != nil {
-			return nil, fmt.Errorf("assign: phase %d produced an invalid game: %w", phase, err)
-		}
-		rec.GameEdges = len(sc.heads)
-
-		// Step 4 — play the game on the sharded engine; a k-bounded game of
-		// at most three levels runs on the three-level solver, as in Solve.
-		solveGame := hypergame.SolveProposalShardedInto
-		if opt.K > 0 && fi.Height() <= hypergame.ThreeLevelMaxLevel {
-			solveGame = hypergame.SolveThreeLevelShardedInto
-		}
-		if err := solveGame(fi, hypergame.ShardedSolveOptions{
-			RandomTies: opt.Tie == core.TieRandom,
-			Seed:       opt.Seed + int64(phase)*1_000_003,
-			MaxRounds:  1 << 20,
-			Session:    sess,
-			Workspace:  gws,
-		}, &sc.sol); err != nil {
-			return nil, fmt.Errorf("assign: phase %d game failed: %w", phase, err)
-		}
-		sol := &sc.sol
-		if opt.VerifyGames {
-			if err := hypergame.Verify(sol.Solution(fi.Instance())); err != nil {
-				return nil, fmt.Errorf("assign: phase %d game unverified: %w", phase, err)
-			}
-		}
-		if opt.CheckInvariants {
-			var finalPot int64
-			for s, occ := range sol.Final {
-				if occ {
-					finalPot += int64(fi.Level(s))
-				}
-			}
-			if got := fi.InitialPotential() - int64(len(sol.Moves)); got != finalPot {
-				return nil, fmt.Errorf("assign: phase %d potential identity broken: %d != %d", phase, got, finalPot)
-			}
-			copy(sc.loadsBefore, load)
-		}
-		rec.GameRounds = sol.Stats.Rounds
-		res.Rounds += sol.Stats.Rounds
-		res.Messages += sol.Stats.Messages
-
-		// Step 5 — apply the moves: a token passed from u to v through
-		// customer e moves e's head from u to v (reassignment).
-		for _, mv := range sol.Moves {
-			c := sc.gameCustomer[mv.Edge]
-			load[serverOf[c]]--
-			serverOf[c] = int32(mv.To)
-			load[mv.To]++
-			rec.TokensMoved++
-		}
-		// Step 6 — assign the accepted customers (sc.scatter), then
-		// compact the unassigned list (sc.compact + ordered concat of
-		// the per-shard survivor prefixes, using ParallelFor's documented
-		// slice split).
-		sess.ParallelFor(ns, sc.scatter)
-		u := len(sc.unassigned)
-		sess.ParallelFor(u, sc.compact)
-		kept := 0
-		for sh := 0; sh < shards; sh++ {
-			lo := u * sh / shards
-			n := int(sc.partKept[sh])
-			copy(sc.unassigned[kept:kept+n], sc.unassigned[lo:lo+n])
-			kept += n
-		}
-		sc.unassigned = sc.unassigned[:kept]
-
-		if opt.CheckInvariants {
-			if err := checkFlatPhaseInvariants(fb, serverOf, load, sc.loadsBefore, sol.Final, k); err != nil {
-				return nil, fmt.Errorf("assign: phase %d: %w", phase, err)
-			}
-		}
-		sess.ParallelFor(nl, sc.badness)
-		rec.MaxBadness = 0
-		for _, b := range sc.partMaxBad {
-			if int(b) > rec.MaxBadness {
-				rec.MaxBadness = int(b)
-			}
-		}
-		res.PhaseLog = append(res.PhaseLog, rec)
-		res.Phases = phase
-
-		if opt.Due(phase) {
-			captureAssignSnapshot(&sc.snap, opt.K, phase, res.Rounds, serverOf, load, sc.unassigned, custRng, servRng, res.PhaseLog)
-			if err := opt.OnSnapshot(&sc.snap); err != nil {
-				return nil, fmt.Errorf("assign: snapshot at phase %d: %w", phase, err)
-			}
-		}
-	}
+	res.Phases, res.Rounds, res.PhaseLog = sc.loop.Phases, sc.loop.Rounds, sc.loop.Log
 	return res, nil
+}
+
+// Step runs steps 1–6 of one phase.
+func (p phases) Step(phase int, rec *PhaseRecord) error {
+	sc := p.SolveScratch
+	fb, res, sess, gws := sc.fb, &sc.res, sc.sess, sc.gws
+	csr, nl, ns := fb.C, fb.NumLeft, fb.NumServers()
+	serverOf, load := sc.serverOf, sc.load
+	rec.Proposals = len(sc.unassigned)
+
+	// Steps 1 and 2 — the proposal and accept passes (see
+	// ensureKernels). 2 communication rounds; in the distributed reading
+	// the broadcast costs one load announcement per customer-side arc,
+	// then one proposal and one acceptance notification per
+	// participating customer.
+	sess.ParallelFor(len(sc.unassigned), sc.propose)
+	sess.ParallelFor(ns, sc.accept)
+	for _, a := range sc.partAccepted {
+		rec.Accepted += int(a)
+	}
+	res.Messages += int64(csr.Row[nl]) + int64(rec.Proposals) + int64(rec.Accepted)
+
+	// Step 3 — the virtual token hypergraph: server levels = effective
+	// loads, hyperedges = the assigned customers of badness exactly 1
+	// (heads = their servers), tokens at acceptors. The badness filter
+	// runs on the kernels (sc.mark); the insertion itself stays a
+	// sequential scan of the marks, because customer-id insertion order
+	// with adjacency-order endpoints is what reproduces the object
+	// network's port numbering (see the file comment).
+	for s, l := range load {
+		sc.gameLevel[s] = min(l, sc.k)
+	}
+	sess.ParallelFor(nl, sc.mark)
+	sc.eptr = append(sc.eptr[:0], 0)
+	sc.ends = sc.ends[:0]
+	sc.heads = sc.heads[:0]
+	sc.gameCustomer = sc.gameCustomer[:0]
+	for c := 0; c < nl; c++ {
+		if sc.include[c] == 0 {
+			continue
+		}
+		lo, hi := csr.ArcRange(c)
+		for i := lo; i < hi; i++ {
+			sc.ends = append(sc.ends, csr.Col[i]-int32(nl))
+		}
+		sc.eptr = append(sc.eptr, int32(len(sc.ends)))
+		sc.heads = append(sc.heads, serverOf[c])
+		sc.gameCustomer = append(sc.gameCustomer, int32(c))
+	}
+	fi, err := gws.NewFlatInstance(sc.gameLevel, sc.token, sc.eptr, sc.ends, sc.heads)
+	if err != nil {
+		return fmt.Errorf("phase %d produced an invalid game: %w", phase, err)
+	}
+	rec.GameEdges = len(sc.heads)
+
+	// Step 4 — play the game on the sharded engine; a k-bounded game of
+	// at most three levels runs on the three-level solver, as in Solve.
+	solveGame := hypergame.SolveProposalShardedInto
+	if sc.kOpt > 0 && fi.Height() <= hypergame.ThreeLevelMaxLevel {
+		solveGame = hypergame.SolveThreeLevelShardedInto
+	}
+	if err := solveGame(fi, hypergame.ShardedSolveOptions{
+		RandomTies: sc.tie == core.TieRandom,
+		Seed:       sc.seed + int64(phase)*1_000_003,
+		MaxRounds:  1 << 20,
+		Session:    sess,
+		Workspace:  gws,
+	}, &sc.sol); err != nil {
+		return fmt.Errorf("phase %d game failed: %w", phase, err)
+	}
+	sol := &sc.sol
+	if sc.verify {
+		if err := hypergame.Verify(sol.Solution(fi.Instance())); err != nil {
+			return fmt.Errorf("phase %d game unverified: %w", phase, err)
+		}
+	}
+	if sc.check {
+		if err := core.CheckPotential(sc.gameLevel, sc.token, sol.Final, len(sol.Moves)); err != nil {
+			return fmt.Errorf("phase %d %w", phase, err)
+		}
+		copy(sc.loadsBefore, load)
+	}
+	rec.GameRounds = sol.Stats.Rounds
+	res.Messages += sol.Stats.Messages
+
+	// Step 5 — apply the moves: a token passed from u to v through
+	// customer e moves e's head from u to v (reassignment).
+	for _, mv := range sol.Moves {
+		c := sc.gameCustomer[mv.Edge]
+		load[serverOf[c]]--
+		serverOf[c] = int32(mv.To)
+		load[mv.To]++
+		rec.TokensMoved++
+	}
+	// Step 6 — assign the accepted customers (sc.scatter), then compact
+	// the unassigned list (sc.compact + ordered concat of the per-shard
+	// survivor prefixes, using ParallelFor's documented slice split).
+	sess.ParallelFor(ns, sc.scatter)
+	u := len(sc.unassigned)
+	sess.ParallelFor(u, sc.compact)
+	kept := 0
+	shards := len(sc.partKept)
+	for sh := 0; sh < shards; sh++ {
+		lo := u * sh / shards
+		n := int(sc.partKept[sh])
+		copy(sc.unassigned[kept:kept+n], sc.unassigned[lo:lo+n])
+		kept += n
+	}
+	sc.unassigned = sc.unassigned[:kept]
+
+	if sc.check {
+		if err := checkFlatPhaseInvariants(fb, serverOf, load, sc.loadsBefore, sol.Final, sc.k); err != nil {
+			return fmt.Errorf("phase %d: %w", phase, err)
+		}
+	}
+	return nil
 }
 
 // recountLoads checks every assignment against the adjacency and the
@@ -787,20 +700,13 @@ func recountLoads(fb *graph.CSRBipartite, serverOf, load []int32) error {
 // above 1 at the end of a phase, and the cached loads match a
 // from-scratch recount.
 func checkFlatPhaseInvariants(fb *graph.CSRBipartite, serverOf, load, before []int32, finalToken []bool, k int32) error {
-	for s, b := range before {
-		want := b
-		if finalToken[s] {
-			want++
-		}
-		if load[s] != want {
-			return fmt.Errorf("lemma 5.3 analogue violated at server %d: load %d -> %d, destination=%v",
-				fb.NumLeft+s, b, load[s], finalToken[s])
-		}
+	if err := core.CheckLoadGrowth(before, load, finalToken, "lemma 5.3 analogue violated at server", fb.NumLeft); err != nil {
+		return err
 	}
 	if err := recountLoads(fb, serverOf, load); err != nil {
 		return err
 	}
-	if mb := flatMaxBadness(fb, serverOf, load, k); mb > 1 {
+	if mb := flatMaxBadness(fb, serverOf, load, k, 0, fb.NumLeft); mb > 1 {
 		return fmt.Errorf("lemma 5.4 analogue violated: max badness %d", mb)
 	}
 	return nil

@@ -30,6 +30,7 @@ package assign
 
 import (
 	"fmt"
+	"math"
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/fault"
@@ -314,31 +315,12 @@ func (r *Resolver) dirtyServer(s int) {
 // under the tie rule, and its load. The caller guarantees c is live
 // with at least one port.
 func (r *Resolver) pickServer(c int32) (best, bestLoad int32) {
-	adj := r.ov.Adj(int(c))
-	best = -1
-	for _, s := range adj {
-		if l := r.load[s]; best < 0 || l < bestLoad || (l == bestLoad && s < best) {
-			best, bestLoad = s, l
-		}
-	}
+	var rng *uint64
 	if r.tie == core.TieRandom {
 		r.recordRng(c)
-		state := r.custRng[c]
-		count := 0
-		for _, s := range adj {
-			if r.load[s] != bestLoad {
-				continue
-			}
-			count++
-			var pick int
-			state, pick = core.SplitMixIntn(state, count)
-			if pick == 0 {
-				best = s
-			}
-		}
-		r.custRng[c] = state
+		rng = &r.custRng[c]
 	}
-	return best, bestLoad
+	return leastLoaded(r.ov.Adj(int(c)), 0, r.load, math.MaxInt32, rng)
 }
 
 // repair drains the pending stack: any popped customer whose badness is

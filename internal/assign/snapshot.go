@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tokendrop/internal/core"
-	"tokendrop/internal/graph"
 	"tokendrop/internal/reuse"
 )
 
@@ -63,77 +62,74 @@ func captureAssignSnapshot(snap *Snapshot, k, phase, rounds int, serverOf, load,
 	snap.PhaseLog = append(snap.PhaseLog[:0], log...)
 }
 
-// restoreAssignSnapshot validates rs against the solve's network and
-// threshold and installs its state. The unassigned slice is returned
-// re-sliced to the snapshot's list; every assignment is checked against
-// the adjacency, the loads are recounted from it, every customer must
-// have badness at most 1 on effective loads (the inter-phase invariant),
-// and the phase log must account for the cursors, so a corrupt snapshot
-// fails here rather than phases later.
-func restoreAssignSnapshot(rs *Snapshot, fb *graph.CSRBipartite, k int, tie core.TieBreak,
-	serverOf, load, unassigned []int32, custRng, servRng []uint64) ([]int32, error) {
-	nl, ns := fb.NumLeft, fb.NumServers()
-	if rs.K != k {
-		return nil, fmt.Errorf("resume snapshot was captured at threshold k = %d, solve runs k = %d", rs.K, k)
+// Capture fills snap from the scratch's arrays after the given phase.
+func (p phases) Capture(snap *Snapshot, phase, rounds int, log []PhaseRecord) {
+	captureAssignSnapshot(snap, p.kOpt, phase, rounds, p.serverOf, p.load, p.unassigned, p.custRng, p.servRng, log)
+}
+
+// Cursor checks rs's threshold and shape against the solve and returns
+// its cursor; core.PhaseLoop checks the phase log and the TieRandom
+// streams (per customer and per server) before Restore runs.
+func (p phases) Cursor(rs *Snapshot) (core.PhaseCursor, error) {
+	nl, ns := p.fb.NumLeft, p.fb.NumServers()
+	if rs.K != p.kOpt {
+		return core.PhaseCursor{}, fmt.Errorf("resume snapshot was captured at threshold k = %d, solve runs k = %d", rs.K, p.kOpt)
 	}
 	if len(rs.ServerOf) != nl || len(rs.Load) != ns {
-		return nil, fmt.Errorf("resume snapshot shaped %d customers / %d servers, network has %d / %d",
+		return core.PhaseCursor{}, fmt.Errorf("resume snapshot shaped %d customers / %d servers, network has %d / %d",
 			len(rs.ServerOf), len(rs.Load), nl, ns)
 	}
-	if err := core.CheckPhaseLog(rs.Phase, rs.Rounds, rs.PhaseLog); err != nil {
-		return nil, fmt.Errorf("resume snapshot: %w", err)
-	}
+	return core.PhaseCursor{Phase: rs.Phase, Rounds: rs.Rounds, Log: rs.PhaseLog, Streams: []core.TieStreams{
+		{Owners: "customers", Live: p.custRng, Saved: rs.CustRng},
+		{Owners: "servers", Live: p.servRng, Saved: rs.ServRng},
+	}}, nil
+}
+
+// Restore validates the rest of rs against the solve's network and
+// installs it: every assignment is checked against the adjacency, the
+// loads are recounted from it, every customer must have badness at most
+// 1 on effective loads (the inter-phase invariant), and the unassigned
+// list must be the ascending list of the others, so a corrupt snapshot
+// fails here rather than phases later.
+func (p phases) Restore(rs *Snapshot) error {
+	sc := p.SolveScratch
+	fb := sc.fb
+	nl, ns := fb.NumLeft, fb.NumServers()
 	if len(rs.Unassigned) > nl {
-		return nil, fmt.Errorf("resume snapshot lists %d unassigned customers of %d", len(rs.Unassigned), nl)
-	}
-	if tie == core.TieRandom {
-		if len(rs.CustRng) != nl || len(rs.ServRng) != ns {
-			return nil, fmt.Errorf("resume snapshot carries %d/%d TieRandom streams for %d customers / %d servers",
-				len(rs.CustRng), len(rs.ServRng), nl, ns)
-		}
-	} else if rs.CustRng != nil || rs.ServRng != nil {
-		return nil, fmt.Errorf("resume snapshot carries TieRandom streams but the solve uses TieFirstPort")
+		return fmt.Errorf("resume snapshot lists %d unassigned customers of %d", len(rs.Unassigned), nl)
 	}
 	assigned := 0
 	for c, so := range rs.ServerOf {
 		if so < -1 || int(so) >= ns {
-			return nil, fmt.Errorf("resume snapshot assigns customer %d to server %d (out of range)", c, so)
+			return fmt.Errorf("resume snapshot assigns customer %d to server %d (out of range)", c, so)
 		}
 		if so >= 0 {
 			assigned++
 		}
 	}
 	if assigned+len(rs.Unassigned) != nl {
-		return nil, fmt.Errorf("resume snapshot has %d assigned + %d unassigned customers of %d",
+		return fmt.Errorf("resume snapshot has %d assigned + %d unassigned customers of %d",
 			assigned, len(rs.Unassigned), nl)
 	}
 	prev := int32(-1)
 	for _, c := range rs.Unassigned {
 		if c <= prev || int(c) >= nl {
-			return nil, fmt.Errorf("resume snapshot's unassigned list is not ascending in [0,%d)", nl)
+			return fmt.Errorf("resume snapshot's unassigned list is not ascending in [0,%d)", nl)
 		}
 		if rs.ServerOf[c] >= 0 {
-			return nil, fmt.Errorf("resume snapshot lists assigned customer %d as unassigned", c)
+			return fmt.Errorf("resume snapshot lists assigned customer %d as unassigned", c)
 		}
 		prev = c
 	}
 	if err := recountLoads(fb, rs.ServerOf, rs.Load); err != nil {
-		return nil, fmt.Errorf("resume snapshot: %w", err)
+		return fmt.Errorf("resume snapshot: %w", err)
 	}
-	kc, err := loadCap(rs.K)
-	if err != nil {
-		return nil, err
+	if b := flatMaxBadness(fb, rs.ServerOf, rs.Load, sc.k, 0, nl); b > 1 {
+		return fmt.Errorf("resume snapshot has a customer of badness %d (at most 1 between phases)", b)
 	}
-	if b := flatMaxBadness(fb, rs.ServerOf, rs.Load, kc); b > 1 {
-		return nil, fmt.Errorf("resume snapshot has a customer of badness %d (at most 1 between phases)", b)
-	}
-	copy(serverOf, rs.ServerOf)
-	copy(load, rs.Load)
-	if tie == core.TieRandom {
-		copy(custRng, rs.CustRng)
-		copy(servRng, rs.ServRng)
-	}
-	unassigned = unassigned[:len(rs.Unassigned)]
-	copy(unassigned, rs.Unassigned)
-	return unassigned, nil
+	copy(sc.serverOf, rs.ServerOf)
+	copy(sc.load, rs.Load)
+	sc.unassigned = sc.unassigned[:len(rs.Unassigned)]
+	copy(sc.unassigned, rs.Unassigned)
+	return nil
 }

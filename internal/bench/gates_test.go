@@ -130,12 +130,12 @@ func TestOneShotAllocCeilings(t *testing.T) {
 		rounds int
 		solve  func(shards int) (rounds int, err error)
 	}{
-		{"game", 1, 44, 19, gameRounds(game)},
-		{"game", 2, 53, 19, gameRounds(game)},
-		{"orient", 1, 153, 31, orientRounds(g)},
-		{"orient", 2, 173, 31, orientRounds(g)},
-		{"assign", 1, 234, 87, assignRounds(fb)},
-		{"assign", 2, 246, 87, assignRounds(fb)},
+		{"game", 1, 37, 19, gameRounds(game)},
+		{"game", 2, 46, 19, gameRounds(game)},
+		{"orient", 1, 110, 31, orientRounds(g)},
+		{"orient", 2, 125, 31, orientRounds(g)},
+		{"assign", 1, 232, 87, assignRounds(fb)},
+		{"assign", 2, 244, 87, assignRounds(fb)},
 	} {
 		var rounds int
 		var err error

@@ -63,6 +63,42 @@ func TestSessionZeroAllocThreeLevel(t *testing.T) {
 	}
 }
 
+// TestSolveShardedIntoZeroAllocWarmed pins the result-reusing solvers
+// end to end: a warmed SolveProposalShardedInto or
+// SolveThreeLevelShardedInto on a session, a workspace and a reused
+// result — reset, every round, and the result assembly — allocates
+// nothing, under both tie rules.
+func TestSolveShardedIntoZeroAllocWarmed(t *testing.T) {
+	sess := local.NewSession(2)
+	defer sess.Close()
+	ws := NewSolverWorkspace()
+	threeLevel := FlatRandomLayered(LayeredConfig{
+		Levels: 2, Width: 100, ParentDeg: 3, TokenProb: 0.6, FreeBottom: true,
+	}, rand.New(rand.NewSource(5)))
+	for _, c := range []struct {
+		name  string
+		fi    *FlatInstance
+		solve func(*FlatInstance, ShardedSolveOptions, *FlatResult) error
+	}{
+		{"proposal", allocProposalGame(), SolveProposalShardedInto},
+		{"three-level", threeLevel, SolveThreeLevelShardedInto},
+	} {
+		for _, tie := range []TieBreak{TieFirstPort, TieRandom} {
+			opt := ShardedSolveOptions{Tie: tie, Seed: 3, MaxRounds: 1 << 20, Session: sess, Workspace: ws}
+			var out FlatResult
+			run := func() {
+				if err := c.solve(c.fi, opt, &out); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm: grow the program arrays and the result's slices once
+			if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+				t.Errorf("%s tie=%v: warmed solve allocated %.1f objects per run; want 0", c.name, tie, allocs)
+			}
+		}
+	}
+}
+
 // TestSessionWorkspaceReuseMatchesFresh solves a varied sequence of games
 // (growing and shrinking, both solvers, both tie rules) through one
 // session/workspace pair and demands exactly the fresh-engine results —

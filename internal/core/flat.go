@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tokendrop/internal/fault"
 	"tokendrop/internal/graph"
@@ -46,15 +46,24 @@ type FlatInstance struct {
 // NewFlatInstanceCSR validates and wraps a CSR game instance: every edge
 // must join adjacent levels and no level may be negative.
 func NewFlatInstanceCSR(csr *graph.CSR, level []int32, token []bool) (*FlatInstance, error) {
+	fi := new(FlatInstance)
+	if err := fi.init(csr, level, token); err != nil {
+		return nil, err
+	}
+	return fi, nil
+}
+
+// init validates a CSR game instance and wraps it in fi.
+func (fi *FlatInstance) init(csr *graph.CSR, level []int32, token []bool) error {
 	n := csr.N()
 	if len(level) != n || len(token) != n {
-		return nil, fmt.Errorf("core: level/token slices sized %d/%d for %d vertices",
+		return fmt.Errorf("core: level/token slices sized %d/%d for %d vertices",
 			len(level), len(token), n)
 	}
 	height := int32(0)
 	for v, l := range level {
 		if l < 0 {
-			return nil, fmt.Errorf("core: vertex %d has negative level %d", v, l)
+			return fmt.Errorf("core: vertex %d has negative level %d", v, l)
 		}
 		if l > height {
 			height = l
@@ -65,12 +74,13 @@ func NewFlatInstanceCSR(csr *graph.CSR, level []int32, token []bool) (*FlatInsta
 		for i := lo; i < hi; i++ {
 			d := level[v] - level[csr.Col[i]]
 			if d != 1 && d != -1 {
-				return nil, fmt.Errorf("core: edge %d joins levels %d and %d (must be adjacent)",
+				return fmt.Errorf("core: edge %d joins levels %d and %d (must be adjacent)",
 					csr.EID[i], level[v], level[csr.Col[i]])
 			}
 		}
 	}
-	return &FlatInstance{csr: csr, level: level, token: token, height: int(height)}, nil
+	*fi = FlatInstance{csr: csr, level: level, token: token, height: int(height)}
+	return nil
 }
 
 // MustFlatInstanceCSR is NewFlatInstanceCSR that panics on error; for
@@ -232,16 +242,62 @@ func (opt *ShardedSolveOptions) engineFaultSite() *fault.Site {
 // per-vertex and per-arc array is grown monotonically and rebuilt in
 // place, so a loop solving many games through one workspace — the
 // orientation phase loop, the allocation-regression benchmarks — stops
-// allocating once the largest game has been seen. Pair it with a
-// local.Session (ShardedSolveOptions.Session) to make whole repeat
-// solves allocation-free up to the result assembly.
+// allocating once the largest game has been seen. Paired with a
+// local.Session (ShardedSolveOptions.Session) and a reused result (the
+// …Into solvers), whole repeat solves are allocation-free.
 type SolverWorkspace struct {
 	prop  flatProposal
 	three flatThreeLevel
+	inst  FlatInstance
 }
 
 // NewSolverWorkspace returns an empty workspace; the first solve sizes it.
 func NewSolverWorkspace() *SolverWorkspace { return &SolverWorkspace{} }
+
+// NewFlatInstanceCSR is the package-level NewFlatInstanceCSR built into
+// the workspace's instance shell, which the next call overwrites.
+func (ws *SolverWorkspace) NewFlatInstanceCSR(csr *graph.CSR, level []int32, token []bool) (*FlatInstance, error) {
+	if err := ws.inst.init(csr, level, token); err != nil {
+		return nil, err
+	}
+	return &ws.inst, nil
+}
+
+// flatGame is a flat game program the sharded solvers run: it resets in
+// place for a new game and writes its outcome into a caller's result.
+type flatGame interface {
+	local.FlatProgram
+	reset(fi *FlatInstance, tie TieBreak, seed int64, sess *local.Session)
+	resultInto(stats local.ShardedStats, out *FlatResult)
+}
+
+// solveShardedInto is the one body of the sharded game solvers: it runs
+// the program prog picks from the options' workspace (or a fresh one)
+// on the options' session (or one of its own, started before the reset
+// and closed on return) and writes the outcome into out.
+func solveShardedInto(fi *FlatInstance, opt ShardedSolveOptions, out *FlatResult, prog func(*SolverWorkspace) flatGame) error {
+	if opt.Workspace == nil {
+		opt.Workspace = NewSolverWorkspace()
+	}
+	pr := prog(opt.Workspace)
+	if opt.Session == nil {
+		opt.Session = local.NewSession(opt.Shards)
+		defer opt.Session.Close()
+	}
+	pr.reset(fi, opt.Tie, opt.Seed, opt.Session)
+	var stats local.ShardedStats
+	var err error
+	if opt.AutoResume > 0 {
+		stats, err = runFlatRecovering(fi, pr, opt)
+	} else {
+		stats, err = runFlat(fi.csr, pr, opt)
+	}
+	if err != nil {
+		return err
+	}
+	pr.resultInto(stats, out)
+	return nil
+}
 
 // snapHooks is the snapshot capture / resume-validation state of one
 // runFlat call. It exists as a struct (rather than locals captured by
@@ -339,9 +395,9 @@ func recoverableSolveError(err error) bool {
 // verifies the bit-match, and continues identically to an uninterrupted
 // solve). With no capture retained yet — or no snapshot cadence
 // configured at all — the retry simply re-runs from round 1, which is
-// equivalent by determinism. reset must rebuild the program to its
-// initial state; it is also invoked before every retry.
-func runFlatRecovering(csr *graph.CSR, prog local.FlatProgram, opt ShardedSolveOptions, reset func()) (local.ShardedStats, error) {
+// equivalent by determinism. The program is reset to the game's initial
+// state before every retry.
+func runFlatRecovering(fi *FlatInstance, pr flatGame, opt ShardedSolveOptions) (local.ShardedStats, error) {
 	var retained Snapshot
 	have := false
 	user := opt.OnSnapshot
@@ -362,7 +418,7 @@ func runFlatRecovering(csr *graph.CSR, prog local.FlatProgram, opt ShardedSolveO
 		}
 	}
 	for attempt := 0; ; attempt++ {
-		stats, err := runFlat(csr, prog, opt)
+		stats, err := runFlat(fi.csr, pr, opt)
 		if err == nil || attempt >= opt.AutoResume || !recoverableSolveError(err) {
 			return stats, err
 		}
@@ -376,7 +432,7 @@ func runFlatRecovering(csr *graph.CSR, prog local.FlatProgram, opt ShardedSolveO
 				Occupied: append([]bool(nil), retained.Occupied...),
 			}
 		}
-		reset()
+		pr.reset(fi, opt.Tie, opt.Seed, opt.Session)
 	}
 }
 
@@ -406,35 +462,25 @@ func (r *FlatResult) Solution(inst *Instance) *Solution {
 	}
 }
 
-// assembleFlatResult merges the per-shard move logs. Within a shard moves
-// are appended round-major with vertices ascending, and shards partition
-// the vertex range in order, so the stable sort by round reproduces the
-// exact (round, vertex) order of the object engine's assembleSolution.
-func assembleFlatResult(fi *FlatInstance, stats local.ShardedStats, occupied []bool,
-	shardMoves [][]Move, shardMsgs []int64, maxActive int) *FlatResult {
-	total := 0
-	for _, ms := range shardMoves {
-		total += len(ms)
-	}
-	all := make([]Move, 0, total)
-	for _, ms := range shardMoves {
-		all = append(all, ms...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Round < all[j].Round })
+// finishFlatResult completes out once a program has written the final
+// placement and appended its per-shard move logs in shard order. A
+// shard's moves are round-major with vertices ascending and shards
+// partition the vertices in order, so the stable sort by round gives
+// the object engine's exact (round, vertex) order.
+func finishFlatResult(out *FlatResult, stats local.ShardedStats, active []int32, shardMsgs []int64) {
+	slices.SortStableFunc(out.Moves, func(a, b Move) int { return a.Round - b.Round })
 	var messages int64
 	for _, m := range shardMsgs {
 		messages += m
 	}
-	final := make([]bool, len(occupied))
-	copy(final, occupied)
-	return &FlatResult{
-		Final: final,
-		Moves: all,
-		Stats: DistStats{
-			Rounds:              stats.Rounds,
-			Messages:            messages,
-			MaxActiveUnoccupied: maxActive,
-		},
+	maxActive := int32(0)
+	for _, a := range active {
+		maxActive = max(maxActive, a)
+	}
+	out.Stats = DistStats{
+		Rounds:              stats.Rounds,
+		Messages:            messages,
+		MaxActiveUnoccupied: int(maxActive),
 	}
 }
 

@@ -430,36 +430,34 @@ func (pr *flatProposal) StepShard(round, shard int, verts []int32, recv, send []
 	pr.shardMsgs[shard] += delivered
 }
 
-func (pr *flatProposal) result(stats local.ShardedStats) *FlatResult {
-	maxActive := 0
-	for _, a := range pr.active {
-		if int(a) > maxActive {
-			maxActive = int(a)
-		}
-	}
-	final := make([]bool, len(pr.vstate))
+// resultInto writes the run's outcome into out, resolving the packed
+// grant logs to moves.
+func (pr *flatProposal) resultInto(stats local.ShardedStats, out *FlatResult) {
+	out.Final = reuse.Grown(out.Final, len(pr.vstate))
 	for v, s := range pr.vstate {
-		final[v] = s&vOcc != 0
+		out.Final[v] = s&vOcc != 0
+	}
+	total := 0
+	for _, g := range pr.shardGrants {
+		total += len(g)
 	}
 	csr := pr.fi.csr
-	shardMoves := make([][]Move, len(pr.shardGrants))
-	for s, g := range pr.shardGrants {
-		ms := make([]Move, len(g))
-		for k, packed := range g {
+	out.Moves = reuse.Grown(out.Moves, total)[:0]
+	for _, g := range pr.shardGrants {
+		for _, packed := range g {
 			arc := int(packed >> 32)
-			ms[k] = Move{
+			out.Moves = append(out.Moves, Move{
 				Edge:  int(csr.EID[arc]),
 				From:  csr.Tail(arc),
 				To:    int(csr.Col[arc]),
 				Round: int(int32(packed)),
-			}
+			})
 		}
-		shardMoves[s] = ms
 	}
-	return assembleFlatResult(pr.fi, stats, final, shardMoves, pr.shardMsgs, maxActive)
+	finishFlatResult(out, stats, pr.active, pr.shardMsgs)
 }
 
-var _ local.FlatProgram = (*flatProposal)(nil)
+var _ flatGame = (*flatProposal)(nil)
 
 // SolveProposalSharded runs the distributed proposal algorithm of
 // Theorem 4.1 on the sharded flat engine. Under TieFirstPort the run is
@@ -470,26 +468,17 @@ var _ local.FlatProgram = (*flatProposal)(nil)
 // rebuilt in place across solves (see SolverWorkspace); without a
 // session the solve runs on one of its own.
 func SolveProposalSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, error) {
-	if opt.Session == nil {
-		opt.Session = local.NewSession(opt.Shards)
-		defer opt.Session.Close()
-	}
-	pr := &flatProposal{}
-	if opt.Workspace != nil {
-		pr = &opt.Workspace.prop
-	}
-	pr.reset(fi, opt.Tie, opt.Seed, opt.Session)
-	var stats local.ShardedStats
-	var err error
-	if opt.AutoResume > 0 {
-		stats, err = runFlatRecovering(fi.csr, pr, opt, func() {
-			pr.reset(fi, opt.Tie, opt.Seed, opt.Session)
-		})
-	} else {
-		stats, err = runFlat(fi.csr, pr, opt)
-	}
-	if err != nil {
+	out := new(FlatResult)
+	if err := SolveProposalShardedInto(fi, opt, out); err != nil {
 		return nil, err
 	}
-	return pr.result(stats), nil
+	return out, nil
+}
+
+// SolveProposalShardedInto is SolveProposalSharded writing its outcome
+// into out (slices reused grow-only): with a warmed Session and Workspace
+// the whole solve performs no heap allocations, which is what the
+// orientation phase loop runs every phase's game on.
+func SolveProposalShardedInto(fi *FlatInstance, opt ShardedSolveOptions, out *FlatResult) error {
+	return solveShardedInto(fi, opt, out, func(ws *SolverWorkspace) flatGame { return &ws.prop })
 }

@@ -418,17 +418,22 @@ func (pr *flatThreeLevel) stepMiddle(round, shard, v int, recv, send []local.Wor
 	return halt
 }
 
-func (pr *flatThreeLevel) result(stats local.ShardedStats) *FlatResult {
-	maxActive := 0
-	for _, a := range pr.active {
-		if int(a) > maxActive {
-			maxActive = int(a)
-		}
+// resultInto writes the run's outcome into out.
+func (pr *flatThreeLevel) resultInto(stats local.ShardedStats, out *FlatResult) {
+	out.Final = reuse.Grown(out.Final, len(pr.occupied))
+	copy(out.Final, pr.occupied)
+	total := 0
+	for _, ms := range pr.shardMoves {
+		total += len(ms)
 	}
-	return assembleFlatResult(pr.fi, stats, pr.occupied, pr.shardMoves, pr.shardMsgs, maxActive)
+	out.Moves = reuse.Grown(out.Moves, total)[:0]
+	for _, ms := range pr.shardMoves {
+		out.Moves = append(out.Moves, ms...)
+	}
+	finishFlatResult(out, stats, pr.active, pr.shardMsgs)
 }
 
-var _ local.FlatProgram = (*flatThreeLevel)(nil)
+var _ flatGame = (*flatThreeLevel)(nil)
 
 // SolveThreeLevelSharded runs the Theorem 4.7 algorithm on the sharded
 // flat engine; it errors on games of height greater than
@@ -438,29 +443,19 @@ var _ local.FlatProgram = (*flatThreeLevel)(nil)
 // solves (see SolverWorkspace); without a session the solve runs on one
 // of its own.
 func SolveThreeLevelSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, error) {
-	if h := fi.Height(); h > ThreeLevelMaxLevel {
-		return nil, fmt.Errorf("core: three-level solver got height %d > %d", h, ThreeLevelMaxLevel)
-	}
-	if opt.Session == nil {
-		opt.Session = local.NewSession(opt.Shards)
-		defer opt.Session.Close()
-	}
-	pr := &flatThreeLevel{}
-	if opt.Workspace != nil {
-		pr = &opt.Workspace.three
-	}
-	pr.reset(fi, opt.Tie, opt.Seed, opt.Session)
-	var stats local.ShardedStats
-	var err error
-	if opt.AutoResume > 0 {
-		stats, err = runFlatRecovering(fi.csr, pr, opt, func() {
-			pr.reset(fi, opt.Tie, opt.Seed, opt.Session)
-		})
-	} else {
-		stats, err = runFlat(fi.csr, pr, opt)
-	}
-	if err != nil {
+	out := new(FlatResult)
+	if err := SolveThreeLevelShardedInto(fi, opt, out); err != nil {
 		return nil, err
 	}
-	return pr.result(stats), nil
+	return out, nil
+}
+
+// SolveThreeLevelShardedInto is SolveThreeLevelSharded writing its
+// outcome into out (slices reused grow-only), allocation-free on a
+// warmed Session and Workspace like SolveProposalShardedInto.
+func SolveThreeLevelShardedInto(fi *FlatInstance, opt ShardedSolveOptions, out *FlatResult) error {
+	if h := fi.Height(); h > ThreeLevelMaxLevel {
+		return fmt.Errorf("core: three-level solver got height %d > %d", h, ThreeLevelMaxLevel)
+	}
+	return solveShardedInto(fi, opt, out, func(ws *SolverWorkspace) flatGame { return &ws.three })
 }

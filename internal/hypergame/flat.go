@@ -305,19 +305,6 @@ func (fi *FlatInstance) Instance() *Instance {
 	return MustInstance(level, append([]bool(nil), fi.token...), edges, head)
 }
 
-// InitialPotential returns Σ level(v) over the initial token placement.
-// Every move drops one token one level, so a legal play with k moves ends
-// at potential InitialPotential() - k.
-func (fi *FlatInstance) InitialPotential() int64 {
-	var p int64
-	for v, t := range fi.token {
-		if t {
-			p += int64(fi.level[v])
-		}
-	}
-	return p
-}
-
 // ShardedSolveOptions configure the sharded flat solvers. RandomTies runs
 // draw engine-specific per-vertex streams (core.SplitMix64 instead of the
 // object machines' math/rand), so they are independent samples of the
@@ -919,21 +906,29 @@ func SolveProposalSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResul
 // the whole solve performs no heap allocations, which is what the
 // assignment phase loop's own zero-allocation contract is built on.
 func SolveProposalShardedInto(fi *FlatInstance, opt ShardedSolveOptions, out *FlatResult) error {
+	return solveInto(fi, opt, out, func(w *Workspace, fi *FlatInstance, opt ShardedSolveOptions) local.FlatProgram {
+		w.prop.reset(fi, opt)
+		return &w.prop
+	})
+}
+
+// solveInto is the one body of the sharded hypergame solvers: on the
+// options' session (or one of its own, started here and closed on
+// return) it runs the program prog resets in the options' workspace (or
+// a fresh one) and writes the outcome into out.
+func solveInto(fi *FlatInstance, opt ShardedSolveOptions, out *FlatResult,
+	prog func(*Workspace, *FlatInstance, ShardedSolveOptions) local.FlatProgram) error {
+	if opt.Workspace == nil {
+		opt.Workspace = NewWorkspace()
+	}
 	if opt.Session == nil {
 		opt.Session = local.NewSession(opt.Shards)
 		defer opt.Session.Close()
 	}
-	var pr *flatHyperProposal
-	if opt.Workspace != nil {
-		pr = &opt.Workspace.prop
-	} else {
-		pr = &flatHyperProposal{&flatHyperState{}}
-	}
-	pr.reset(fi, opt)
-	stats, err := opt.Session.Run(fi.inc, pr, local.ShardedOptions{MaxRounds: opt.MaxRounds})
+	stats, err := opt.Session.Run(fi.inc, prog(opt.Workspace, fi, opt), local.ShardedOptions{MaxRounds: opt.MaxRounds})
 	if err != nil {
 		return err
 	}
-	pr.resultInto(stats, out)
+	opt.Workspace.st.resultInto(stats, out)
 	return nil
 }

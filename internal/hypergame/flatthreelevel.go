@@ -572,21 +572,8 @@ func SolveThreeLevelShardedInto(fi *FlatInstance, opt ShardedSolveOptions, out *
 	if h := fi.Height(); h > ThreeLevelMaxLevel {
 		return fmt.Errorf("hypergame: 3-level solver got height %d > %d", h, ThreeLevelMaxLevel)
 	}
-	if opt.Session == nil {
-		opt.Session = local.NewSession(opt.Shards)
-		defer opt.Session.Close()
-	}
-	var pr *flatHyper3
-	if opt.Workspace != nil {
-		pr = &opt.Workspace.p3
-	} else {
-		pr = &flatHyper3{flatHyperState: &flatHyperState{}}
-	}
-	pr.reset3(fi, opt)
-	stats, err := opt.Session.Run(fi.inc, pr, local.ShardedOptions{MaxRounds: opt.MaxRounds})
-	if err != nil {
-		return err
-	}
-	pr.resultInto(stats, out)
-	return nil
+	return solveInto(fi, opt, out, func(w *Workspace, fi *FlatInstance, opt ShardedSolveOptions) local.FlatProgram {
+		w.p3.reset3(fi, opt)
+		return &w.p3
+	})
 }

@@ -2,6 +2,7 @@ package orient
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tokendrop/internal/core"
@@ -10,29 +11,19 @@ import (
 )
 
 // This file ports the Theorem 5.1 stable-orientation algorithm to the
-// sharded flat runtime, closing the scale gap with the game layer: the
-// seed-engine Solve above tops out near 10⁵ vertices (per-phase object
-// graphs, goroutine-per-node games), while SolveSharded keeps the whole
-// phase loop in flat arrays over a graph.CSR and plays each phase's token
-// dropping subgame with core.SolveProposalSharded — the struct-of-arrays
-// program with packed per-vertex state and the quiescent-outbox skip.
-//
-// Orientation state is two flat arrays: head[id] (the head vertex of edge
-// id, -1 while unoriented) and load[v] (the indegree). Per phase:
-//
-//   - proposals/accepts are computed directly from the shared load array
-//     (the same simulation shortcut Solve uses: the load broadcast and the
-//     acceptance notification are charged as 2 communication rounds but
-//     evaluated centrally, since both endpoints apply one deterministic
-//     rule to the same broadcast values). The central passes themselves
-//     run as flat kernels on the engine session's parked workers
-//     (local.Session.ParallelFor) in owner-computes form, so they shard
-//     exactly like the subgame rounds and the results stay independent
-//     of the worker count;
-//   - the phase's virtual token graph — the oriented edges of badness
-//     exactly 1, with levels = loads and tokens at acceptors — is
-//     assembled as a fresh CSR and solved on the sharded engine;
-//   - traversed edges flip, accepted edges orient toward their acceptors.
+// sharded flat runtime: the seed-engine Solve above tops out near 10⁵
+// vertices (per-phase object graphs, goroutine-per-node games), while
+// SolveSharded keeps the whole phase loop in flat arrays over a
+// graph.CSR and runs it on core.PhaseLoop, the frame it shares with the
+// assignment layer. Orientation state is two flat arrays: head[id] (the
+// head vertex of edge id, -1 while unoriented) and load[v] (the
+// indegree). Per phase, the proposals and accepts are evaluated
+// centrally from the shared loads (Solve's simulation shortcut, charged
+// as 2 communication rounds) by owner-computes kernels on the engine
+// session (local.Session.ParallelFor), so they shard like the subgame
+// rounds; the badness-1 token graph is assembled in place and played
+// with core.SolveProposalShardedInto; then traversed edges flip and
+// accepted edges orient toward their acceptors.
 //
 // Bit-identical parity with Solve under TieFirstPort rests on one
 // construction detail: Solve builds each phase's game with SortAdjacency,
@@ -105,28 +96,24 @@ func (r *ShardedResult) edgeTail(id int) int32 {
 
 // MaxBadness returns the maximum badness over oriented edges (0 if there
 // are none).
-func (r *ShardedResult) MaxBadness() int {
-	max := int32(0)
-	for id, h := range r.Head {
-		if h < 0 {
-			continue
-		}
-		if b := r.Load[h] - r.Load[r.edgeTail(id)]; b > max {
-			max = b
+func (r *ShardedResult) MaxBadness() int { return int(r.maxBadness(0, len(r.Head))) }
+
+// maxBadness returns the maximum badness over the oriented edges among
+// ids [lo, hi), 0 if there are none.
+func (r *ShardedResult) maxBadness(lo, hi int) int32 {
+	worst := int32(0)
+	for id := lo; id < hi; id++ {
+		if h := r.Head[id]; h >= 0 {
+			worst = max(worst, r.Load[h]-r.Load[r.edgeTail(id)])
 		}
 	}
-	return int(max)
+	return worst
 }
 
 // Stable reports the stable-orientation condition of Section 1.1: every
 // edge is oriented and happy (badness at most 1).
 func (r *ShardedResult) Stable() bool {
-	for id := range r.Head {
-		if r.Head[id] < 0 || r.Load[r.Head[id]]-r.Load[r.edgeTail(id)] > 1 {
-			return false
-		}
-	}
-	return true
+	return !slices.Contains(r.Head, -1) && r.MaxBadness() <= 1
 }
 
 // Potential returns Σ load², the objective of the load-balancing view.
@@ -167,9 +154,7 @@ func (r *ShardedResult) Orientation() *graph.Orientation {
 // and final orientation).
 func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	n, m := c.N(), c.M()
-	// Lemma 5.5 bounds the phase count by 2Δ; the loop aborts past
-	// 4·Δ + 8, a margin that only non-termination crosses.
-	delta := c.MaxDegree()
+	delta := c.MaxDegree() // Lemma 5.5 bounds the phase count by 2Δ
 
 	// Per-edge endpoints (eu < ev, matching graph.Edge normalization), and
 	// the edge ids in lexicographic endpoint order — the insertion order
@@ -216,7 +201,8 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 		}
 	}
 
-	// Per-vertex incident edge ids in ascending id order. The central
+	// Per-vertex incident edge ids in ascending id order: the input's
+	// arcs with each vertex's edge ids sorted. The central
 	// proposal/accept pass runs owner-computes on the kernel executor —
 	// each vertex derives its own accepted edge — and this index is what
 	// keeps that bit-identical to the edge-id-major loop it replaces: a
@@ -224,22 +210,10 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	// draw stream) depends only on the subsequence of its own proposing
 	// edges in ascending id order, which is exactly the order the global
 	// id loop visited them in.
-	incPtr := make([]int32, n+1)
-	for id := 0; id < m; id++ {
-		incPtr[eu[id]+1]++
-		incPtr[ev[id]+1]++
-	}
+	incPtr, incEID := c.Row, slices.Clone(c.EID)
 	for v := 0; v < n; v++ {
-		incPtr[v+1] += incPtr[v]
-	}
-	incEID := make([]int32, 2*m)
-	incCursor := make([]int32, n)
-	copy(incCursor, incPtr[:n])
-	for id := 0; id < m; id++ {
-		incEID[incCursor[eu[id]]] = int32(id)
-		incCursor[eu[id]]++
-		incEID[incCursor[ev[id]]] = int32(id)
-		incCursor[ev[id]]++
+		lo, hi := c.ArcRange(v)
+		slices.Sort(incEID[lo:hi])
 	}
 
 	// Reused per-phase scratch.
@@ -277,7 +251,6 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	shards := sess.Shards()
 	partAccepted := make([]int32, shards)
 	partOriented := make([]int32, shards)
-	partMaxBad := make([]int32, shards)
 
 	// Steps 1 and 2 of each phase, owner-computes per vertex: every
 	// unoriented edge proposes to its smaller-load endpoint (ties toward
@@ -289,44 +262,27 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	acceptKernel := func(sh, lo, hi int) {
 		accepted := int32(0)
 		for v := lo; v < hi; v++ {
-			best := int32(-1)
-			if opt.Tie == core.TieRandom {
-				state := rngs[v]
-				count := 0
-				for j := incPtr[v]; j < incPtr[v+1]; j++ {
-					id := incEID[j]
-					if head[id] >= 0 {
-						continue
-					}
-					target := eu[id]
-					if load[ev[id]] < load[eu[id]] {
-						target = ev[id]
-					}
-					if target != int32(v) {
-						continue
-					}
-					count++
-					var pick int
-					state, pick = core.SplitMixIntn(state, count)
-					if pick == 0 {
-						best = id
-					}
+			best, count := int32(-1), 0
+			for j := incPtr[v]; j < incPtr[v+1]; j++ {
+				id := incEID[j]
+				if head[id] >= 0 {
+					continue
 				}
-				rngs[v] = state
-			} else {
-				for j := incPtr[v]; j < incPtr[v+1]; j++ {
-					id := incEID[j]
-					if head[id] >= 0 {
-						continue
-					}
-					target := eu[id]
-					if load[ev[id]] < load[eu[id]] {
-						target = ev[id]
-					}
-					if target == int32(v) {
-						best = id
-						break
-					}
+				target := eu[id]
+				if load[ev[id]] < load[eu[id]] {
+					target = ev[id]
+				}
+				if target != int32(v) {
+					continue
+				}
+				if rngs == nil { // TieFirstPort
+					best = id
+					break
+				}
+				count++
+				var pick int
+				if rngs[v], pick = core.SplitMixIntn(rngs[v], count); pick == 0 {
+					best = id
 				}
 			}
 			acceptEdge[v] = best
@@ -343,20 +299,10 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	// builder insertion that follows is a sequential scan of the marks.
 	markKernel := func(sh, lo, hi int) {
 		for j := lo; j < hi; j++ {
-			id := lex[j]
-			h := head[id]
-			if h < 0 {
-				include[j] = 0
-				continue
-			}
-			tail := eu[id]
-			if h == tail {
-				tail = ev[id]
-			}
-			if load[h]-load[tail] == 1 {
+			id := int(lex[j])
+			include[j] = 0
+			if h := head[id]; h >= 0 && load[h]-load[res.edgeTail(id)] == 1 {
 				include[j] = 1
-			} else {
-				include[j] = 0
 			}
 		}
 	}
@@ -376,56 +322,18 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 		partOriented[sh] = count
 	}
 
-	// The per-phase max-badness recount of the phase log, as a
-	// max-reduction over edges.
-	badnessKernel := func(sh, lo, hi int) {
-		max := int32(0)
-		for id := lo; id < hi; id++ {
-			h := head[id]
-			if h < 0 {
-				continue
-			}
-			tail := eu[id]
-			if h == tail {
-				tail = ev[id]
-			}
-			if b := load[h] - load[tail]; b > max {
-				max = b
-			}
-		}
-		partMaxBad[sh] = max
-	}
-
-	oriented := 0
-	startPhase := 1
-	var snap *Snapshot // the solve's capture buffer, allocated at the first capture
-	if rs := opt.ResumeFrom; rs != nil {
-		cursor, err := restoreSnapshot(rs, res, opt.Tie, rngs)
-		if err != nil {
-			return nil, err
-		}
-		oriented = rs.Oriented
-		res.Rounds = rs.Rounds
-		res.PhaseLog = append(res.PhaseLog, rs.PhaseLog...)
-		res.Phases = cursor
-		startPhase = cursor + 1
-	}
-	for phase := startPhase; oriented < m; phase++ {
-		if phase > 4*delta+8 {
-			return nil, fmt.Errorf("orient: phase %d exceeds the Lemma 5.5 budget (Δ=%d)", phase, delta)
-		}
-		rec := PhaseRecord{Phase: phase}
-
+	var sol core.FlatResult // every phase's game outcome, reused
+	body := &phases{res: res, rngs: rngs}
+	body.step = func(phase int, rec *PhaseRecord) error {
 		// Steps 1 and 2 — the proposal/accept pass (see acceptKernel).
 		// Every unoriented edge proposes exactly once, so the proposal
 		// count is the number of still-unoriented edges. 2 communication
 		// rounds.
-		rec.Proposals = m - oriented
+		rec.Proposals = m - body.oriented
 		sess.ParallelFor(n, acceptKernel)
 		for _, a := range partAccepted {
 			rec.Accepted += int(a)
 		}
-		res.Rounds += 2
 
 		// Step 3 — the virtual token graph: levels = loads, edges = the
 		// oriented edges of badness exactly 1, tokens at acceptors
@@ -447,34 +355,32 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 		builder.BuildInto(&game)
 		rec.GameEdges = game.M()
 		copy(gameLevel, load)
-		fi, err := core.NewFlatInstanceCSR(&game, gameLevel, token)
+		fi, err := sws.NewFlatInstanceCSR(&game, gameLevel, token)
 		if err != nil {
-			return nil, fmt.Errorf("orient: phase %d produced an invalid game: %w", phase, err)
+			return fmt.Errorf("phase %d produced an invalid game: %w", phase, err)
 		}
 
 		// Step 4 — play the game on the sharded engine.
-		sol, err := core.SolveProposalSharded(fi, core.ShardedSolveOptions{
+		if err := core.SolveProposalShardedInto(fi, core.ShardedSolveOptions{
 			Tie:       opt.Tie,
 			Seed:      opt.Seed + int64(phase)*1_000_003,
 			MaxRounds: 1 << 20,
 			Session:   sess,
 			Workspace: sws,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("orient: phase %d game failed: %w", phase, err)
+		}, &sol); err != nil {
+			return fmt.Errorf("phase %d game failed: %w", phase, err)
 		}
 		if opt.VerifyGames {
 			if err := core.Verify(sol.Solution(fi.Instance())); err != nil {
-				return nil, fmt.Errorf("orient: phase %d game unverified: %w", phase, err)
+				return fmt.Errorf("phase %d game unverified: %w", phase, err)
 			}
 		}
 		if opt.CheckInvariants {
-			if got, want := fi.InitialPotential()-int64(len(sol.Moves)), solutionPotentialFlat(fi, sol); got != want {
-				return nil, fmt.Errorf("orient: phase %d potential identity broken: %d != %d", phase, got, want)
+			if err := core.CheckPotential(gameLevel, token, sol.Final, len(sol.Moves)); err != nil {
+				return fmt.Errorf("phase %d %w", phase, err)
 			}
 		}
 		rec.GameRounds = sol.Stats.Rounds
-		res.Rounds += sol.Stats.Rounds
 
 		// Tokens that travelled at least one hop: a move out of a vertex
 		// still holding its original token starts a fresh traversal; every
@@ -508,63 +414,48 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 		// (scatterKernel).
 		sess.ParallelFor(n, scatterKernel)
 		for _, c := range partOriented {
-			oriented += int(c)
+			body.oriented += int(c)
 		}
 
 		if opt.CheckInvariants {
-			if err := checkFlatPhaseInvariants(res, loadsBefore, sol.Final, oriented); err != nil {
-				return nil, fmt.Errorf("orient: phase %d: %w", phase, err)
+			if err := checkFlatPhaseInvariants(res, loadsBefore, sol.Final, body.oriented); err != nil {
+				return fmt.Errorf("phase %d: %w", phase, err)
 			}
 		}
-		sess.ParallelFor(m, badnessKernel)
-		rec.MaxBadness = 0
-		for _, b := range partMaxBad {
-			if int(b) > rec.MaxBadness {
-				rec.MaxBadness = int(b)
-			}
-		}
-		res.PhaseLog = append(res.PhaseLog, rec)
-		res.Phases = phase
-
-		if opt.Due(phase) {
-			if snap == nil {
-				snap = new(Snapshot)
-			}
-			captureSnapshot(snap, phase, oriented, res.Rounds, head, load, rngs, res.PhaseLog)
-			if err := opt.OnSnapshot(snap); err != nil {
-				return nil, fmt.Errorf("orient: snapshot at phase %d: %w", phase, err)
-			}
-		}
+		return nil
 	}
+	loop := core.PhaseLoop[Snapshot]{
+		Layer: "orient", Lemma: "Lemma 5.5", Param: "Δ", Bound: delta,
+		Body: body, BadnessItems: m,
+	}
+	if err := loop.Run(sess, opt.Tie, opt.Checkpoint); err != nil {
+		return nil, err
+	}
+	res.Phases, res.Rounds, res.PhaseLog = loop.Phases, loop.Rounds, loop.Log
 	return res, nil
 }
 
-// solutionPotentialFlat returns Σ level over a flat subgame's final token
-// placement.
-func solutionPotentialFlat(fi *core.FlatInstance, sol *core.FlatResult) int64 {
-	var p int64
-	for v, occ := range sol.Final {
-		if occ {
-			p += int64(fi.Level(v))
-		}
-	}
-	return p
+// phases is SolveSharded's core.PhaseBody. Steps 1–6 are step, a
+// closure over the solve's flat state; the done test, the badness
+// recount, and the snapshot hooks (snapshot.go) read the orientation.
+type phases struct {
+	res      *ShardedResult
+	rngs     []uint64 // per-vertex TieRandom accept streams; nil under TieFirstPort
+	oriented int
+	step     func(phase int, rec *PhaseRecord) error
 }
+
+func (p *phases) Done() bool                             { return p.oriented >= len(p.res.Head) }
+func (p *phases) Step(phase int, rec *PhaseRecord) error { return p.step(phase, rec) }
+func (p *phases) Badness(lo, hi int) int32               { return p.res.maxBadness(lo, hi) }
 
 // checkFlatPhaseInvariants enforces Lemma 5.3 (the load of v grows by
 // exactly 1 iff v is the destination of a token — equivalently, iff v
 // holds a token when the game ends) and Lemma 5.4 (badness at most 1 after
 // the phase), plus a from-scratch load recount.
 func checkFlatPhaseInvariants(r *ShardedResult, before []int32, finalToken []bool, oriented int) error {
-	for v, b := range before {
-		want := b
-		if finalToken[v] {
-			want++
-		}
-		if r.Load[v] != want {
-			return fmt.Errorf("lemma 5.3 violated at node %d: load %d -> %d, destination=%v",
-				v, b, r.Load[v], finalToken[v])
-		}
+	if err := core.CheckLoadGrowth(before, r.Load, finalToken, "lemma 5.3 violated at node", 0); err != nil {
+		return err
 	}
 	fresh := make([]int32, len(r.Load))
 	count := 0

@@ -54,28 +54,31 @@ func captureSnapshot(snap *Snapshot, phase, oriented, rounds int, head, load []i
 	snap.PhaseLog = append(snap.PhaseLog[:0], log...)
 }
 
-// restoreSnapshot validates rs against the solve's graph — every head an
-// endpoint of its edge, every load the indegree the heads encode, every
-// edge of badness at most 1 (Lemma 5.4, which holds between phases), and
-// a phase log that accounts for the cursors — and installs its state
-// into r's orientation arrays and rngs. It returns the phase cursor.
-func restoreSnapshot(rs *Snapshot, r *ShardedResult, tie core.TieBreak, rngs []uint64) (int, error) {
-	head, load, eu, ev := r.Head, r.Load, r.eu, r.ev
-	n, m := len(load), len(head)
+// Capture fills snap from the orientation after the given phase.
+func (p *phases) Capture(snap *Snapshot, phase, rounds int, log []PhaseRecord) {
+	captureSnapshot(snap, phase, p.oriented, rounds, p.res.Head, p.res.Load, p.rngs, log)
+}
+
+// Cursor checks rs's shape against the solve's graph and returns its
+// cursor; core.PhaseLoop checks the phase log and the TieRandom streams
+// (one per vertex) before Restore runs.
+func (p *phases) Cursor(rs *Snapshot) (core.PhaseCursor, error) {
+	n, m := len(p.res.Load), len(p.res.Head)
 	if len(rs.Head) != m || len(rs.Load) != n {
-		return 0, fmt.Errorf("orient: resume snapshot shaped %d edges / %d vertices, graph has %d / %d",
+		return core.PhaseCursor{}, fmt.Errorf("resume snapshot shaped %d edges / %d vertices, graph has %d / %d",
 			len(rs.Head), len(rs.Load), m, n)
 	}
-	if err := core.CheckPhaseLog(rs.Phase, rs.Rounds, rs.PhaseLog); err != nil {
-		return 0, fmt.Errorf("orient: resume snapshot: %w", err)
-	}
-	if tie == core.TieRandom {
-		if len(rs.Rngs) != n {
-			return 0, fmt.Errorf("orient: resume snapshot carries %d TieRandom streams for %d vertices", len(rs.Rngs), n)
-		}
-	} else if rs.Rngs != nil {
-		return 0, fmt.Errorf("orient: resume snapshot carries TieRandom streams but the solve uses TieFirstPort")
-	}
+	return core.PhaseCursor{Phase: rs.Phase, Rounds: rs.Rounds, Log: rs.PhaseLog,
+		Streams: []core.TieStreams{{Owners: "vertices", Live: p.rngs, Saved: rs.Rngs}}}, nil
+}
+
+// Restore validates the rest of rs against the solve's graph — every
+// head an endpoint of its edge, the oriented count and every load what
+// the heads encode, every edge of badness at most 1 (Lemma 5.4, which
+// holds between phases) — and installs it into the orientation.
+func (p *phases) Restore(rs *Snapshot) error {
+	r := p.res
+	head, load, eu, ev := r.Head, r.Load, r.eu, r.ev
 	oriented := 0
 	clear(load)
 	for id, h := range rs.Head {
@@ -83,26 +86,24 @@ func restoreSnapshot(rs *Snapshot, r *ShardedResult, tie core.TieBreak, rngs []u
 			continue
 		}
 		if h != eu[id] && h != ev[id] {
-			return 0, fmt.Errorf("orient: resume snapshot orients edge %d toward vertex %d, not one of its endpoints %d, %d",
+			return fmt.Errorf("resume snapshot orients edge %d toward vertex %d, not one of its endpoints %d, %d",
 				id, h, eu[id], ev[id])
 		}
 		load[h]++
 		oriented++
 	}
 	if oriented != rs.Oriented {
-		return 0, fmt.Errorf("orient: resume snapshot claims %d oriented edges, heads encode %d", rs.Oriented, oriented)
+		return fmt.Errorf("resume snapshot claims %d oriented edges, heads encode %d", rs.Oriented, oriented)
 	}
 	for v, l := range load {
 		if l != rs.Load[v] {
-			return 0, fmt.Errorf("orient: resume snapshot's load of vertex %d is %d, heads encode %d", v, rs.Load[v], l)
+			return fmt.Errorf("resume snapshot's load of vertex %d is %d, heads encode %d", v, rs.Load[v], l)
 		}
 	}
 	copy(head, rs.Head)
 	if b := r.MaxBadness(); b > 1 {
-		return 0, fmt.Errorf("orient: resume snapshot has an edge of badness %d (at most 1 between phases)", b)
+		return fmt.Errorf("resume snapshot has an edge of badness %d (at most 1 between phases)", b)
 	}
-	if tie == core.TieRandom {
-		copy(rngs, rs.Rngs)
-	}
-	return rs.Phase, nil
+	p.oriented = oriented
+	return nil
 }
