@@ -279,10 +279,12 @@ func TestReadiness(t *testing.T) {
 }
 
 // procLog captures a child process's stdout line by line so the test
-// can wait for boot and shutdown markers.
+// can wait for boot and shutdown markers. eof closes when the scanner
+// has read the last line.
 type procLog struct {
 	mu    sync.Mutex
 	lines []string
+	eof   chan struct{}
 }
 
 func (p *procLog) add(line string) {
@@ -312,6 +314,14 @@ func (p *procLog) waitFor(t *testing.T, want string, timeout time.Duration) stri
 	return ""
 }
 
+// wait reaps cmd once its output is drained: os/exec's Wait closes the
+// stdout pipe, so waiting before the scanner reaches EOF can drop the
+// last lines.
+func (p *procLog) wait(cmd *exec.Cmd) {
+	<-p.eof
+	cmd.Wait()
+}
+
 // startProc launches the built binary and scans its stdout+stderr.
 func startProc(t *testing.T, bin string, args ...string) (*exec.Cmd, *procLog) {
 	t.Helper()
@@ -321,11 +331,12 @@ func startProc(t *testing.T, bin string, args ...string) (*exec.Cmd, *procLog) {
 		t.Fatal(err)
 	}
 	cmd.Stderr = cmd.Stdout
-	lg := &procLog{}
+	lg := &procLog{eof: make(chan struct{})}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
+		defer close(lg.eof)
 		sc := bufio.NewScanner(out)
 		for sc.Scan() {
 			lg.add(sc.Text())
@@ -478,7 +489,7 @@ func TestChaosKillRestart(t *testing.T) {
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	cmd.Wait()
+	lg.wait(cmd)
 
 	// The surviving snapshot must be oracle-valid on its own: it
 	// restores, its graph hash checks out, and the restored assignment
@@ -509,7 +520,7 @@ func TestChaosKillRestart(t *testing.T) {
 	cmd2, lg2 := startProc(t, bin, args...)
 	defer func() {
 		cmd2.Process.Kill()
-		cmd2.Wait()
+		lg2.wait(cmd2)
 	}()
 	base2 := "http://" + addrOf(t, lg2.waitFor(t, "listening on ", 15*time.Second))
 	waitReady(t, base2)
@@ -546,7 +557,7 @@ func TestChaosKillRestart(t *testing.T) {
 	if err := cmd2.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	cmd2.Wait()
+	lg2.wait(cmd2)
 	lg2.waitFor(t, fmt.Sprintf("clean shutdown after %d deltas", preStop.Deltas), 5*time.Second)
 
 	// The drain's final snapshot reflects the served deltas.
