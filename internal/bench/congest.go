@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -13,31 +14,46 @@ import (
 // every protocol in this reproduction uses O(1)-bit game messages and
 // O(log n)-bit load broadcasts — so the paper's algorithms also run in the
 // CONGEST model. This experiment measures the largest message actually
-// delivered, per protocol.
+// delivered, per protocol, at two instance sizes ten times apart: a
+// protocol passes only if its largest message does not grow with n.
 func E21MessageSizes(p Profile) *Table {
 	t := &Table{
 		ID:      "E21",
 		Title:   "Message-size audit: the algorithms fit the CONGEST model",
 		Claim:   "token dropping needs O(1)-bit messages; only load broadcasts reach Θ(log n) bits",
-		Columns: []string{"protocol", "n", "max message bits", "CONGEST-compatible"},
+		Columns: []string{"protocol", "n (small / 10×)", "max message bits", "CONGEST-compatible"},
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
-
-	cfg := core.LayeredConfig{Levels: 5, Width: 12, ParentDeg: 4, TokenProb: 0.7, FreeBottom: true}
-	inst := core.RandomLayered(cfg, rng)
-	if _, stats, err := core.SolveProposal(inst, core.SolveOptions{MaxRounds: 1 << 20, MeasureBits: true}); err == nil {
-		t.AddRow("token dropping (proposal)", inst.N(), stats.MaxMessageBits, mark(stats.MaxMessageBits >= 0))
-	}
-
-	inst3 := core.ThreeLevelRandom(12, 12, 4, 0.4, rng)
-	if _, stats, err := core.SolveThreeLevel(inst3, core.SolveOptions{MaxRounds: 1 << 20, MeasureBits: true}); err == nil {
-		t.AddRow("token dropping (3-level)", inst3.N(), stats.MaxMessageBits, mark(stats.MaxMessageBits >= 0))
-	}
-
-	hcfg := hypergame.LayeredConfig{Levels: 3, Width: 8, Edges: 20, Rank: 3, TokenProb: 0.5}
-	hinst := hypergame.RandomLayered(hcfg, rng)
-	if _, stats, err := hypergame.SolveProposal(hinst, hypergame.SolveOptions{MaxRounds: 1 << 20, MeasureBits: true}); err == nil {
-		t.AddRow("hypergraph game (relayed)", hinst.N()+hinst.M(), stats.MaxMessageBits, mark(stats.MaxMessageBits >= 0))
+	for _, proto := range []struct {
+		name string
+		run  func(scale int) (n, bits int, err error)
+	}{
+		{"token dropping (proposal)", func(scale int) (int, int, error) {
+			cfg := core.LayeredConfig{Levels: 5, Width: 12 * scale, ParentDeg: 4, TokenProb: 0.7, FreeBottom: true}
+			inst := core.RandomLayered(cfg, rng)
+			_, stats, err := core.SolveProposal(inst, core.SolveOptions{MaxRounds: 1 << 20, MeasureBits: true})
+			return inst.N(), stats.MaxMessageBits, err
+		}},
+		{"token dropping (3-level)", func(scale int) (int, int, error) {
+			inst := core.ThreeLevelRandom(12*scale, 12*scale, 4, 0.4, rng)
+			_, stats, err := core.SolveThreeLevel(inst, core.SolveOptions{MaxRounds: 1 << 20, MeasureBits: true})
+			return inst.N(), stats.MaxMessageBits, err
+		}},
+		{"hypergraph game (relayed)", func(scale int) (int, int, error) {
+			cfg := hypergame.LayeredConfig{Levels: 3, Width: 8 * scale, Edges: 20 * scale, Rank: 3, TokenProb: 0.5}
+			inst := hypergame.RandomLayered(cfg, rng)
+			_, stats, err := hypergame.SolveProposal(inst, hypergame.SolveOptions{MaxRounds: 1 << 20, MeasureBits: true})
+			return inst.N() + inst.M(), stats.MaxMessageBits, err
+		}},
+	} {
+		n, bits, err := proto.run(1)
+		n10, bits10, err10 := proto.run(10)
+		if err = errors.Join(err, err10); err != nil {
+			t.AddRow(proto.name, fmt.Sprintf("%d / %d", n, n10), fmt.Sprintf("solve failed: %v", err), mark(false))
+			continue
+		}
+		t.AddRow(proto.name, fmt.Sprintf("%d / %d", n, n10), fmt.Sprintf("%d / %d", bits, bits10),
+			mark(bits >= 0 && bits == bits10))
 	}
 
 	// Contrast: the anonymous view-collection machine of the Section 6
