@@ -79,17 +79,17 @@ func KBoundedAssignment(b *Bipartite, opt BoundedOptions) (*BoundedResult, error
 
 // StableAssignmentSharded computes a stable assignment of a CSR-form
 // network on the sharded flat runtime — the million-customer counterpart
-// of StableAssignment. Under TieFirstPort the run is bit-identical to
+// of StableAssignment. Under either tie rule the run is bit-identical to
 // StableAssignment on the same network (same phase log, rounds, and final
-// assignment); TieRandom draws engine-specific streams.
+// assignment).
 func StableAssignmentSharded(fb *FlatBipartite, opt AssignShardedOptions) (*AssignShardedResult, error) {
 	return assign.SolveSharded(fb, opt)
 }
 
 // KBoundedAssignmentSharded solves the k-bounded relaxation on the sharded
 // flat runtime; with the default k = 2 each phase's game runs on the
-// specialized three-level flat solver (Theorem 7.5). Under TieFirstPort
-// the run is bit-identical to KBoundedAssignment on the same network. It
+// specialized three-level flat solver (Theorem 7.5). Under either tie
+// rule the run is bit-identical to KBoundedAssignment on the same network. It
 // is StableAssignmentSharded with opt.K, defaulted to 2.
 func KBoundedAssignmentSharded(fb *FlatBipartite, opt BoundedShardedOptions) (*BoundedShardedResult, error) {
 	if opt.K == 0 {

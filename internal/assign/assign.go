@@ -28,7 +28,6 @@ package assign
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
@@ -99,7 +98,13 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 	// Lemma 7.2 bounds the phase count by C·S + 1; the loop aborts past
 	// 4·C·S + 8, a margin that only non-termination crosses.
 	cs := b.MaxCustomerDegree() * b.MaxServerDegree()
-	rng := rand.New(rand.NewSource(opt.Seed))
+	var streams []uint64 // TieRandom streams, by network vertex: customer c, server NumLeft + s
+	if opt.RandomTies {
+		streams = make([]uint64, b.G.N())
+		for v := range streams {
+			streams[v] = core.TieSeed(opt.Seed, v)
+		}
+	}
 
 	a := graph.NewAssignment(b)
 	res := &Result{Assignment: a, K: opt.K}
@@ -112,7 +117,8 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 
 		// Step 1 — every unassigned customer proposes to the adjacent
 		// server with the smallest effective load (ties to the smaller
-		// id, or seeded-random); one load-broadcast round.
+		// id, or a draw per tied server in port order); one
+		// load-broadcast round.
 		proposalsTo := make(map[int][]int) // server -> customers
 		for c := 0; c < b.NumLeft; c++ {
 			if a.Assigned(c) {
@@ -126,19 +132,21 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 					best = arc.To
 				}
 			}
-			if opt.RandomTies {
-				var mins []int
+			if streams != nil {
+				least, n := a.EffectiveLoad(best, k), 0
 				for _, arc := range b.G.Adj(c) {
-					if a.EffectiveLoad(arc.To, k) == a.EffectiveLoad(best, k) {
-						mins = append(mins, arc.To)
+					if a.EffectiveLoad(arc.To, k) == least {
+						if n++; core.TieKeep(&streams[c], n) {
+							best = arc.To
+						}
 					}
 				}
-				best = mins[rng.Intn(len(mins))]
 			}
 			proposalsTo[best] = append(proposalsTo[best], c)
 		}
 
-		// Step 2 — each server accepts exactly one proposal; one round.
+		// Step 2 — each server accepts exactly one proposal (under
+		// RandomTies a draw per proposer in ascending id); one round.
 		accepted := make(map[int]int) // customer -> server
 		acceptedOrder := make([]int, 0, len(proposalsTo))
 		token := make([]bool, b.NumServers())
@@ -148,8 +156,12 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 				continue
 			}
 			pick := props[0]
-			if opt.RandomTies {
-				pick = props[rng.Intn(len(props))]
+			if streams != nil {
+				for i, c := range props {
+					if core.TieKeep(&streams[s], i+1) {
+						pick = c
+					}
+				}
 			}
 			accepted[pick] = s
 			acceptedOrder = append(acceptedOrder, pick)

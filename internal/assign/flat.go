@@ -47,11 +47,9 @@ type ShardedOptions struct {
 	// 0 solves the general problem, K ≥ 2 runs on effective loads
 	// min(load, K), K = 1 is rejected.
 	K int
-	// Tie selects the tie-breaking rule. TieFirstPort runs are
-	// bit-identical to Solve with RandomTies false; TieRandom draws
-	// engine-specific streams (per-vertex splitmix64 instead of the seed
-	// engine's shared math/rand), so those runs are independent samples of
-	// the protocol.
+	// Tie selects the tie-breaking rule. Runs are bit-identical to Solve
+	// with RandomTies equal to Tie == TieRandom: both draw the
+	// per-customer and per-server core.TieSeed streams.
 	Tie core.TieBreak
 	// Seed drives all randomized tie-breaking.
 	Seed int64
@@ -234,9 +232,7 @@ func leastLoaded(adj []int32, offset int32, load []int32, k int32, rng *uint64) 
 	count := 0
 	for _, a := range adj {
 		if min(load[a-offset], k) == bestLoad {
-			count++
-			var pick int
-			if *rng, pick = core.SplitMixIntn(*rng, count); pick == 0 {
+			if count++; core.TieKeep(rng, count) {
 				best = a - offset
 			}
 		}
@@ -271,7 +267,7 @@ type SolveScratch struct {
 	serverOf   []int32
 	load       []int32
 	unassigned []int32
-	custRng    []uint64 // engine-specific TieRandom streams; nil under TieFirstPort
+	custRng    []uint64 // TieRandom streams; nil under TieFirstPort
 	servRng    []uint64
 	servCust   []int32 // per server, its customers ascending (server-side arc order)
 	propServer []int32
@@ -350,9 +346,7 @@ func (sc *SolveScratch) ensureKernels() {
 					best = c
 					break
 				}
-				count++
-				var pick int
-				if sc.servRng[s], pick = core.SplitMixIntn(sc.servRng[s], count); pick == 0 {
+				if count++; core.TieKeep(&sc.servRng[s], count) {
 					best = c
 				}
 			}
@@ -438,7 +432,7 @@ func (p phases) Badness(lo, hi int) int32 {
 
 // SolveSharded runs the Theorem 7.3 algorithm (Theorem 7.5 when
 // opt.K > 0) on fb using the sharded flat runtime for every phase's
-// hypergraph token dropping subgame. Under TieFirstPort the run is
+// hypergraph token dropping subgame. Under either tie rule the run is
 // bit-identical to Solve on the same network (same phase log, rounds, and
 // final assignment).
 func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, error) {
@@ -482,11 +476,11 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	if opt.Tie == core.TieRandom {
 		sc.custRng = reuse.Grown(sc.custRng, nl)
 		for c := range sc.custRng {
-			sc.custRng[c] = core.SplitMix64(uint64(opt.Seed) ^ uint64(c)*0x9e3779b97f4a7c15)
+			sc.custRng[c] = core.TieSeed(opt.Seed, c)
 		}
 		sc.servRng = reuse.Grown(sc.servRng, ns)
 		for s := range sc.servRng {
-			sc.servRng[s] = core.SplitMix64(uint64(opt.Seed) ^ uint64(nl+s)*0x9e3779b97f4a7c15)
+			sc.servRng[s] = core.TieSeed(opt.Seed, nl+s)
 		}
 	} else {
 		sc.custRng, sc.servRng = nil, nil

@@ -483,26 +483,3 @@ func finishFlatResult(out *FlatResult, stats local.ShardedStats, active []int32,
 		MaxActiveUnoccupied: int(maxActive),
 	}
 }
-
-// SplitMix64 is the per-vertex PRNG of the flat TieRandom rules: cheap,
-// allocation-free, and seedable per vertex. Its draws differ from the
-// math/rand streams of the object machines, so TieRandom runs of the two
-// engines are independent samples of the same protocol (TieFirstPort runs
-// are identical). The sharded orientation, assignment, and hypergame
-// layers share it, so all flat TieRandom streams come from one generator.
-func SplitMix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// SplitMixIntn draws a value in [0, n) from the state, advancing it, and
-// returns the new state.
-func SplitMixIntn(state uint64, n int) (uint64, int) {
-	state = SplitMix64(state)
-	return state, int((state >> 32) * uint64(n) >> 32)
-}

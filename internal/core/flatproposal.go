@@ -44,7 +44,7 @@ const (
 // arc-indexed flag bytes; message structs become the f* words. The step
 // logic mirrors ProposalMachine.Step case for case — any semantic
 // divergence is caught by the differential suite, which demands
-// bit-identical runs under TieFirstPort.
+// bit-identical runs under either tie rule.
 //
 // Two representation-level optimizations (invisible in the protocol):
 //
@@ -152,7 +152,7 @@ func (pr *flatProposal) initVertices(sh, lo, hi int) {
 		pr.childEnd[v] = ce
 		pr.counters[v] = c
 		if pr.rngs != nil {
-			pr.rngs[v] = SplitMix64(uint64(pr.seed) ^ uint64(v)*0x9e3779b97f4a7c15)
+			pr.rngs[v] = TieSeed(pr.seed, v)
 		}
 	}
 }
@@ -279,14 +279,10 @@ func (pr *flatProposal) StepShard(round, shard int, verts []int32, recv, send []
 			if pr.tie == TieFirstPort || reqSeen == 1 {
 				grantArc = reqFirst
 			} else {
-				state := pr.rngs[v]
 				n := 0
 				for i := reqFirst; i < a1; i++ {
 					if recv[i] == fRequest {
-						n++
-						var pick int
-						state, pick = SplitMixIntn(state, n)
-						if pick == 0 {
+						if n++; TieKeep(&pr.rngs[v], n) {
 							grantArc = i
 						}
 						if n == reqSeen {
@@ -294,7 +290,6 @@ func (pr *flatProposal) StepShard(round, shard int, verts []int32, recv, send []
 						}
 					}
 				}
-				pr.rngs[v] = state
 			}
 		}
 		if grantArc >= 0 {
@@ -322,14 +317,10 @@ func (pr *flatProposal) StepShard(round, shard int, verts []int32, recv, send []
 					}
 				}
 			} else {
-				state := pr.rngs[v]
 				n := 0
 				for i := a0; i < a1; i++ {
 					if aflags[i]&eligibleMask == eligible {
-						n++
-						var pick int
-						state, pick = SplitMixIntn(state, n)
-						if pick == 0 {
+						if n++; TieKeep(&pr.rngs[v], n) {
 							reqArc = i
 						}
 						if uint64(n) == occPar {
@@ -337,7 +328,6 @@ func (pr *flatProposal) StepShard(round, shard int, verts []int32, recv, send []
 						}
 					}
 				}
-				pr.rngs[v] = state
 			}
 			w = 2
 			pr.active[v]++
@@ -460,13 +450,12 @@ func (pr *flatProposal) resultInto(stats local.ShardedStats, out *FlatResult) {
 var _ flatGame = (*flatProposal)(nil)
 
 // SolveProposalSharded runs the distributed proposal algorithm of
-// Theorem 4.1 on the sharded flat engine. Under TieFirstPort the run is
-// bit-identical to SolveProposal on the same game (same rounds, messages,
-// moves, and final placement); under TieRandom the tie-break streams are
-// engine-specific. Use FlatResult.Solution to verify the outcome. With
-// opt.Session and opt.Workspace set, the engine and the program state are
-// rebuilt in place across solves (see SolverWorkspace); without a
-// session the solve runs on one of its own.
+// Theorem 4.1 on the sharded flat engine. Under either tie rule the run
+// is bit-identical to SolveProposal on the same game (same rounds,
+// messages, moves, and final placement). Use FlatResult.Solution to
+// verify the outcome. With opt.Session and opt.Workspace set, the engine
+// and the program state are rebuilt in place across solves (see
+// SolverWorkspace); without a session the solve runs on one of its own.
 func SolveProposalSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, error) {
 	out := new(FlatResult)
 	if err := SolveProposalShardedInto(fi, opt, out); err != nil {

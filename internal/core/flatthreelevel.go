@@ -85,7 +85,7 @@ func (pr *flatThreeLevel) initVertices(sh, lo, hi int) {
 			pr.parentOcc[i] = false
 		}
 		if pr.rngs != nil {
-			pr.rngs[v] = SplitMix64(uint64(pr.seed) ^ uint64(v)*0x9e3779b97f4a7c15)
+			pr.rngs[v] = TieSeed(pr.seed, v)
 		}
 	}
 }
@@ -108,7 +108,7 @@ func (pr *flatThreeLevel) InitShards(bounds []int) {
 
 // pickWord selects among the arcs of [a0, a1) whose incoming word equals
 // want and which are not port-dead, per the tie-break rule; it mirrors
-// pickPort over the recorded message sets of the object machine (which
+// PickPort over the recorded message sets of the object machine (which
 // records a request/proposal only when the port is alive).
 func (pr *flatThreeLevel) pickWord(v, a0, a1 int, recv []local.Word, want local.Word) int {
 	if pr.tie == TieFirstPort {
@@ -120,18 +120,13 @@ func (pr *flatThreeLevel) pickWord(v, a0, a1 int, recv []local.Word, want local.
 		return -1
 	}
 	choice, cnt := -1, 0
-	state := pr.rngs[v]
 	for i := a0; i < a1; i++ {
 		if !pr.portDead[i] && recv[i] == want {
-			cnt++
-			var pick int
-			state, pick = SplitMixIntn(state, cnt)
-			if pick == 0 {
+			if cnt++; TieKeep(&pr.rngs[v], cnt) {
 				choice = i
 			}
 		}
 	}
-	pr.rngs[v] = state
 	return choice
 }
 
@@ -356,12 +351,8 @@ func (pr *flatThreeLevel) stepMiddle(round, shard, v int, recv, send []local.Wor
 					if reqArc < 0 {
 						reqArc = i
 					}
-				} else {
-					var pick int
-					pr.rngs[v], pick = SplitMixIntn(pr.rngs[v], reqCnt)
-					if pick == 0 {
-						reqArc = i
-					}
+				} else if TieKeep(&pr.rngs[v], reqCnt) {
+					reqArc = i
 				}
 			}
 		} else {
@@ -372,12 +363,8 @@ func (pr *flatThreeLevel) stepMiddle(round, shard, v int, recv, send []local.Wor
 					if propArc < 0 {
 						propArc = i
 					}
-				} else {
-					var pick int
-					pr.rngs[v], pick = SplitMixIntn(pr.rngs[v], propCnt)
-					if pick == 0 {
-						propArc = i
-					}
+				} else if TieKeep(&pr.rngs[v], propCnt) {
+					propArc = i
 				}
 			}
 		}
@@ -437,7 +424,7 @@ var _ flatGame = (*flatThreeLevel)(nil)
 
 // SolveThreeLevelSharded runs the Theorem 4.7 algorithm on the sharded
 // flat engine; it errors on games of height greater than
-// ThreeLevelMaxLevel. Under TieFirstPort the run is bit-identical to
+// ThreeLevelMaxLevel. Under either tie rule the run is bit-identical to
 // SolveThreeLevel on the same game. With opt.Session and opt.Workspace
 // set, the engine and the program state are rebuilt in place across
 // solves (see SolverWorkspace); without a session the solve runs on one

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"tokendrop/internal/local"
@@ -44,7 +43,8 @@ type TieBreak int
 const (
 	// TieFirstPort deterministically picks the lowest eligible port.
 	TieFirstPort TieBreak = iota
-	// TieRandom picks uniformly at random with a per-node seeded RNG.
+	// TieRandom picks uniformly at random from the owner's seeded
+	// stream (TieSeed), the same draws in both engines.
 	TieRandom
 )
 
@@ -55,7 +55,7 @@ type ProposalMachine struct {
 	isParent []bool // per port: neighbor is one level above
 	edgeID   []int  // per port: underlying edge identifier
 	tie      TieBreak
-	rng      *rand.Rand
+	stream   *uint64 // TieRandom stream; nil under TieFirstPort
 
 	// live state
 	occupied  bool
@@ -71,8 +71,8 @@ type ProposalMachine struct {
 
 // NewProposalMachine builds the machine for a vertex of inst. The local
 // inputs — which incident edges lead to parents, and the initial token —
-// are exactly what the problem definition hands each node. seed feeds the
-// per-node RNG for TieRandom.
+// are exactly what the problem definition hands each node. seed seeds the
+// node's TieRandom stream.
 func NewProposalMachine(inst *Instance, v int, tie TieBreak, seed int64) *ProposalMachine {
 	adj := inst.Graph().Adj(v)
 	m := &ProposalMachine{
@@ -87,7 +87,8 @@ func NewProposalMachine(inst *Instance, v int, tie TieBreak, seed int64) *Propos
 		m.edgeID[p] = a.Edge
 	}
 	if tie == TieRandom {
-		m.rng = rand.New(rand.NewSource(seed ^ int64(v)*0x9e3779b9))
+		s := TieSeed(seed, v)
+		m.stream = &s
 	}
 	return m
 }
@@ -98,8 +99,9 @@ func NewProposalMachine(inst *Instance, v int, tie TieBreak, seed int64) *Propos
 // instead of a game instance. Ports with alive[p] == false take no part in
 // the game (they correspond to edges outside the phase's badness-1
 // subgraph) and are treated as already removed. The machine is initialized
-// and ready to Step; the caller owns halting bookkeeping.
-func NewEmbeddedProposalMachine(vertex int, isParent, alive []bool, edgeID []int, token bool, tie TieBreak, rng *rand.Rand) *ProposalMachine {
+// and ready to Step; the caller owns halting bookkeeping. Under TieRandom
+// the machine draws from the caller's stream.
+func NewEmbeddedProposalMachine(vertex int, isParent, alive []bool, edgeID []int, token bool, tie TieBreak, stream *uint64) *ProposalMachine {
 	if len(isParent) != len(alive) || len(alive) != len(edgeID) {
 		panic("core: embedded machine port slices disagree")
 	}
@@ -108,7 +110,7 @@ func NewEmbeddedProposalMachine(vertex int, isParent, alive []bool, edgeID []int
 		isParent:  append([]bool(nil), isParent...),
 		edgeID:    append([]int(nil), edgeID...),
 		tie:       tie,
-		rng:       rng,
+		stream:    stream,
 		occupied:  token,
 		portDead:  make([]bool, len(alive)),
 		parentOcc: make([]bool, len(alive)),
@@ -123,40 +125,6 @@ func NewEmbeddedProposalMachine(vertex int, isParent, alive []bool, edgeID []int
 func (m *ProposalMachine) Init(info local.NodeInfo) {
 	m.portDead = make([]bool, info.Degree)
 	m.parentOcc = make([]bool, info.Degree)
-}
-
-// pickPort returns one index of the true entries of eligible per the
-// tie-breaking rule, or -1 if none is true. rng is consulted only for
-// TieRandom.
-func pickPort(eligible []bool, tie TieBreak, rng *rand.Rand) int {
-	switch tie {
-	case TieFirstPort:
-		for p, ok := range eligible {
-			if ok {
-				return p
-			}
-		}
-		return -1
-	case TieRandom:
-		count := 0
-		choice := -1
-		for p, ok := range eligible {
-			if !ok {
-				continue
-			}
-			count++
-			// Reservoir sampling over eligible ports.
-			if rng.Intn(count) == 0 {
-				choice = p
-			}
-		}
-		return choice
-	}
-	panic("core: unknown tie-break rule")
-}
-
-func (m *ProposalMachine) pick(eligible []bool) int {
-	return pickPort(eligible, m.tie, m.rng)
 }
 
 // Step implements local.Machine; see the protocol description above.
@@ -209,7 +177,7 @@ func (m *ProposalMachine) Step(round int, in []local.Payload, out []local.Payloa
 		(len(m.receivedRound) == 0 || m.receivedRound[len(m.receivedRound)-1] < round)
 	if requests != nil {
 		if heldSinceLastRound {
-			grantPort = m.pick(requests)
+			grantPort = PickReceived(requests, m.tie, m.stream)
 		}
 		// Otherwise the requests are stale (the token left within the last
 		// two rounds); the requesters observe our "unoccupied" announce.
@@ -233,7 +201,7 @@ func (m *ProposalMachine) Step(round int, in []local.Payload, out []local.Payloa
 			}
 		}
 		if any {
-			requestPort = m.pick(eligible)
+			requestPort = PickPort(eligible, m.tie, m.stream)
 			m.waiting = 2
 			m.activeUnoccupied++
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"tokendrop/internal/local"
 )
@@ -48,7 +47,7 @@ type ThreeLevelMachine struct {
 	isParent []bool
 	edgeID   []int
 	tie      TieBreak
-	rng      *rand.Rand
+	stream   uint64 // TieRandom stream
 
 	occupied    bool
 	portDead    []bool
@@ -80,7 +79,7 @@ func NewThreeLevelMachine(inst *Instance, v int, tie TieBreak, seed int64) *Thre
 		m.edgeID[p] = a.Edge
 	}
 	if tie == TieRandom {
-		m.rng = rand.New(rand.NewSource(seed ^ int64(v)*0x9e3779b9))
+		m.stream = TieSeed(seed, v)
 	}
 	return m
 }
@@ -91,8 +90,10 @@ func (m *ThreeLevelMachine) Init(info local.NodeInfo) {
 	m.parentOcc = make([]bool, info.Degree)
 }
 
+// pick draws from the first candidate on, even for a grant or an accept
+// over received messages: flatThreeLevel.pickWord counts no inbox.
 func (m *ThreeLevelMachine) pick(eligible []bool) int {
-	return pickPort(eligible, m.tie, m.rng)
+	return PickPort(eligible, m.tie, &m.stream)
 }
 
 func (m *ThreeLevelMachine) liveCounts() (parents, children int) {

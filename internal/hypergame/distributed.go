@@ -2,9 +2,9 @@ package hypergame
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
+	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
 	"tokendrop/internal/local"
 )
@@ -63,8 +63,8 @@ const (
 type serverMachine struct {
 	vertex int
 	role   []portRole
-	tie    int // 0 = first port, 1 = seeded random
-	rng    *rand.Rand
+	tie    core.TieBreak
+	stream uint64 // TieRandom stream
 
 	occupied  bool
 	portDead  []bool
@@ -97,28 +97,6 @@ func (m *serverMachine) Init(info local.NodeInfo) {
 			m.portDead[p] = true
 		}
 	}
-}
-
-func (m *serverMachine) pick(eligible []bool) int {
-	if m.tie == 0 {
-		for p, ok := range eligible {
-			if ok {
-				return p
-			}
-		}
-		return -1
-	}
-	count, choice := 0, -1
-	for p, ok := range eligible {
-		if !ok {
-			continue
-		}
-		count++
-		if m.rng.Intn(count) == 0 {
-			choice = p
-		}
-	}
-	return choice
 }
 
 func (m *serverMachine) Step(round int, in []local.Payload, out []local.Payload) bool {
@@ -169,7 +147,7 @@ func (m *serverMachine) Step(round int, in []local.Payload, out []local.Payload)
 
 	grantPort := -1
 	if wasOccupied && requests != nil {
-		grantPort = m.pick(requests)
+		grantPort = core.PickReceived(requests, m.tie, &m.stream)
 	}
 	if grantPort >= 0 {
 		m.occupied = false
@@ -187,7 +165,7 @@ func (m *serverMachine) Step(round int, in []local.Payload, out []local.Payload)
 			}
 		}
 		if any {
-			requestPort = m.pick(eligible)
+			requestPort = core.PickPort(eligible, m.tie, &m.stream)
 			m.requested = requestPort
 			m.active++
 		}
@@ -381,8 +359,8 @@ func SolveProposal(inst *Instance, opt SolveOptions) (*Solution, DistStats, erro
 				occupied: inst.Token(node),
 			}
 			if opt.RandomTies {
-				sm.tie = 1
-				sm.rng = rand.New(rand.NewSource(opt.Seed ^ int64(node)*0x9e3779b9))
+				sm.tie = core.TieRandom
+				sm.stream = core.TieSeed(opt.Seed, node)
 			}
 			for p, a := range adj {
 				edge := a.To - n

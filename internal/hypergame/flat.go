@@ -22,7 +22,7 @@ import (
 //
 // The incidence CSR inserts edges exactly as the object solvers build their
 // network — hyperedges in id order, endpoints in hyperedge order — so port
-// numbering matches and, under first-port tie-breaking, the flat and object
+// numbering matches and, under either tie rule, the flat and object
 // engines execute identical runs (rounds, messages, move logs, final
 // placement), which the differential tests in this package assert.
 
@@ -305,10 +305,9 @@ func (fi *FlatInstance) Instance() *Instance {
 	return MustInstance(level, append([]bool(nil), fi.token...), edges, head)
 }
 
-// ShardedSolveOptions configure the sharded flat solvers. RandomTies runs
-// draw engine-specific per-vertex streams (core.SplitMix64 instead of the
-// object machines' math/rand), so they are independent samples of the
-// protocol; first-port runs are bit-identical to the object solvers.
+// ShardedSolveOptions configure the sharded flat solvers. Runs are
+// bit-identical to the object solvers under either tie rule: RandomTies
+// draws the per-vertex core.TieSeed streams the object machines draw.
 type ShardedSolveOptions struct {
 	RandomTies bool
 	Seed       int64
@@ -399,7 +398,7 @@ func (st *flatHyperState) reset(fi *FlatInstance, opt ShardedSolveOptions) {
 		st.tie = 1
 		st.rngs = reuse.Grown(st.rngs, n+m)
 		for v := range st.rngs {
-			st.rngs[v] = core.SplitMix64(uint64(opt.Seed) ^ uint64(v)*0x9e3779b97f4a7c15)
+			st.rngs[v] = core.TieSeed(opt.Seed, v)
 		}
 	} else {
 		st.tie = 0
@@ -509,22 +508,17 @@ func (st *flatHyperState) pickFirst(a0, a1 int, mask, want uint8) int {
 }
 
 // pickRandom reservoir-samples uniformly over the eligible arcs using the
-// vertex's SplitMix64 stream (the flat TieRandom rule).
+// vertex's TieRandom stream.
 func (st *flatHyperState) pickRandom(v, a0, a1 int, mask, want uint8) int {
-	state := st.rngs[v]
 	count, choice := 0, -1
 	for i := a0; i < a1; i++ {
 		if st.aflags[i]&mask != want {
 			continue
 		}
-		count++
-		var pick int
-		state, pick = core.SplitMixIntn(state, count)
-		if pick == 0 {
+		if count++; core.TieKeep(&st.rngs[v], count) {
 			choice = i
 		}
 	}
-	st.rngs[v] = state
 	return choice
 }
 
@@ -564,7 +558,7 @@ func (st *flatHyperState) resultInto(stats local.ShardedStats, out *FlatResult) 
 // (distributed.go) in struct-of-arrays form. stepServer and stepRelay
 // mirror serverMachine.Step and relayMachine.Step case for case; any
 // semantic divergence is caught by the differential tests, which demand
-// bit-identical runs under first-port tie-breaking.
+// bit-identical runs under either tie rule.
 type flatHyperProposal struct {
 	*flatHyperState
 }
@@ -667,14 +661,10 @@ func (pr *flatHyperProposal) stepServer(round, v int, recv, send []local.Word, h
 		if pr.tie == 0 || reqSeen == 1 {
 			grantArc = reqFirst
 		} else {
-			state := pr.rngs[v]
 			cn := 0
 			for i := reqFirst; i < a1; i++ {
 				if recv[i] == hwRequest && aflags[i]&hDead == 0 {
-					cn++
-					var pick int
-					state, pick = core.SplitMixIntn(state, cn)
-					if pick == 0 {
+					if cn++; core.TieKeep(&pr.rngs[v], cn) {
 						grantArc = i
 					}
 					if cn == reqSeen {
@@ -682,7 +672,6 @@ func (pr *flatHyperProposal) stepServer(round, v int, recv, send []local.Word, h
 					}
 				}
 			}
-			pr.rngs[v] = state
 		}
 	}
 	if grantArc >= 0 {
@@ -887,12 +876,11 @@ var _ local.FlatProgram = (*flatHyperProposal)(nil)
 
 // SolveProposalSharded runs the distributed proposal algorithm for
 // hypergraph token dropping (Theorem 7.1) on the sharded flat engine.
-// Under first-port tie-breaking the run is bit-identical to SolveProposal
-// on the same game (same rounds, messages, moves, and final placement);
-// RandomTies draws engine-specific streams. With opt.Session and
-// opt.Workspace set, the engine and the program state are rebuilt in
-// place across solves (see Workspace); without a session the solve runs
-// on one of its own.
+// Under either tie rule the run is bit-identical to SolveProposal on the
+// same game (same rounds, messages, moves, and final placement). With
+// opt.Session and opt.Workspace set, the engine and the program state are
+// rebuilt in place across solves (see Workspace); without a session the
+// solve runs on one of its own.
 func SolveProposalSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, error) {
 	out := new(FlatResult)
 	if err := SolveProposalShardedInto(fi, opt, out); err != nil {

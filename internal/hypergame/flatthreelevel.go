@@ -14,7 +14,7 @@ import (
 // below); relays run in pull mode when their head is on level 2 and push
 // mode when it is on level 1. stepTop/stepBottom/stepMiddle/stepRelay3
 // mirror server3Machine.Step and relay3Machine.Step case for case; the
-// differential tests demand bit-identical runs under first-port ties.
+// differential tests demand bit-identical runs under either tie rule.
 type flatHyper3 struct {
 	*flatHyperState
 	offArc   []int32 // middles: offered arc; relays: current offer target arc
@@ -72,14 +72,10 @@ func (pr *flatHyper3) StepShard(round, shard int, verts []int32, recv, send []lo
 // msg this round on a live channel — the flat form of the object machines'
 // random pick over a requests/offers bitmap.
 func (pr *flatHyper3) rescanPick(v, first, a1, seen int, msg local.Word, recv []local.Word) int {
-	state := pr.rngs[v]
 	count, choice := 0, -1
 	for i := first; i < a1; i++ {
 		if recv[i] == msg && pr.aflags[i]&hDead == 0 {
-			count++
-			var pick int
-			state, pick = core.SplitMixIntn(state, count)
-			if pick == 0 {
+			if count++; core.TieKeep(&pr.rngs[v], count) {
 				choice = i
 			}
 			if count == seen {
@@ -87,7 +83,6 @@ func (pr *flatHyper3) rescanPick(v, first, a1, seen int, msg local.Word, recv []
 			}
 		}
 	}
-	pr.rngs[v] = state
 	return choice
 }
 
@@ -552,11 +547,10 @@ var _ local.FlatProgram = (*flatHyper3)(nil)
 
 // SolveThreeLevelSharded runs the specialized three-level solver on the
 // sharded flat engine; games taller than ThreeLevelMaxLevel are an error.
-// Under first-port tie-breaking the run is bit-identical to SolveThreeLevel
-// on the same game; RandomTies draws engine-specific streams. With
-// opt.Session and opt.Workspace set, the engine and the program state are
-// rebuilt in place across solves (see Workspace); without a session the
-// solve runs on one of its own.
+// Under either tie rule the run is bit-identical to SolveThreeLevel on
+// the same game. With opt.Session and opt.Workspace set, the engine and
+// the program state are rebuilt in place across solves (see Workspace);
+// without a session the solve runs on one of its own.
 func SolveThreeLevelSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, error) {
 	out := new(FlatResult)
 	if err := SolveThreeLevelShardedInto(fi, opt, out); err != nil {

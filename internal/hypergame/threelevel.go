@@ -2,9 +2,9 @@ package hypergame
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
+	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
 	"tokendrop/internal/local"
 )
@@ -39,8 +39,8 @@ type server3Machine struct {
 	vertex int
 	level  int
 	role   []portRole
-	tie    int
-	rng    *rand.Rand
+	tie    core.TieBreak
+	stream uint64 // TieRandom stream
 
 	occupied  bool
 	portDead  []bool
@@ -60,28 +60,6 @@ func (m *server3Machine) Init(info local.NodeInfo) {
 			m.portDead[p] = true
 		}
 	}
-}
-
-func (m *server3Machine) pick(eligible []bool) int {
-	if m.tie == 0 {
-		for p, ok := range eligible {
-			if ok {
-				return p
-			}
-		}
-		return -1
-	}
-	count, choice := 0, -1
-	for p, ok := range eligible {
-		if !ok {
-			continue
-		}
-		count++
-		if m.rng.Intn(count) == 0 {
-			choice = p
-		}
-	}
-	return choice
 }
 
 func (m *server3Machine) liveByRole(role portRole) int {
@@ -128,7 +106,7 @@ func (m *server3Machine) stepTop(in []local.Payload, out []local.Payload) bool {
 	}
 	grantPort := -1
 	if m.occupied && requests != nil {
-		grantPort = m.pick(requests)
+		grantPort = core.PickReceived(requests, m.tie, &m.stream)
 	}
 	if grantPort >= 0 {
 		m.occupied = false
@@ -172,7 +150,7 @@ func (m *server3Machine) stepBottom(in []local.Payload, out []local.Payload) boo
 	}
 	acceptPort := -1
 	if !m.occupied && offers != nil {
-		acceptPort = m.pick(offers)
+		acceptPort = core.PickReceived(offers, m.tie, &m.stream)
 	}
 	if acceptPort >= 0 {
 		m.occupied = true
@@ -251,7 +229,7 @@ func (m *server3Machine) stepMiddle(in []local.Payload, out []local.Payload) boo
 			}
 		}
 		if any {
-			requestPort = m.pick(eligible)
+			requestPort = core.PickPort(eligible, m.tie, &m.stream)
 			m.requested = requestPort
 			m.active++
 		}
@@ -266,7 +244,7 @@ func (m *server3Machine) stepMiddle(in []local.Payload, out []local.Payload) boo
 			}
 		}
 		if any {
-			offerPort = m.pick(eligible)
+			offerPort = core.PickPort(eligible, m.tie, &m.stream)
 			m.offered = offerPort
 		}
 	}
@@ -482,8 +460,8 @@ func SolveThreeLevel(inst *Instance, opt SolveOptions) (*Solution, DistStats, er
 				occupied: inst.Token(node),
 			}
 			if opt.RandomTies {
-				sm.tie = 1
-				sm.rng = rand.New(rand.NewSource(opt.Seed ^ int64(node)*0x9e3779b9))
+				sm.tie = core.TieRandom
+				sm.stream = core.TieSeed(opt.Seed, node)
 			}
 			for p, a := range adj {
 				edge := a.To - n

@@ -2,7 +2,6 @@ package orient
 
 import (
 	"fmt"
-	"math/rand"
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
@@ -74,7 +73,7 @@ type fixedMachine struct {
 	phases   int
 	phaseLen int
 	tie      core.TieBreak
-	rng      *rand.Rand
+	stream   uint64 // TieRandom stream, shared with the embedded games
 
 	id       int
 	nbrID    []int
@@ -138,7 +137,7 @@ func (m *fixedMachine) Step(round int, in []local.Payload, out []local.Payload) 
 			}
 		}
 		if any {
-			m.acceptedPort = m.pick(eligible)
+			m.acceptedPort = core.PickPort(eligible, m.tie, &m.stream)
 			out[m.acceptedPort] = msgAcceptEdge{}
 		}
 	case 3:
@@ -185,28 +184,6 @@ func (m *fixedMachine) guardStray(in []local.Payload, round int) {
 	}
 }
 
-func (m *fixedMachine) pick(eligible []bool) int {
-	if m.tie == core.TieRandom {
-		count, choice := 0, -1
-		for p, ok := range eligible {
-			if !ok {
-				continue
-			}
-			count++
-			if m.rng.Intn(count) == 0 {
-				choice = p
-			}
-		}
-		return choice
-	}
-	for p, ok := range eligible {
-		if ok {
-			return p
-		}
-	}
-	return -1
-}
-
 // buildInner assembles this phase's embedded game machine: alive ports are
 // the oriented badness-1 edges, parents sit one load-level above, and the
 // token marks an accepted proposal.
@@ -230,7 +207,7 @@ func (m *fixedMachine) buildInner() {
 		}
 	}
 	m.inner = core.NewEmbeddedProposalMachine(m.vertex, isParent, alive, m.edgeID,
-		m.acceptedPort >= 0, m.tie, m.rng)
+		m.acceptedPort >= 0, m.tie, &m.stream)
 	m.innerHalted = false
 }
 
@@ -315,9 +292,7 @@ func SolveFixed(g *graph.Graph, opt FixedOptions) (*FixedResult, error) {
 			fm.edgeID[p] = a.Edge
 		}
 		if opt.Tie == core.TieRandom {
-			fm.rng = rand.New(rand.NewSource(opt.Seed ^ int64(v)*0x9e3779b9))
-		} else {
-			fm.rng = rand.New(rand.NewSource(opt.Seed))
+			fm.stream = core.TieSeed(opt.Seed, v)
 		}
 		machines[v] = fm
 		return fm

@@ -25,7 +25,7 @@ import (
 // with core.SolveProposalShardedInto; then traversed edges flip and
 // accepted edges orient toward their acceptors.
 //
-// Bit-identical parity with Solve under TieFirstPort rests on one
+// Bit-identical parity with Solve, under either tie rule, rests on one
 // construction detail: Solve builds each phase's game with SortAdjacency,
 // so its port numbering is neighbor-ascending. Inserting the game edges
 // into a CSRBuilder in lexicographic endpoint order (u, v) reproduces
@@ -40,10 +40,9 @@ import (
 
 // ShardedOptions configure a SolveSharded run.
 type ShardedOptions struct {
-	// Tie selects the tie-breaking rule, as in Options. TieFirstPort runs
-	// are bit-identical to Solve; TieRandom draws engine-specific streams
-	// (per-vertex splitmix64 instead of the seed engine's shared
-	// math/rand), so those runs are independent samples of the protocol.
+	// Tie selects the tie-breaking rule, as in Options. Runs are
+	// bit-identical to Solve under either rule: TieRandom draws the
+	// per-vertex core.TieSeed streams that Solve draws.
 	Tie core.TieBreak
 	// Seed drives all randomized tie-breaking.
 	Seed int64
@@ -149,8 +148,8 @@ func (r *ShardedResult) Orientation() *graph.Orientation {
 }
 
 // SolveSharded runs the Theorem 5.1 algorithm on c using the sharded flat
-// runtime for every phase's token dropping subgame. Under TieFirstPort the
-// run is bit-identical to Solve on the same graph (same phase log, rounds,
+// runtime for every phase's token dropping subgame. Under either tie rule
+// the run is bit-identical to Solve on the same graph (same phase log, rounds,
 // and final orientation).
 func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	n, m := c.N(), c.M()
@@ -193,11 +192,11 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 		csr: c, eu: eu, ev: ev,
 	}
 
-	var rngs []uint64 // per-vertex TieRandom accept streams (core.SplitMix64)
+	var rngs []uint64 // per-vertex TieRandom accept streams
 	if opt.Tie == core.TieRandom {
 		rngs = make([]uint64, n)
 		for v := range rngs {
-			rngs[v] = core.SplitMix64(uint64(opt.Seed) ^ uint64(v)*0x9e3779b97f4a7c15)
+			rngs[v] = core.TieSeed(opt.Seed, v)
 		}
 	}
 
@@ -258,7 +257,7 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	// accepts one proposing edge — the smallest id under TieFirstPort
 	// (the ascending incident scan finds it first), a uniform draw over
 	// its proposing edges in ascending id order under TieRandom (the
-	// per-vertex stream the sequential loop drew).
+	// per-vertex stream Solve draws in the same order).
 	acceptKernel := func(sh, lo, hi int) {
 		accepted := int32(0)
 		for v := lo; v < hi; v++ {
@@ -279,9 +278,7 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 					best = id
 					break
 				}
-				count++
-				var pick int
-				if rngs[v], pick = core.SplitMixIntn(rngs[v], count); pick == 0 {
+				if count++; core.TieKeep(&rngs[v], count) {
 					best = id
 				}
 			}

@@ -34,7 +34,6 @@ func fixedWithIDs(t *testing.T, g *graph.Graph, ids []int, seed int64) *graph.Or
 			phaseLen: phaseLen,
 			tie:      core.TieFirstPort,
 			edgeID:   make([]int, g.Degree(v)),
-			rng:      rand.New(rand.NewSource(seed)),
 		}
 		for p, a := range g.Adj(v) {
 			fm.edgeID[p] = a.Edge

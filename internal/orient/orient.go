@@ -18,7 +18,6 @@ package orient
 
 import (
 	"fmt"
-	"math/rand"
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
@@ -73,7 +72,13 @@ func Solve(g *graph.Graph, opt Options) (*Result, error) {
 	// Lemma 5.5 bounds the phase count by 2Δ; the loop aborts past
 	// 4·Δ + 8, a margin that only non-termination crosses.
 	delta := g.MaxDegree()
-	rng := rand.New(rand.NewSource(opt.Seed))
+	var streams []uint64 // per-vertex TieRandom accept streams
+	if opt.Tie == core.TieRandom {
+		streams = make([]uint64, g.N())
+		for v := range streams {
+			streams[v] = core.TieSeed(opt.Seed, v)
+		}
+	}
 
 	o := graph.NewOrientation(g)
 	res := &Result{Orientation: o, WorstCaseRounds: WorstCaseBound(delta)}
@@ -102,7 +107,8 @@ func Solve(g *graph.Graph, opt Options) (*Result, error) {
 		}
 
 		// Step 2 — accept exactly one proposal per node; announcing the
-		// acceptance costs 1 communication round.
+		// acceptance costs 1 communication round. Under TieRandom the
+		// node draws once per proposing edge, in ascending edge id.
 		accepted := make([]int, 0, g.N()) // edge ids, in acceptor order
 		acceptor := make(map[int]int)     // edge id -> accepting node
 		token := make([]bool, g.N())
@@ -111,8 +117,12 @@ func Solve(g *graph.Graph, opt Options) (*Result, error) {
 				continue
 			}
 			pick := props[0]
-			if opt.Tie == core.TieRandom {
-				pick = props[rng.Intn(len(props))]
+			if streams != nil {
+				for i, id := range props {
+					if core.TieKeep(&streams[v], i+1) {
+						pick = id
+					}
+				}
 			}
 			accepted = append(accepted, pick)
 			acceptor[pick] = v

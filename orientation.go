@@ -63,9 +63,9 @@ func OrientWorstCaseBound(delta int) int { return orient.WorstCaseBound(delta) }
 
 // StableOrientationSharded computes a stable orientation of a CSR-form
 // graph on the sharded flat runtime — the million-node counterpart of
-// StableOrientation. Under TieFirstPort the run is bit-identical to
+// StableOrientation. Under either tie rule the run is bit-identical to
 // StableOrientation on the same graph (same phase log, rounds, and final
-// orientation); TieRandom draws engine-specific streams.
+// orientation).
 func StableOrientationSharded(c *FlatGraph, opt OrientShardedOptions) (*OrientShardedResult, error) {
 	return orient.SolveSharded(c, opt)
 }

@@ -129,8 +129,8 @@ func BipartiteGame(g *Graph, numLeft int) *GameInstance {
 func NewFlatGame(inst *GameInstance) *FlatGame { return core.NewFlatInstance(inst) }
 
 // SolveGameSharded runs the Theorem 4.1 proposal algorithm on the sharded
-// flat engine — the runtime for million-node games. Under TieFirstPort the
-// run is bit-identical to SolveGame on the same game.
+// flat engine — the runtime for million-node games. Under either tie rule
+// the run is bit-identical to SolveGame on the same game.
 func SolveGameSharded(fi *FlatGame, opt ShardedGameOptions) (*FlatGameResult, error) {
 	return core.SolveProposalSharded(fi, opt)
 }
