@@ -12,12 +12,13 @@ import (
 )
 
 // The differential suite pins the sharded assignment port to the seed
-// engine: under first-port tie-breaking both run the same deterministic
-// protocol over the same per-phase incidence port numbering, so the phase
-// logs, round counts, and final assignments must agree bit for bit on
-// every instance. TieRandom draws engine-specific streams, so those runs
-// are checked only against the solution-level oracles (hypergame.Verify on
-// every subgame, stability, capacity, and load-recount at the end).
+// engine: both run the same protocol over the same per-phase incidence
+// port numbering and, under TieRandom, draw the same per-customer and
+// per-server core.TieSeed streams in the same order, so under either tie
+// rule the phase logs, round counts, and final assignments must agree bit
+// for bit on every instance. Every run is also checked against the
+// solution-level oracles (hypergame.Verify on every subgame, the phase
+// invariants, stability, and load-recount at the end).
 //
 // Every table also runs k-bounded cases (K ≥ 2): k = 2 plays each phase
 // game on the three-level solver, k > 2 on the generic one.
@@ -91,6 +92,60 @@ func diffBipartite(i int) (*graph.Bipartite, string) {
 	}
 }
 
+// checkAssignEngines solves b on both engines at threshold k under tie
+// and demands bit-identical runs: phases, rounds, the phase log
+// (reporting the first differing record), every customer's server and
+// every server's load. Both runs check their phase invariants, every
+// sharded subgame is verified, and both results must be stable.
+func checkAssignEngines(t *testing.T, tag string, b *graph.Bipartite, k int, tie core.TieBreak, seed int64, shards int) *ShardedResult {
+	t.Helper()
+	seedRes, err := Solve(b, Options{K: k, RandomTies: tie == core.TieRandom, Seed: seed, CheckInvariants: true})
+	if err != nil {
+		t.Fatalf("%s: seed engine: %v", tag, err)
+	}
+	flatRes, err := SolveSharded(graph.NewCSRBipartiteFromBipartite(b), ShardedOptions{
+		K: k, Tie: tie, Seed: seed, Shards: shards,
+		CheckInvariants: true, VerifyGames: true,
+	})
+	if err != nil {
+		t.Fatalf("%s: sharded engine: %v", tag, err)
+	}
+
+	if flatRes.Phases != seedRes.Phases {
+		t.Fatalf("%s: phases %d (sharded) != %d (seed)", tag, flatRes.Phases, seedRes.Phases)
+	}
+	if flatRes.Rounds != seedRes.Rounds {
+		t.Fatalf("%s: rounds %d (sharded) != %d (seed)", tag, flatRes.Rounds, seedRes.Rounds)
+	}
+	for i := 0; i < min(len(flatRes.PhaseLog), len(seedRes.PhaseLog)); i++ {
+		if flatRes.PhaseLog[i] != seedRes.PhaseLog[i] {
+			t.Fatalf("%s: phase record %d diverges: %+v (sharded) != %+v (seed)",
+				tag, i, flatRes.PhaseLog[i], seedRes.PhaseLog[i])
+		}
+	}
+	if len(flatRes.PhaseLog) != len(seedRes.PhaseLog) {
+		t.Fatalf("%s: %d phase records (sharded) != %d (seed)", tag, len(flatRes.PhaseLog), len(seedRes.PhaseLog))
+	}
+	for c := 0; c < b.NumLeft; c++ {
+		if b.NumLeft+int(flatRes.ServerOf[c]) != seedRes.Assignment.ServerOf[c] {
+			t.Fatalf("%s: customer %d assigned to %d (sharded) != %d (seed)",
+				tag, c, b.NumLeft+int(flatRes.ServerOf[c]), seedRes.Assignment.ServerOf[c])
+		}
+	}
+	for s := 0; s < b.NumServers(); s++ {
+		if int(flatRes.Load[s]) != seedRes.Assignment.Load(b.NumLeft+s) {
+			t.Fatalf("%s: load of server %d diverges", tag, s)
+		}
+	}
+	if !flatRes.KStable() {
+		t.Fatalf("%s: sharded result not stable", tag)
+	}
+	if k > 0 && !seedRes.Assignment.KStable(k) {
+		t.Fatalf("%s: seed result not k-stable", tag)
+	}
+	return flatRes
+}
+
 func TestDifferentialAssignEngines(t *testing.T) {
 	const general, bounded = 105, 60
 	for i := 0; i < general+bounded; i++ {
@@ -100,56 +155,14 @@ func TestDifferentialAssignEngines(t *testing.T) {
 			k, seed = 2+j%3, int64(600+j)
 		}
 		b, name := diffBipartite(j)
-		tag := fmt.Sprintf("case %d (%s, k=%d)", i, name, k)
-
-		seedRes, err := Solve(b, Options{K: k, Seed: seed, CheckInvariants: true})
-		if err != nil {
-			t.Fatalf("%s: seed engine: %v", tag, err)
-		}
-		fb := graph.NewCSRBipartiteFromBipartite(b)
-		flatRes, err := SolveSharded(fb, ShardedOptions{
-			K: k, Tie: core.TieFirstPort, Seed: seed, Shards: 1 + j%5,
-			CheckInvariants: true, VerifyGames: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: sharded engine: %v", tag, err)
-		}
-
-		if flatRes.Phases != seedRes.Phases {
-			t.Fatalf("%s: phases %d (sharded) != %d (seed)", tag, flatRes.Phases, seedRes.Phases)
-		}
-		if flatRes.Rounds != seedRes.Rounds {
-			t.Fatalf("%s: rounds %d (sharded) != %d (seed)", tag, flatRes.Rounds, seedRes.Rounds)
-		}
-		if !slices.Equal(flatRes.PhaseLog, seedRes.PhaseLog) {
-			t.Fatalf("%s: phase logs diverge:\nsharded: %+v\nseed:    %+v", tag, flatRes.PhaseLog, seedRes.PhaseLog)
-		}
-		for c := 0; c < b.NumLeft; c++ {
-			if b.NumLeft+int(flatRes.ServerOf[c]) != seedRes.Assignment.ServerOf[c] {
-				t.Fatalf("%s: customer %d assigned to %d (sharded) != %d (seed)",
-					tag, c, b.NumLeft+int(flatRes.ServerOf[c]), seedRes.Assignment.ServerOf[c])
-			}
-		}
-		for s := 0; s < b.NumServers(); s++ {
-			if int(flatRes.Load[s]) != seedRes.Assignment.Load(b.NumLeft+s) {
-				t.Fatalf("%s: load of server %d diverges", tag, s)
-			}
-		}
-		if !flatRes.KStable() {
-			t.Fatalf("%s: sharded result not stable", tag)
-		}
-		if k > 0 && !seedRes.Assignment.KStable(k) {
-			t.Fatalf("%s: seed result not k-stable", tag)
-		}
+		checkAssignEngines(t, fmt.Sprintf("case %d (%s, k=%d)", i, name, k), b, k, core.TieFirstPort, seed, 1+j%5)
 	}
 }
 
-// TestDifferentialAssignTieRandom runs the sharded port under TieRandom.
-// Its proposal, accept, and game streams legitimately differ from the
-// seed engine's, so the runs are judged by the oracles alone: every phase
-// subgame passes hypergame.Verify, every phase satisfies the Lemma
-// 5.3/5.4 analogues and the potential identity, and the final assignment
-// is complete, stable, and load-consistent.
+// TestDifferentialAssignTieRandom holds TieRandom runs to the same
+// bit-identity as the TieFirstPort half, and keeps the oracles: besides
+// the per-phase checks of checkAssignEngines, the materialized
+// assignment is complete, stable, and load-consistent.
 func TestDifferentialAssignTieRandom(t *testing.T) {
 	const general, bounded = 40, 30
 	for i := 0; i < general+bounded; i++ {
@@ -160,18 +173,7 @@ func TestDifferentialAssignTieRandom(t *testing.T) {
 		}
 		b, name := diffBipartite(j)
 		tag := fmt.Sprintf("case %d (%s, k=%d)", i, name, k)
-		fb := graph.NewCSRBipartiteFromBipartite(b)
-		flatRes, err := SolveSharded(fb, ShardedOptions{
-			K: k, Tie: core.TieRandom, Seed: seed, Shards: 1 + j%4,
-			CheckInvariants: true, VerifyGames: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		if !flatRes.KStable() {
-			t.Fatalf("%s: not stable", tag)
-		}
-		a := flatRes.Assignment()
+		a := checkAssignEngines(t, tag, b, k, core.TieRandom, seed, 1+j%4).Assignment()
 		if k == 0 && !a.Stable() || k > 0 && !a.KStable(k) {
 			t.Fatalf("%s: materialized assignment not stable", tag)
 		}

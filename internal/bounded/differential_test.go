@@ -15,7 +15,9 @@ import (
 // The differential suite pins assign's sharded phase loop to its seed
 // engine at thresholds k ≥ 2, on the network families the k-bounded
 // experiments run on — including the k = 2 three-level fast path and the
-// k > 2 generic fallback.
+// k > 2 generic fallback. Under either tie rule the runs must agree bit
+// for bit (TieRandom draws the same core.TieSeed streams on both
+// engines), and every run is also checked against the oracles.
 
 func diffBoundedBipartite(i int) (*graph.Bipartite, string) {
 	rng := rand.New(rand.NewSource(int64(9000 + i)))
@@ -44,65 +46,70 @@ func diffBoundedBipartite(i int) (*graph.Bipartite, string) {
 	}
 }
 
+// checkBoundedEngines solves b on both engines at threshold k under tie
+// and demands bit-identical runs: phases, rounds, the phase log
+// (reporting the first differing record) and every customer's server.
+// Both runs check their phase invariants, every sharded subgame is
+// verified, and both results must be k-stable.
+func checkBoundedEngines(t *testing.T, tag string, b *graph.Bipartite, k int, tie core.TieBreak, seed int64, shards int) *assign.ShardedResult {
+	t.Helper()
+	seedRes, err := assign.Solve(b, assign.Options{K: k, RandomTies: tie == core.TieRandom, Seed: seed, CheckInvariants: true})
+	if err != nil {
+		t.Fatalf("%s: seed engine: %v", tag, err)
+	}
+	flatRes, err := assign.SolveSharded(graph.NewCSRBipartiteFromBipartite(b), assign.ShardedOptions{
+		K: k, Tie: tie, Seed: seed, Shards: shards,
+		CheckInvariants: true, VerifyGames: true,
+	})
+	if err != nil {
+		t.Fatalf("%s: sharded engine: %v", tag, err)
+	}
+
+	if flatRes.Phases != seedRes.Phases || flatRes.Rounds != seedRes.Rounds {
+		t.Fatalf("%s: run diverges: phases %d/%d rounds %d/%d",
+			tag, flatRes.Phases, seedRes.Phases, flatRes.Rounds, seedRes.Rounds)
+	}
+	for i := 0; i < min(len(flatRes.PhaseLog), len(seedRes.PhaseLog)); i++ {
+		if flatRes.PhaseLog[i] != seedRes.PhaseLog[i] {
+			t.Fatalf("%s: phase record %d diverges: %+v (sharded) != %+v (seed)",
+				tag, i, flatRes.PhaseLog[i], seedRes.PhaseLog[i])
+		}
+	}
+	if len(flatRes.PhaseLog) != len(seedRes.PhaseLog) {
+		t.Fatalf("%s: %d phase records (sharded) != %d (seed)", tag, len(flatRes.PhaseLog), len(seedRes.PhaseLog))
+	}
+	for c := 0; c < b.NumLeft; c++ {
+		if b.NumLeft+int(flatRes.ServerOf[c]) != seedRes.Assignment.ServerOf[c] {
+			t.Fatalf("%s: customer %d assignments diverge", tag, c)
+		}
+	}
+	if !flatRes.KStable() {
+		t.Fatalf("%s: sharded result not k-stable", tag)
+	}
+	if !seedRes.Assignment.KStable(k) {
+		t.Fatalf("%s: seed result not k-stable", tag)
+	}
+	return flatRes
+}
+
 func TestDifferentialBoundedEngines(t *testing.T) {
 	const cases = 60
 	for i := 0; i < cases; i++ {
 		b, name := diffBoundedBipartite(i)
 		k := 2 + i%3 // k = 2 exercises the three-level path, k > 2 the generic one
-		seed := int64(600 + i)
-		tag := fmt.Sprintf("case %d (%s, k=%d)", i, name, k)
-
-		seedRes, err := assign.Solve(b, assign.Options{K: k, Seed: seed, CheckInvariants: true})
-		if err != nil {
-			t.Fatalf("%s: seed engine: %v", tag, err)
-		}
-		fb := graph.NewCSRBipartiteFromBipartite(b)
-		flatRes, err := assign.SolveSharded(fb, assign.ShardedOptions{
-			K: k, Tie: core.TieFirstPort, Seed: seed, Shards: 1 + i%5,
-			CheckInvariants: true, VerifyGames: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: sharded engine: %v", tag, err)
-		}
-
-		if flatRes.Phases != seedRes.Phases || flatRes.Rounds != seedRes.Rounds {
-			t.Fatalf("%s: run diverges: phases %d/%d rounds %d/%d",
-				tag, flatRes.Phases, seedRes.Phases, flatRes.Rounds, seedRes.Rounds)
-		}
-		if !slices.Equal(flatRes.PhaseLog, seedRes.PhaseLog) {
-			t.Fatalf("%s: phase logs diverge:\nsharded: %+v\nseed:    %+v", tag, flatRes.PhaseLog, seedRes.PhaseLog)
-		}
-		for c := 0; c < b.NumLeft; c++ {
-			if b.NumLeft+int(flatRes.ServerOf[c]) != seedRes.Assignment.ServerOf[c] {
-				t.Fatalf("%s: customer %d assignments diverge", tag, c)
-			}
-		}
-		if !flatRes.KStable() {
-			t.Fatalf("%s: sharded result not k-stable", tag)
-		}
-		if !seedRes.Assignment.KStable(k) {
-			t.Fatalf("%s: seed result not k-stable", tag)
-		}
+		checkBoundedEngines(t, fmt.Sprintf("case %d (%s, k=%d)", i, name, k), b, k, core.TieFirstPort, int64(600+i), 1+i%5)
 	}
 }
 
+// TestDifferentialBoundedTieRandom holds TieRandom runs to the same
+// bit-identity as the TieFirstPort half, and keeps the oracles: the
+// materialized assignment is k-stable and load-consistent.
 func TestDifferentialBoundedTieRandom(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		b, name := diffBoundedBipartite(i)
 		k := 2 + i%2
 		tag := fmt.Sprintf("case %d (%s, k=%d)", i, name, k)
-		fb := graph.NewCSRBipartiteFromBipartite(b)
-		flatRes, err := assign.SolveSharded(fb, assign.ShardedOptions{
-			K: k, Tie: core.TieRandom, Seed: int64(1700 + i), Shards: 1 + i%4,
-			CheckInvariants: true, VerifyGames: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		if !flatRes.KStable() {
-			t.Fatalf("%s: not k-stable", tag)
-		}
-		a := flatRes.Assignment()
+		a := checkBoundedEngines(t, tag, b, k, core.TieRandom, int64(1700+i), 1+i%4).Assignment()
 		if !a.KStable(k) {
 			t.Fatalf("%s: materialized assignment not k-stable", tag)
 		}

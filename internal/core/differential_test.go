@@ -18,10 +18,10 @@ import (
 //     finalPotential == initialPotential - moves (each move drops one
 //     token one level; token count is conserved),
 //  3. the object engine and the sharded engine, running the same
-//     deterministic protocol (TieFirstPort) over the same port numbering,
-//     produce bit-identical runs: same rounds, same message count, same
-//     move log, same final placement — and therefore identical final
-//     potentials.
+//     protocol over the same port numbering, produce bit-identical runs
+//     under either tie rule (under TieRandom both draw the same TieSeed
+//     streams): same rounds, same message count, same move log, same
+//     final placement — and therefore identical final potentials.
 //
 // Distinct maximal solutions of one instance may legitimately end at
 // different potentials (the game is not potential-convex), so potential
@@ -55,57 +55,78 @@ func checkSolution(t *testing.T, tag string, inst *Instance, sol *Solution) {
 	}
 }
 
+// enginePair names one protocol's solver on each engine.
+type enginePair struct {
+	name   string
+	object func(*Instance, SolveOptions) (*Solution, DistStats, error)
+	flat   func(*FlatInstance, ShardedSolveOptions) (*FlatResult, error)
+}
+
+var (
+	proposalPair   = enginePair{"proposal", SolveProposal, SolveProposalSharded}
+	threeLevelPair = enginePair{"threelevel", SolveThreeLevel, SolveThreeLevelSharded}
+)
+
+// checkEnginePair solves inst on both engines under tie, checks each
+// solution, and demands bit-identical runs: rounds, messages, the Lemma
+// 4.4 counter, the move log (reporting the first differing move), the
+// final placement, and the final potential.
+func checkEnginePair(t *testing.T, tag string, pair enginePair, inst *Instance, tie TieBreak, seed int64, shards int) {
+	t.Helper()
+	tag += " " + pair.name
+	objSol, objStats, err := pair.object(inst, SolveOptions{Tie: tie, Seed: seed, MaxRounds: 1 << 16})
+	if err != nil {
+		t.Fatalf("%s: object engine: %v", tag, err)
+	}
+	checkSolution(t, tag+"/object", inst, objSol)
+	res, err := pair.flat(NewFlatInstance(inst), ShardedSolveOptions{
+		Tie: tie, Seed: seed, MaxRounds: 1 << 16, Shards: shards,
+	})
+	if err != nil {
+		t.Fatalf("%s: sharded engine: %v", tag, err)
+	}
+	flatSol := res.Solution(inst)
+	checkSolution(t, tag+"/sharded", inst, flatSol)
+
+	if res.Stats.Rounds != objStats.Rounds {
+		t.Fatalf("%s: rounds %d (sharded) != %d (object)", tag, res.Stats.Rounds, objStats.Rounds)
+	}
+	if res.Stats.Messages != objStats.Messages {
+		t.Fatalf("%s: messages %d (sharded) != %d (object)", tag, res.Stats.Messages, objStats.Messages)
+	}
+	if res.Stats.MaxActiveUnoccupied != objStats.MaxActiveUnoccupied {
+		t.Fatalf("%s: maxActive %d (sharded) != %d (object)",
+			tag, res.Stats.MaxActiveUnoccupied, objStats.MaxActiveUnoccupied)
+	}
+	for i := 0; i < min(len(res.Moves), len(objSol.Moves)); i++ {
+		if res.Moves[i] != objSol.Moves[i] {
+			t.Fatalf("%s: move %d diverges: %+v (sharded) != %+v (object)", tag, i, res.Moves[i], objSol.Moves[i])
+		}
+	}
+	if len(res.Moves) != len(objSol.Moves) {
+		t.Fatalf("%s: %d moves (sharded) != %d (object)", tag, len(res.Moves), len(objSol.Moves))
+	}
+	if !slices.Equal(res.Final, objSol.Final) {
+		t.Fatalf("%s: final placements diverge", tag)
+	}
+	if sp, op := SolutionPotential(flatSol), SolutionPotential(objSol); sp != op {
+		t.Fatalf("%s: final potentials diverge: %d (sharded) != %d (object)", tag, sp, op)
+	}
+}
+
 func TestDifferentialProposalEngines(t *testing.T) {
 	const cases = 200
 	for i := 0; i < cases; i++ {
 		cfg, seed := diffCase(i)
-		rng := rand.New(rand.NewSource(seed))
-		inst := RandomLayered(cfg, rng)
-		fi := NewFlatInstance(inst)
+		inst := RandomLayered(cfg, rand.New(rand.NewSource(seed)))
 		tag := fmt.Sprintf("case %d (%+v)", i, cfg)
 
 		// Oracle: the centralized sequential solver.
-		oracle := SolveSequential(inst, PolicyFirst, nil)
-		checkSolution(t, tag+" sequential", inst, oracle)
+		checkSolution(t, tag+" sequential", inst, SolveSequential(inst, PolicyFirst, nil))
 
-		// Object engine.
-		objSol, objStats, err := SolveProposal(inst, SolveOptions{Tie: TieFirstPort, MaxRounds: 1 << 16})
-		if err != nil {
-			t.Fatalf("%s: object engine: %v", tag, err)
-		}
-		checkSolution(t, tag+" proposal/object", inst, objSol)
-
-		// Sharded engine, with a shard count varying across cases to
-		// exercise partition boundaries.
-		res, err := SolveProposalSharded(fi, ShardedSolveOptions{
-			Tie: TieFirstPort, MaxRounds: 1 << 16, Shards: 1 + i%5,
-		})
-		if err != nil {
-			t.Fatalf("%s: sharded engine: %v", tag, err)
-		}
-		flatSol := res.Solution(inst)
-		checkSolution(t, tag+" proposal/sharded", inst, flatSol)
-
-		// Engine pair: bit-identical runs.
-		if res.Stats.Rounds != objStats.Rounds {
-			t.Fatalf("%s: rounds %d (sharded) != %d (object)", tag, res.Stats.Rounds, objStats.Rounds)
-		}
-		if res.Stats.Messages != objStats.Messages {
-			t.Fatalf("%s: messages %d (sharded) != %d (object)", tag, res.Stats.Messages, objStats.Messages)
-		}
-		if res.Stats.MaxActiveUnoccupied != objStats.MaxActiveUnoccupied {
-			t.Fatalf("%s: maxActive %d (sharded) != %d (object)",
-				tag, res.Stats.MaxActiveUnoccupied, objStats.MaxActiveUnoccupied)
-		}
-		if !slices.Equal(res.Moves, objSol.Moves) {
-			t.Fatalf("%s: move logs diverge:\nsharded: %v\nobject:  %v", tag, res.Moves, objSol.Moves)
-		}
-		if !slices.Equal(res.Final, objSol.Final) {
-			t.Fatalf("%s: final placements diverge", tag)
-		}
-		if sp, op := SolutionPotential(flatSol), SolutionPotential(objSol); sp != op {
-			t.Fatalf("%s: final potentials diverge: %d (sharded) != %d (object)", tag, sp, op)
-		}
+		// A shard count varying across cases exercises partition
+		// boundaries.
+		checkEnginePair(t, tag, proposalPair, inst, TieFirstPort, 0, 1+i%5)
 	}
 }
 
@@ -118,77 +139,28 @@ func TestDifferentialThreeLevelEngines(t *testing.T) {
 			continue
 		}
 		ran++
-		rng := rand.New(rand.NewSource(seed))
-		inst := RandomLayered(cfg, rng)
-		fi := NewFlatInstance(inst)
+		inst := RandomLayered(cfg, rand.New(rand.NewSource(seed)))
 		tag := fmt.Sprintf("case %d (%+v)", i, cfg)
-
-		oracle := SolveSequential(inst, PolicyFirst, nil)
-		checkSolution(t, tag+" sequential", inst, oracle)
-
-		objSol, objStats, err := SolveThreeLevel(inst, SolveOptions{Tie: TieFirstPort, MaxRounds: 1 << 16})
-		if err != nil {
-			t.Fatalf("%s: object engine: %v", tag, err)
-		}
-		checkSolution(t, tag+" threelevel/object", inst, objSol)
-
-		res, err := SolveThreeLevelSharded(fi, ShardedSolveOptions{
-			Tie: TieFirstPort, MaxRounds: 1 << 16, Shards: 1 + i%5,
-		})
-		if err != nil {
-			t.Fatalf("%s: sharded engine: %v", tag, err)
-		}
-		flatSol := res.Solution(inst)
-		checkSolution(t, tag+" threelevel/sharded", inst, flatSol)
-
-		if res.Stats.Rounds != objStats.Rounds {
-			t.Fatalf("%s: rounds %d (sharded) != %d (object)", tag, res.Stats.Rounds, objStats.Rounds)
-		}
-		if res.Stats.Messages != objStats.Messages {
-			t.Fatalf("%s: messages %d (sharded) != %d (object)", tag, res.Stats.Messages, objStats.Messages)
-		}
-		if !slices.Equal(res.Moves, objSol.Moves) {
-			t.Fatalf("%s: move logs diverge:\nsharded: %v\nobject:  %v", tag, res.Moves, objSol.Moves)
-		}
-		if !slices.Equal(res.Final, objSol.Final) {
-			t.Fatalf("%s: final placements diverge", tag)
-		}
-		if sp, op := SolutionPotential(flatSol), SolutionPotential(objSol); sp != op {
-			t.Fatalf("%s: final potentials diverge: %d (sharded) != %d (object)", tag, sp, op)
-		}
+		checkSolution(t, tag+" sequential", inst, SolveSequential(inst, PolicyFirst, nil))
+		checkEnginePair(t, tag, threeLevelPair, inst, TieFirstPort, 0, 1+i%5)
 	}
 	if ran < 50 {
 		t.Fatalf("only %d three-level cases ran", ran)
 	}
 }
 
-// TestDifferentialTieRandom checks the flat TieRandom rule: its draws are
-// engine-specific, so only the solution-level properties are compared —
-// every run must verify and satisfy the potential identity.
+// TestDifferentialTieRandom holds TieRandom runs to the same bit-identity
+// as the TieFirstPort suites above: both engines draw every tie from the
+// same per-vertex TieSeed streams in the same order, and every run must
+// also verify and satisfy the potential identity.
 func TestDifferentialTieRandom(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		cfg, seed := diffCase(i)
-		rng := rand.New(rand.NewSource(seed))
-		inst := RandomLayered(cfg, rng)
-		fi := NewFlatInstance(inst)
-		tag := fmt.Sprintf("case %d (%+v)", i, cfg)
-
-		res, err := SolveProposalSharded(fi, ShardedSolveOptions{
-			Tie: TieRandom, Seed: seed, MaxRounds: 1 << 16, Shards: 1 + i%4,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		checkSolution(t, tag+" proposal/sharded/random", inst, res.Solution(inst))
-
+		inst := RandomLayered(cfg, rand.New(rand.NewSource(seed)))
+		tag := fmt.Sprintf("case %d (%+v) random", i, cfg)
+		checkEnginePair(t, tag, proposalPair, inst, TieRandom, seed, 1+i%4)
 		if cfg.Levels <= ThreeLevelMaxLevel {
-			res3, err := SolveThreeLevelSharded(fi, ShardedSolveOptions{
-				Tie: TieRandom, Seed: seed, MaxRounds: 1 << 16, Shards: 1 + i%4,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
-			}
-			checkSolution(t, tag+" threelevel/sharded/random", inst, res3.Solution(inst))
+			checkEnginePair(t, tag, threeLevelPair, inst, TieRandom, seed, 1+i%4)
 		}
 	}
 }

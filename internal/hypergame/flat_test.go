@@ -1,16 +1,17 @@
 package hypergame
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // The flat-solver differential tests pin the sharded hypergame ports to
 // the object machines: both build the incidence network with the same port
-// numbering and run the same protocol, so under first-port tie-breaking
-// the rounds, message counts, move logs, and final placements must agree
-// exactly. RandomTies runs draw engine-specific streams and are judged by
-// the rules oracle alone.
+// numbering and run the same protocol, so under either tie rule the
+// rounds, message counts, move logs, and final placements must agree
+// exactly (RandomTies runs draw the same per-vertex core.TieSeed streams
+// on both engines), and every flat solution must pass the rules oracle.
 
 func assertFlatMatches(t *testing.T, tag string, inst *Instance, sol *Solution, stats DistStats, flat *FlatResult) {
 	t.Helper()
@@ -78,25 +79,30 @@ func TestFlatThreeLevelMatchesObject(t *testing.T) {
 func TestFlatSolversRandomTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for i := 0; i < 25; i++ {
+		opt := SolveOptions{RandomTies: true, Seed: int64(i), MaxRounds: 200000}
+		flatOpt := ShardedSolveOptions{RandomTies: true, Seed: int64(i), Shards: 1 + i%4}
+
 		inst := randomHyperInstance(2+rng.Intn(3), 3+rng.Intn(4), 2+rng.Intn(10), 2+rng.Intn(3), rng.Float64(), rng)
-		fi := NewFlatInstanceFromInstance(inst)
-		flat, err := SolveProposalSharded(fi, ShardedSolveOptions{RandomTies: true, Seed: int64(i), Shards: 1 + i%4})
+		sol, stats, err := SolveProposal(inst, opt)
+		if err != nil {
+			t.Fatalf("instance %d: object solver: %v", i, err)
+		}
+		flat, err := SolveProposalSharded(NewFlatInstanceFromInstance(inst), flatOpt)
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		if err := Verify(flat.Solution(inst)); err != nil {
-			t.Fatalf("instance %d: %v", i, err)
-		}
+		assertFlatMatches(t, fmt.Sprintf("instance %d: proposal", i), inst, sol, stats, flat)
 
 		inst3 := random3Level(3+rng.Intn(4), 2+rng.Intn(8), 2+rng.Intn(8), 2+rng.Intn(3), rng.Float64(), rng)
-		fi3 := NewFlatInstanceFromInstance(inst3)
-		flat3, err := SolveThreeLevelSharded(fi3, ShardedSolveOptions{RandomTies: true, Seed: int64(i), Shards: 1 + i%4})
+		sol3, stats3, err := SolveThreeLevel(inst3, opt)
+		if err != nil {
+			t.Fatalf("instance %d: 3-level object solver: %v", i, err)
+		}
+		flat3, err := SolveThreeLevelSharded(NewFlatInstanceFromInstance(inst3), flatOpt)
 		if err != nil {
 			t.Fatalf("instance %d: 3-level: %v", i, err)
 		}
-		if err := Verify(flat3.Solution(inst3)); err != nil {
-			t.Fatalf("instance %d: 3-level: %v", i, err)
-		}
+		assertFlatMatches(t, fmt.Sprintf("instance %d: three-level", i), inst3, sol3, stats3, flat3)
 	}
 }
 

@@ -11,11 +11,12 @@ import (
 )
 
 // The differential suite pins the sharded orientation port to the seed
-// engine: under TieFirstPort both run the same deterministic protocol over
-// the same per-phase port numbering, so the phase logs, round counts, and
-// final orientations must agree bit for bit on every instance. TieRandom
-// draws engine-specific streams, so those runs are checked only against
-// the solution-level oracles (core.Verify on every subgame, stability and
+// engine: both run the same protocol over the same per-phase port
+// numbering and, under TieRandom, draw the same per-vertex core.TieSeed
+// streams in the same order, so under either tie rule the phase logs,
+// round counts, and final orientations must agree bit for bit on every
+// instance. Every run is also checked against the solution-level oracles
+// (core.Verify on every subgame, the phase invariants, stability and
 // load-recount at the end).
 
 // diffGraph derives a seeded test graph from a case index, cycling through
@@ -47,77 +48,77 @@ func diffGraph(i int) (*graph.Graph, string) {
 	}
 }
 
+// checkOrientEngines solves g on both engines under tie and demands
+// bit-identical runs: phases, rounds, the worst-case bound, the phase log
+// (reporting the first differing record), and every edge's head and
+// vertex's load. Both runs check their phase invariants, every sharded
+// subgame is verified, and the sharded result must be stable.
+func checkOrientEngines(t *testing.T, tag string, g *graph.Graph, tie core.TieBreak, seed int64, shards int) *ShardedResult {
+	t.Helper()
+	seedRes, err := Solve(g, Options{Tie: tie, Seed: seed, CheckInvariants: true})
+	if err != nil {
+		t.Fatalf("%s: seed engine: %v", tag, err)
+	}
+	flatRes, err := SolveSharded(graph.NewCSRFromGraph(g), ShardedOptions{
+		Tie: tie, Seed: seed, Shards: shards,
+		CheckInvariants: true, VerifyGames: true,
+	})
+	if err != nil {
+		t.Fatalf("%s: sharded engine: %v", tag, err)
+	}
+
+	if flatRes.Phases != seedRes.Phases {
+		t.Fatalf("%s: phases %d (sharded) != %d (seed)", tag, flatRes.Phases, seedRes.Phases)
+	}
+	if flatRes.Rounds != seedRes.Rounds {
+		t.Fatalf("%s: rounds %d (sharded) != %d (seed)", tag, flatRes.Rounds, seedRes.Rounds)
+	}
+	if flatRes.WorstCaseRounds != seedRes.WorstCaseRounds {
+		t.Fatalf("%s: worst-case bounds diverge", tag)
+	}
+	for i := 0; i < min(len(flatRes.PhaseLog), len(seedRes.PhaseLog)); i++ {
+		if flatRes.PhaseLog[i] != seedRes.PhaseLog[i] {
+			t.Fatalf("%s: phase record %d diverges: %+v (sharded) != %+v (seed)",
+				tag, i, flatRes.PhaseLog[i], seedRes.PhaseLog[i])
+		}
+	}
+	if len(flatRes.PhaseLog) != len(seedRes.PhaseLog) {
+		t.Fatalf("%s: %d phase records (sharded) != %d (seed)", tag, len(flatRes.PhaseLog), len(seedRes.PhaseLog))
+	}
+	for id := 0; id < g.M(); id++ {
+		if int(flatRes.Head[id]) != seedRes.Orientation.Head(id) {
+			t.Fatalf("%s: edge %d head %d (sharded) != %d (seed)",
+				tag, id, flatRes.Head[id], seedRes.Orientation.Head(id))
+		}
+	}
+	for v := 0; v < g.N(); v++ {
+		if int(flatRes.Load[v]) != seedRes.Orientation.Load(v) {
+			t.Fatalf("%s: load of %d diverges", tag, v)
+		}
+	}
+	if !flatRes.Stable() {
+		t.Fatalf("%s: sharded result not stable", tag)
+	}
+	return flatRes
+}
+
 func TestDifferentialOrientEngines(t *testing.T) {
 	const cases = 105
 	for i := 0; i < cases; i++ {
 		g, name := diffGraph(i)
-		seed := int64(100 + i)
-		tag := fmt.Sprintf("case %d (%s)", i, name)
-
-		seedRes, err := Solve(g, Options{Tie: core.TieFirstPort, Seed: seed, CheckInvariants: true})
-		if err != nil {
-			t.Fatalf("%s: seed engine: %v", tag, err)
-		}
-		csr := graph.NewCSRFromGraph(g)
-		flatRes, err := SolveSharded(csr, ShardedOptions{
-			Tie: core.TieFirstPort, Seed: seed, Shards: 1 + i%5,
-			CheckInvariants: true, VerifyGames: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: sharded engine: %v", tag, err)
-		}
-
-		if flatRes.Phases != seedRes.Phases {
-			t.Fatalf("%s: phases %d (sharded) != %d (seed)", tag, flatRes.Phases, seedRes.Phases)
-		}
-		if flatRes.Rounds != seedRes.Rounds {
-			t.Fatalf("%s: rounds %d (sharded) != %d (seed)", tag, flatRes.Rounds, seedRes.Rounds)
-		}
-		if flatRes.WorstCaseRounds != seedRes.WorstCaseRounds {
-			t.Fatalf("%s: worst-case bounds diverge", tag)
-		}
-		if !slices.Equal(flatRes.PhaseLog, seedRes.PhaseLog) {
-			t.Fatalf("%s: phase logs diverge:\nsharded: %+v\nseed:    %+v", tag, flatRes.PhaseLog, seedRes.PhaseLog)
-		}
-		for id := 0; id < g.M(); id++ {
-			if int(flatRes.Head[id]) != seedRes.Orientation.Head(id) {
-				t.Fatalf("%s: edge %d head %d (sharded) != %d (seed)",
-					tag, id, flatRes.Head[id], seedRes.Orientation.Head(id))
-			}
-		}
-		for v := 0; v < g.N(); v++ {
-			if int(flatRes.Load[v]) != seedRes.Orientation.Load(v) {
-				t.Fatalf("%s: load of %d diverges", tag, v)
-			}
-		}
-		if !flatRes.Stable() {
-			t.Fatalf("%s: sharded result not stable", tag)
-		}
+		checkOrientEngines(t, fmt.Sprintf("case %d (%s)", i, name), g, core.TieFirstPort, int64(100+i), 1+i%5)
 	}
 }
 
-// TestDifferentialOrientTieRandom runs the sharded port under TieRandom.
-// Its accept and tie-break streams legitimately differ from the seed
-// engine's, so the runs are judged by the oracles alone: every phase
-// subgame passes core.Verify (VerifyGames), every phase satisfies the
-// Lemma 5.3/5.4 invariants and the potential identity (CheckInvariants),
-// and the final orientation is stable with consistent loads.
+// TestDifferentialOrientTieRandom holds TieRandom runs to the same
+// bit-identity as the TieFirstPort half, and keeps the oracles: besides
+// the per-phase checks of checkOrientEngines, the materialized
+// orientation is stable with consistent loads.
 func TestDifferentialOrientTieRandom(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		g, name := diffGraph(i)
 		tag := fmt.Sprintf("case %d (%s)", i, name)
-		csr := graph.NewCSRFromGraph(g)
-		flatRes, err := SolveSharded(csr, ShardedOptions{
-			Tie: core.TieRandom, Seed: int64(900 + i), Shards: 1 + i%4,
-			CheckInvariants: true, VerifyGames: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		if !flatRes.Stable() {
-			t.Fatalf("%s: not stable", tag)
-		}
-		o := flatRes.Orientation()
+		o := checkOrientEngines(t, tag, g, core.TieRandom, int64(900+i), 1+i%4).Orientation()
 		if !o.Stable() {
 			t.Fatalf("%s: materialized orientation not stable", tag)
 		}
