@@ -23,6 +23,11 @@ import (
 // (vertex-disjoint sources and destinations), so any serialization of a
 // round is equivalent — the replay detects violations either way.
 //
+// The replay is the whole check of rules (1) and (2): State.CanMove
+// rejects a move over a missing or consumed edge, one that does not drop
+// exactly one level, and one onto an occupied vertex, so the per-token
+// view (Solution.Traversals) needs no second pass.
+//
 // Verify is a pure oracle: it shares no code with the solvers beyond the
 // State transition rules, which are themselves tested directly.
 func Verify(s *Solution) error {
@@ -74,39 +79,6 @@ func Verify(s *Solution) error {
 		m := mv[0]
 		return fmt.Errorf("core: not maximal: token at %d (level %d) can still drop to %d (level %d) over edge %d (%d movable in total)",
 			m.From, s.Inst.Level(m.From), m.To, s.Inst.Level(m.To), m.Edge, len(mv))
-	}
-
-	// Rule (2) restated on traversals: destinations pairwise distinct and
-	// each traversal strictly descends one level per hop over existing,
-	// consumed edges. This re-derives the per-token view from the log and
-	// cross-checks it against the replay's final position.
-	trav := s.Traversals()
-	if len(trav) != s.Inst.NumTokens() {
-		return fmt.Errorf("core: reconstructed %d traversals for %d tokens", len(trav), s.Inst.NumTokens())
-	}
-	seenDest := make(map[int]bool, len(trav))
-	for _, t := range trav {
-		d := t.Destination()
-		if seenDest[d] {
-			return fmt.Errorf("core: two traversals end at vertex %d", d)
-		}
-		seenDest[d] = true
-		if !st.Token(d) {
-			return fmt.Errorf("core: traversal ends at %d but replay leaves no token there", d)
-		}
-		for i := 0; i+1 < len(t.Path); i++ {
-			u, v := t.Path[i], t.Path[i+1]
-			if s.Inst.Level(u) != s.Inst.Level(v)+1 {
-				return fmt.Errorf("core: traversal hop %d->%d is not a one-level drop", u, v)
-			}
-			id, ok := s.Inst.Graph().EdgeID(u, v)
-			if !ok {
-				return fmt.Errorf("core: traversal hop %d->%d uses a nonexistent edge", u, v)
-			}
-			if !st.Consumed(id) {
-				return fmt.Errorf("core: traversal hop %d->%d uses edge %d that the replay never consumed", u, v, id)
-			}
-		}
 	}
 	return nil
 }

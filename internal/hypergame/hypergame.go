@@ -348,8 +348,9 @@ func (s *Solution) Traversals() []Traversal {
 }
 
 // Verify replays the solution against the hypergraph game rules: legal
-// moves over fresh hyperedges (rule 1), unique destinations (rule 2), and
-// maximality (rule 3). It mirrors core.Verify.
+// moves over fresh hyperedges (rule 1), unique destinations (rule 2: the
+// replay never lands a token on an occupied vertex), and maximality (rule
+// 3). It mirrors core.Verify.
 func Verify(s *Solution) error {
 	st := NewState(s.Inst)
 	moves := append([]Move(nil), s.Moves...)
@@ -360,6 +361,9 @@ func Verify(s *Solution) error {
 		}
 	}
 	if s.Final != nil {
+		if len(s.Final) != s.Inst.N() {
+			return fmt.Errorf("hypergame: final placement has %d entries for %d vertices", len(s.Final), s.Inst.N())
+		}
 		for v, want := range s.Final {
 			if st.Token(v) != want {
 				return fmt.Errorf("hypergame: replay token(%d)=%v, solution says %v", v, st.Token(v), want)
@@ -367,6 +371,9 @@ func Verify(s *Solution) error {
 		}
 	}
 	if s.Consumed != nil {
+		if len(s.Consumed) != s.Inst.M() {
+			return fmt.Errorf("hypergame: consumption vector has %d entries for %d hyperedges", len(s.Consumed), s.Inst.M())
+		}
 		for id, want := range s.Consumed {
 			if st.Consumed(id) != want {
 				return fmt.Errorf("hypergame: replay consumed(%d)=%v, solution says %v", id, st.Consumed(id), want)
@@ -384,13 +391,6 @@ func Verify(s *Solution) error {
 	}
 	if mv := st.MovableTokens(); len(mv) > 0 {
 		return fmt.Errorf("hypergame: not maximal: %d tokens can still move (first: %+v)", len(mv), mv[0])
-	}
-	seen := make(map[int]bool)
-	for _, tr := range s.Traversals() {
-		if seen[tr.Destination()] {
-			return fmt.Errorf("hypergame: two traversals end at %d", tr.Destination())
-		}
-		seen[tr.Destination()] = true
 	}
 	return nil
 }

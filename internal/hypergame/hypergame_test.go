@@ -115,6 +115,27 @@ func TestVerifyCatchesNonMaximal(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsWrongLengths feeds Verify a valid solution whose
+// placement or consumption vector has the wrong length.
+func TestVerifyRejectsWrongLengths(t *testing.T) {
+	sol := SolveSequential(triInstance(), nil)
+	for _, c := range []struct {
+		name            string
+		final, consumed []bool
+	}{
+		{"final one short", sol.Final[:len(sol.Final)-1], sol.Consumed},
+		{"final one long", append(append([]bool(nil), sol.Final...), false), sol.Consumed},
+		{"consumed empty", sol.Final, []bool{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := &Solution{Inst: sol.Inst, Moves: sol.Moves, Final: c.final, Consumed: c.consumed}
+			if err := Verify(bad); err == nil {
+				t.Error("verified")
+			}
+		})
+	}
+}
+
 // randomHyperInstance builds a random layered hypergraph game. Levels has
 // width vertices per level; each hyperedge picks a head at some level
 // ℓ ≥ 1 and rank-1 other endpoints from levels ≥ ℓ-1 with at least one at
