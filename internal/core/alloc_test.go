@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tokendrop/internal/local"
@@ -147,5 +148,28 @@ func TestSessionWorkspaceReuseMatchesFresh(t *testing.T) {
 		if !reflect.DeepEqual(got.Final, want.Final) {
 			t.Fatalf("game %d: final placements diverge", i)
 		}
+	}
+}
+
+// TestSeedEngineTieRandomMemory pins the seed engine's TieRandom cost to
+// its TieFirstPort cost: a TieRandom stream is one word per vertex, so
+// the rule may not multiply what a solve allocates (a math/rand source
+// per vertex once made it ~6×).
+func TestSeedEngineTieRandomMemory(t *testing.T) {
+	inst := RandomLayered(LayeredConfig{
+		Levels: 6, Width: 2000, ParentDeg: 3, TokenProb: 0.5, FreeBottom: true,
+	}, rand.New(rand.NewSource(1)))
+	allocated := func(tie TieBreak) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := SolveProposal(inst, SolveOptions{Tie: tie, Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, random := allocated(TieFirstPort), allocated(TieRandom)
+	if float64(random) > 1.5*float64(first) {
+		t.Errorf("TieRandom solve allocated %d bytes, over 1.5× TieFirstPort's %d", random, first)
 	}
 }
