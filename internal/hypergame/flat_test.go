@@ -76,9 +76,12 @@ func TestFlatThreeLevelMatchesObject(t *testing.T) {
 	}
 }
 
+// TestFlatSolversRandomTies runs 60 instances, as the first-port tests
+// do: a generic-solver grant that drew for a lone request (flat grants
+// take it without a draw) first diverges at instance 40.
 func TestFlatSolversRandomTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	for i := 0; i < 25; i++ {
+	for i := 0; i < 60; i++ {
 		opt := SolveOptions{RandomTies: true, Seed: int64(i), MaxRounds: 200000}
 		flatOpt := ShardedSolveOptions{RandomTies: true, Seed: int64(i), Shards: 1 + i%4}
 
