@@ -40,8 +40,8 @@
 //     vertices; numbers in CHANGES.md).
 //
 // Both engines are deterministic regardless of scheduling, and under
-// first-port tie-breaking they produce bit-identical runs of the game
-// algorithms, which the differential test suite in internal/core asserts
+// either tie rule they produce bit-identical runs of the game algorithms
+// (random ties draw from one per-vertex stream in both), which the differential test suite in internal/core asserts
 // against the centralized sequential oracle on hundreds of instances
 // (experiment E22 records the same check as a table).
 //
@@ -63,7 +63,7 @@
 // Per-layer differential suites (internal/orient, internal/assign and
 // its k-bounded suite internal/bounded, internal/hypergame) assert
 // bit-identical phase logs, round counts, and final outputs under
-// first-port tie-breaking;
+// either tie rule;
 // RandomRegularFlat, PowerLawFlat, and PowerLawBipartiteFlat generate
 // million-vertex workloads directly in CSR form. With the assignment
 // layer ported, every algorithm layer of the paper runs on both engines;
