@@ -74,8 +74,8 @@ func (c *CSR) Tail(i int) int {
 // Validate checks internal consistency: monotone Row, in-range heads and
 // edge ids, Rev a fixed-point-free involution pairing the two halves of
 // each edge, matching edge ids across reverse arcs, one edge per edge id,
-// no self-loops, and no duplicate edges. It is O(arcs) plus a duplicate
-// check and meant for tests, generators and decoders, not hot paths.
+// no self-loops, and no duplicate edges. It is O(n + arcs) and meant for
+// tests, generators and decoders, not hot paths.
 func (c *CSR) Validate() error {
 	n := c.N()
 	if len(c.Row) == 0 || c.Row[0] != 0 {
@@ -98,7 +98,10 @@ func (c *CSR) Validate() error {
 		}
 	}
 	m := arcs / 2
-	seen := make(map[Edge]bool, m)
+	// mark[u] == v+1 once v's row has held the edge v–u with v < u: an
+	// edge is only checked from its lower end, so a repeat of it can only
+	// occur later in that same row.
+	mark := make([]int32, n)
 	idTaken := make([]bool, m)
 	for v := 0; v < n; v++ {
 		for i := int(c.Row[v]); i < int(c.Row[v+1]); i++ {
@@ -127,10 +130,10 @@ func (c *CSR) Validate() error {
 			}
 			if v < to {
 				e := Edge{U: v, V: to}
-				if seen[e] {
+				if mark[to] == int32(v+1) {
 					return fmt.Errorf("graph: duplicate edge %v", e)
 				}
-				seen[e] = true
+				mark[to] = int32(v + 1)
 				if idTaken[c.EID[i]] {
 					return fmt.Errorf("graph: edge %v shares edge id %d with another edge", e, c.EID[i])
 				}

@@ -46,6 +46,56 @@ func TestCSRFromGraphRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCSRValidateRejects builds one CSR per rejection branch of Validate,
+// in the order Validate checks them, and pins the exact error text. Each
+// CSR breaks one rule and keeps the rules checked before it.
+func TestCSRValidateRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		csr  CSR
+		want string
+	}{
+		{"row start", CSR{Row: []int32{1, 1}},
+			"graph: csr Row must start at 0"},
+		{"arc-array lengths", CSR{Row: []int32{0, 1, 2}, Col: []int32{1, 0}, EID: []int32{0}, Rev: []int32{1, 0}},
+			"graph: csr arc arrays disagree: 2 cols, 1 eids, 2 revs"},
+		{"row end", CSR{Row: []int32{0, 1, 1}, Col: []int32{1, 0}, EID: []int32{0, 0}, Rev: []int32{1, 0}},
+			"graph: csr Row ends at 1 for 2 arcs"},
+		{"odd arc count", CSR{Row: []int32{0, 1}, Col: []int32{0}, EID: []int32{0}, Rev: []int32{0}},
+			"graph: odd arc count 1"},
+		{"row decrease", CSR{Row: []int32{0, 2, 1, 2}, Col: []int32{1, 0}, EID: []int32{0, 0}, Rev: []int32{1, 0}},
+			"graph: csr Row decreases at vertex 1"},
+		{"out-of-range head", CSR{Row: []int32{0, 1, 2}, Col: []int32{2, 0}, EID: []int32{0, 0}, Rev: []int32{1, 0}},
+			"graph: arc 0 points to out-of-range vertex 2"},
+		{"self-loop", CSR{Row: []int32{0, 1, 2}, Col: []int32{0, 0}, EID: []int32{0, 0}, Rev: []int32{1, 0}},
+			"graph: self-loop at vertex 0"},
+		{"bad edge id", CSR{Row: []int32{0, 1, 2}, Col: []int32{1, 0}, EID: []int32{1, 1}, Rev: []int32{1, 0}},
+			"graph: arc 0 has edge id 1 (m=1)"},
+		{"bad reverse", CSR{Row: []int32{0, 1, 2}, Col: []int32{1, 0}, EID: []int32{0, 0}, Rev: []int32{0, 1}},
+			"graph: arc 0 has bad reverse 0"},
+		{"non-involutive reverse", CSR{Row: []int32{0, 1, 2}, Col: []int32{1, 0}, EID: []int32{0, 0}, Rev: []int32{1, 1}},
+			"graph: Rev is not an involution at arc 0"},
+		{"edge id mismatch", CSR{Row: []int32{0, 1, 3, 4}, Col: []int32{1, 0, 2, 1}, EID: []int32{0, 1, 1, 0}, Rev: []int32{1, 0, 3, 2}},
+			"graph: arcs 0 and 1 disagree on edge id"},
+		{"reverse not returning", CSR{Row: []int32{0, 1, 2, 3, 4}, Col: []int32{1, 0, 3, 2}, EID: []int32{0, 1, 0, 1}, Rev: []int32{2, 3, 0, 1}},
+			"graph: reverse of arc 0 (0->1) does not return to 0"},
+		{"duplicate edge", CSR{Row: []int32{0, 2, 4}, Col: []int32{1, 1, 0, 0}, EID: []int32{0, 1, 0, 1}, Rev: []int32{2, 3, 0, 1}},
+			"graph: duplicate edge {0 1}"},
+		{"shared edge id", CSR{Row: []int32{0, 1, 2, 3, 4}, Col: []int32{1, 0, 3, 2}, EID: []int32{0, 0, 0, 0}, Rev: []int32{1, 0, 3, 2}},
+			"graph: edge {2 3} shares edge id 0 with another edge"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.csr.Validate()
+			if err == nil {
+				t.Fatalf("Validate accepted the CSR, want %q", tc.want)
+			}
+			if err.Error() != tc.want {
+				t.Fatalf("Validate = %q, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestCSRRevRouting(t *testing.T) {
 	g := RandomGNM(25, 60, rand.New(rand.NewSource(2)))
 	csr := NewCSRFromGraph(g)
