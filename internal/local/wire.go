@@ -33,12 +33,14 @@ import (
 //	...blocks — ExchangePlan word blocks, destination (Msgs) or
 //	            source (Deliv) process ascending, own process skipped
 //
-// Control payloads (hello, handshake, snapshot, result, error) are
-// strict JSON; they are off the per-round hot path.
+// The result payload (FrameResult) is binary too, because it carries
+// every move of the solve; internal/mp owns its layout and its strict
+// decoder. The other control payloads (hello, handshake, snapshot,
+// error) are strict JSON; they are off the per-round hot path.
 
 // WireVersion is the transport protocol version. It participates in the
 // handshake; both ends must agree exactly.
-const WireVersion = 1
+const WireVersion = 2
 
 // MaxFramePayload bounds a frame's declared length (type byte +
 // payload). The largest legitimate frame is the instance transfer — a

@@ -386,6 +386,10 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(append(append([]byte{}, hello...), frame(FrameHandshake, hs)...))
 	f.Add(frame(FrameError, EncodeErrorFrame("x")))
 	f.Add(frame(FrameMsgs, []byte{0, 0, 0, 1, 0, 0, 0, 2, 7, 7}))
+	// A result: 3 rounds, 9 messages, max active 1, a 1-byte bitmap and
+	// one move (edge 0 from 1 to 0 in round 1).
+	f.Add(frame(FrameResult, []byte{0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1,
+		0x01, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1}))
 	f.Add(hello[:3])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{0, 0, 0, 2, 0x42, 0})

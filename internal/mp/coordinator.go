@@ -428,10 +428,11 @@ func collectResults(fi *core.FlatInstance, workers []*worker, bounds []int, spp,
 		if err != nil {
 			return nil, wrapLost(p, round, err)
 		}
-		var rp resultPayload
-		if err := decodeStrict(body, &rp, "result payload"); err != nil {
+		rp, err := decodeResult(body, all)
+		if err != nil {
 			return nil, &WorkerLostError{Proc: p, Round: round, Err: err}
 		}
+		all = rp.Moves
 		if rp.Rounds != round {
 			return nil, fmt.Errorf("mp: worker %d solved %d rounds, coordinator routed %d", p, rp.Rounds, round)
 		}
@@ -441,7 +442,6 @@ func collectResults(fi *core.FlatInstance, workers []*worker, bounds []int, spp,
 			return nil, &WorkerLostError{Proc: p, Round: round, Err: err}
 		}
 		copy(final[vLo:vHi], own)
-		all = append(all, rp.Moves...)
 		messages += rp.Messages
 		if rp.MaxActive > maxActive {
 			maxActive = rp.MaxActive

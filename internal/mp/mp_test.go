@@ -228,12 +228,13 @@ func TestKillWorkerNoBudget(t *testing.T) {
 	}
 }
 
-// handshakeProbe drives WorkerMain in-process over pipes so the
-// handshake-rejection paths are testable without subprocesses: it plays
-// coordinator, sending a (possibly corrupted) handshake + instance, and
-// returns the worker's FrameError text.
-func handshakeProbe(t *testing.T, fi *core.FlatInstance, mutate func(*local.Handshake)) string {
-	t.Helper()
+// dialWorker drives WorkerMain in-process over pipes, so the worker's
+// side of the protocol is testable without subprocesses: it plays
+// coordinator up to the instance transfer, sending proc 0 of procs a
+// handshake altered by mutate and then the instance. finish closes the
+// worker's input and returns WorkerMain's error.
+func dialWorker(tb testing.TB, fi *core.FlatInstance, procs int, mutate func(*local.Handshake)) (conn *local.FrameConn, finish func() error) {
+	tb.Helper()
 	toWorkerR, toWorkerW := io.Pipe()
 	fromWorkerR, fromWorkerW := io.Pipe()
 	workerErr := make(chan error, 1)
@@ -241,9 +242,9 @@ func handshakeProbe(t *testing.T, fi *core.FlatInstance, mutate func(*local.Hand
 		workerErr <- WorkerMain(toWorkerR, fromWorkerW)
 		fromWorkerW.Close()
 	}()
-	conn := local.NewFrameConn(fromWorkerR, toWorkerW)
+	conn = local.NewFrameConn(fromWorkerR, toWorkerW)
 	if _, err := expectFrame(conn, local.FrameHello); err != nil {
-		t.Fatalf("hello: %v", err)
+		tb.Fatalf("hello: %v", err)
 	}
 	payload := EncodeInstance(fi)
 	h := &local.Handshake{
@@ -251,25 +252,36 @@ func handshakeProbe(t *testing.T, fi *core.FlatInstance, mutate func(*local.Hand
 		GraphHash:     InstanceHash(payload),
 		Solver:        "proposal",
 		Tie:           "first-port",
-		Procs:         2,
+		Procs:         procs,
 		Proc:          0,
 		ShardsPerProc: 1,
-		Bounds:        local.ShardBounds(fi.CSR(), 2),
+		Bounds:        local.ShardBounds(fi.CSR(), procs),
 	}
 	mutate(h)
 	hb, err := local.EncodeHandshake(h)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := conn.Write(local.FrameHandshake, hb); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := conn.Write(local.FrameInstance, payload); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := conn.Flush(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return conn, func() error {
+		toWorkerW.Close()
+		return <-workerErr
+	}
+}
+
+// handshakeProbe sends a (possibly corrupted) handshake to an
+// in-process worker and returns the worker's FrameError text.
+func handshakeProbe(t *testing.T, fi *core.FlatInstance, mutate func(*local.Handshake)) string {
+	t.Helper()
+	conn, finish := dialWorker(t, fi, 2, mutate)
 	ft, body, err := conn.Read()
 	if err != nil {
 		t.Fatalf("reading the worker's verdict: %v", err)
@@ -277,11 +289,11 @@ func handshakeProbe(t *testing.T, fi *core.FlatInstance, mutate func(*local.Hand
 	if ft != local.FrameError {
 		t.Fatalf("worker accepted a corrupted handshake (sent a %s frame)", ft)
 	}
-	toWorkerW.Close()
-	if err := <-workerErr; err == nil {
+	msg := local.DecodeErrorFrame(body)
+	if err := finish(); err == nil {
 		t.Fatal("WorkerMain returned nil after rejecting the handshake")
 	}
-	return local.DecodeErrorFrame(body)
+	return msg
 }
 
 // TestHandshakeRejections: every mismatch the handshake guards —
@@ -376,6 +388,67 @@ func sharedEdgeIDPayload() []byte {
 		}
 	}
 	return append(b, local.PackBools(nil, []bool{true, false, true, false})...)
+}
+
+// soloResult plays the coordinator of a one-worker fleet and returns the
+// worker's FrameResult payload. With one worker every deliv frame
+// echoes the msgs frame's header: the round, and the worker's own awake
+// count as the global one.
+func soloResult(tb testing.TB, fi *core.FlatInstance) []byte {
+	tb.Helper()
+	conn, finish := dialWorker(tb, fi, 1, func(*local.Handshake) {})
+	for awake := -1; awake != 0; {
+		body, err := expectFrame(conn, local.FrameMsgs)
+		if err != nil {
+			tb.Fatalf("msgs: %v", err)
+		}
+		_, awake, _ = roundHeader(body)
+		if err := conn.Write(local.FrameDeliv, body); err != nil {
+			tb.Fatal(err)
+		}
+		if err := conn.Flush(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	body, err := expectFrame(conn, local.FrameResult)
+	if err != nil {
+		tb.Fatalf("result: %v", err)
+	}
+	result := bytes.Clone(body)
+	if err := finish(); err != nil {
+		tb.Fatalf("worker: %v", err)
+	}
+	return result
+}
+
+// FuzzDecodeResult drives the coordinator's result decoder over
+// arbitrary bytes: every input must either fail with a *local.WireError
+// or decode to a payload that re-encodes to the same bytes.
+func FuzzDecodeResult(f *testing.F) {
+	good := soloResult(f, core.FlatLayeredGrid(3, 20, 1))
+	if rp, err := decodeResult(good, nil); err != nil || len(rp.Moves) == 0 {
+		f.Fatalf("worker result: %d moves, error %v", len(rp.Moves), err)
+	}
+	overrun := bytes.Clone(good)
+	binary.BigEndian.PutUint32(overrun[20:24], binary.BigEndian.Uint32(overrun[20:24])+1)
+	f.Add(good)
+	f.Add(good[:resultHeader-1])
+	f.Add(good[:len(good)-1])
+	f.Add(append(bytes.Clone(good), 0))
+	f.Add(overrun)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rp, err := decodeResult(data, nil)
+		if err != nil {
+			var we *local.WireError
+			if !errors.As(err, &we) {
+				t.Fatalf("decoder returned a non-WireError: %v", err)
+			}
+			return
+		}
+		if !bytes.Equal(encodeResult(&rp), data) {
+			t.Fatal("an accepted result does not re-encode to its input")
+		}
+	})
 }
 
 // FuzzDecodeInstance drives the worker's instance decoder over arbitrary

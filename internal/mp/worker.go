@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/encode"
@@ -22,7 +23,7 @@ import (
 //	  worker → msgs(r)        (own awake count + boundary words)
 //	  coord  → deliv(r)       (global awake count + routed words)
 //	  worker → snap(r)        (if r is on the snapshot cadence)
-//	worker → result           (own range of the solution)
+//	worker → result           (own range of the solution, binary)
 //
 // and refuses to run anything it cannot verify: protocol version,
 // instance hash, solver and tie names, and the shard map are all
@@ -38,17 +39,77 @@ type snapPayload struct {
 	Occupied []byte `json:"occupied"`
 }
 
-// resultPayload is the JSON body of a FrameResult: the worker's share
-// of the finished solve. Moves carries only moves granted by the
-// worker's own shards, already in the engine's per-worker order
-// (round-major, vertices ascending), so the coordinator's stable merge
-// reproduces the global move order exactly.
+// resultPayload is the body of a FrameResult: the worker's share of the
+// finished solve. Moves carries only moves granted by the worker's own
+// shards, already in the engine's per-worker order (round-major,
+// vertices ascending), so the coordinator's stable merge reproduces the
+// global move order exactly.
+//
+// Unlike the other control payloads it is binary, because it carries
+// every move of the solve. Layout (big-endian): u32 rounds, u64
+// messages, u32 max active, u32 bitmap length, u32 move count, the
+// bitmap, then i32 edge, from, to and round per move.
 type resultPayload struct {
-	Rounds    int         `json:"rounds"`
-	Final     []byte      `json:"final"` // own-range placement bitmap
-	Moves     []core.Move `json:"moves"`
-	Messages  int64       `json:"messages"`
-	MaxActive int         `json:"max_active"`
+	Rounds    int
+	Messages  int64
+	MaxActive int
+	Final     []byte // own-range placement bitmap (PackBools)
+	Moves     []core.Move
+}
+
+// resultHeader is the byte length of a result payload's fixed fields.
+const resultHeader = 24
+
+// encodeResult serializes rp for the FrameResult transfer.
+func encodeResult(rp *resultPayload) []byte {
+	be := binary.BigEndian
+	b := make([]byte, 0, resultHeader+len(rp.Final)+16*len(rp.Moves))
+	b = be.AppendUint32(b, uint32(rp.Rounds))
+	b = be.AppendUint64(b, uint64(rp.Messages))
+	b = be.AppendUint32(b, uint32(rp.MaxActive))
+	b = be.AppendUint32(b, uint32(len(rp.Final)))
+	b = be.AppendUint32(b, uint32(len(rp.Moves)))
+	b = append(b, rp.Final...)
+	for _, m := range rp.Moves {
+		b = be.AppendUint32(b, uint32(m.Edge))
+		b = be.AppendUint32(b, uint32(m.From))
+		b = be.AppendUint32(b, uint32(m.To))
+		b = be.AppendUint32(b, uint32(m.Round))
+	}
+	return b
+}
+
+// decodeResult parses an encodeResult payload, demanding exactly the
+// length its header declares. The decoded moves are appended to moves,
+// and the extended slice is the payload's Moves, so the coordinator
+// collects every worker's moves into one slice; Final aliases b.
+func decodeResult(b []byte, moves []core.Move) (resultPayload, error) {
+	if len(b) < resultHeader {
+		return resultPayload{}, &local.WireError{Op: "result payload",
+			Detail: fmt.Sprintf("%d bytes, want at least the %d-byte header", len(b), resultHeader)}
+	}
+	be := binary.BigEndian
+	bitmap, count := be.Uint32(b[16:20]), be.Uint32(b[20:24])
+	if want := resultHeader + uint64(bitmap) + 16*uint64(count); uint64(len(b)) != want {
+		return resultPayload{}, &local.WireError{Op: "result payload",
+			Detail: fmt.Sprintf("%d bytes for a %d-byte bitmap and %d moves, want %d", len(b), bitmap, count, want)}
+	}
+	rp := resultPayload{
+		Rounds:    int(be.Uint32(b[0:4])),
+		Messages:  int64(be.Uint64(b[4:12])),
+		MaxActive: int(be.Uint32(b[12:16])),
+		Final:     b[resultHeader : resultHeader+int(bitmap)],
+		Moves:     slices.Grow(moves, int(count)),
+	}
+	for off := resultHeader + int(bitmap); off < len(b); off += 16 {
+		rp.Moves = append(rp.Moves, core.Move{
+			Edge:  int(int32(be.Uint32(b[off:]))),
+			From:  int(int32(be.Uint32(b[off+4:]))),
+			To:    int(int32(be.Uint32(b[off+8:]))),
+			Round: int(int32(be.Uint32(b[off+12:]))),
+		})
+	}
+	return rp, nil
 }
 
 // WorkerMain runs one worker process's whole life over the given
@@ -200,17 +261,13 @@ func workerRun(conn *local.FrameConn) error {
 	if err != nil {
 		return err
 	}
-	rp := resultPayload{
+	p := encodeResult(&resultPayload{
 		Rounds:    res.Stats.Rounds,
-		Final:     local.PackBools(nil, res.Final[vLo:vHi]),
-		Moves:     res.Moves,
 		Messages:  res.Stats.Messages,
 		MaxActive: res.Stats.MaxActiveUnoccupied,
-	}
-	p, err := json.Marshal(&rp)
-	if err != nil {
-		return err
-	}
+		Final:     local.PackBools(nil, res.Final[vLo:vHi]),
+		Moves:     res.Moves,
+	})
 	if err := conn.Write(local.FrameResult, p); err != nil {
 		return err
 	}
