@@ -358,15 +358,22 @@ func RandomBipartite(nl, nr, c int, rng *rand.Rand) *Graph {
 	}
 	g := New(nl + nr)
 	perm := make([]int, nr)
+	for i := range perm {
+		perm[i] = i
+	}
+	swapped := make([]int, c)
 	for u := 0; u < nl; u++ {
-		for i := range perm {
-			perm[i] = i
-		}
 		// Partial Fisher–Yates: draw c distinct servers.
 		for i := 0; i < c; i++ {
 			j := i + rng.Intn(nr-i)
 			perm[i], perm[j] = perm[j], perm[i]
+			swapped[i] = j
 			g.AddEdge(u, nl+perm[i])
+		}
+		// Undo the swaps in reverse, so each customer starts from the
+		// identity in O(c) rather than O(nr).
+		for i := c - 1; i >= 0; i-- {
+			perm[i], perm[swapped[i]] = perm[swapped[i]], perm[i]
 		}
 	}
 	g.SortAdjacency()

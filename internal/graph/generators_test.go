@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -169,6 +170,46 @@ func TestRandomBipartite(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRandomBipartiteMatchesReset pins RandomBipartite's output to the
+// loop it replaced, which reset the whole server permutation before each
+// customer: same RNG draws, so the same edges, edge ids and port order.
+// The last shape is td-serve's default daemon instance.
+func TestRandomBipartiteMatchesReset(t *testing.T) {
+	reset := func(nl, nr, c int, rng *rand.Rand) *Graph {
+		g := New(nl + nr)
+		perm := make([]int, nr)
+		for u := 0; u < nl; u++ {
+			for i := range perm {
+				perm[i] = i
+			}
+			for i := 0; i < c; i++ {
+				j := i + rng.Intn(nr-i)
+				perm[i], perm[j] = perm[j], perm[i]
+				g.AddEdge(u, nl+perm[i])
+			}
+		}
+		g.SortAdjacency()
+		return g
+	}
+	for _, shape := range []struct{ nl, nr, c int }{
+		{50, 20, 1},
+		{50, 20, 20},
+		{50, 1, 1},
+		{100000, 25000, 3},
+	} {
+		got := RandomBipartite(shape.nl, shape.nr, shape.c, rand.New(rand.NewSource(5)))
+		want := reset(shape.nl, shape.nr, shape.c, rand.New(rand.NewSource(5)))
+		if !slices.Equal(got.Edges(), want.Edges()) {
+			t.Fatalf("%+v: edge lists differ", shape)
+		}
+		for v := 0; v < want.N(); v++ {
+			if !slices.Equal(got.Adj(v), want.Adj(v)) {
+				t.Fatalf("%+v: vertex %d ports %v, want %v", shape, v, got.Adj(v), want.Adj(v))
+			}
+		}
 	}
 }
 
