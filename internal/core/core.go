@@ -187,6 +187,9 @@ func (s *State) Moves() int { return s.moves }
 // CanMove reports whether a token can currently move from parent u to
 // child v along edge id, i.e. the move is legal in the current position.
 func (s *State) CanMove(id, u, v int) error {
+	if id < 0 || id >= s.inst.g.M() {
+		return fmt.Errorf("core: no edge %d", id)
+	}
 	e := s.inst.g.Edge(id)
 	if (e.U != u || e.V != v) && (e.U != v || e.V != u) {
 		return fmt.Errorf("core: edge %d = %v does not join %d and %d", id, e, u, v)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -153,6 +155,14 @@ func TestVerifyCatchesBadSolutions(t *testing.T) {
 			t.Fatal("accepted an edge reuse")
 		}
 	})
+	for _, id := range []int{-1, inst.Graph().M(), 999} {
+		t.Run(fmt.Sprintf("edge id %d", id), func(t *testing.T) {
+			bad := &Solution{Inst: inst, Moves: []Move{{Edge: id, From: 0, To: 1}}}
+			if err := Verify(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("no edge %d", id)) {
+				t.Fatalf("Verify = %v, want a no-edge error", err)
+			}
+		})
+	}
 	t.Run("wrong final vector", func(t *testing.T) {
 		final := append([]bool(nil), good.Final...)
 		final[0] = !final[0]
