@@ -16,8 +16,10 @@ import (
 // seeds 1..2000 the outcome counts must fit their expected distribution
 // (chi-square over k = 8 candidates, bound 50 where a fair pick scores
 // about 7 and an always-first or always-last pick about 14000). It
-// covers the seed engines (per-solve math/rand), the sharded engines and
-// the Resolver (core.SplitMixIntn streams).
+// covers the seed and sharded phase loops, which draw every pick from
+// core's shared tie stream (TieSeed per owner, TieKeep per candidate),
+// and the Resolver, which derives its own per-customer seeds from
+// SplitMix64 and draws through the same TieKeep.
 func TestTieRandomPicksUniform(t *testing.T) {
 	const k, seeds, bound = 8, 2000, 50.0
 
