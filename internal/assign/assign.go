@@ -41,8 +41,9 @@ type Options struct {
 	// plays games of at most three levels on the three-level solver.
 	// K = 1 is rejected (the problem degenerates).
 	K int
-	// RandomTies randomizes proposal acceptance and the game's choices.
-	RandomTies bool
+	// Tie selects the tie-breaking rule of the proposals, the accepts,
+	// and the game's choices.
+	Tie core.TieBreak
 	// Seed drives all randomized tie-breaking.
 	Seed int64
 	// Workers for the LOCAL runtime (0 = GOMAXPROCS).
@@ -99,7 +100,7 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 	// 4·C·S + 8, a margin that only non-termination crosses.
 	cs := b.MaxCustomerDegree() * b.MaxServerDegree()
 	var streams []uint64 // TieRandom streams, by network vertex: customer c, server NumLeft + s
-	if opt.RandomTies {
+	if opt.Tie == core.TieRandom {
 		streams = make([]uint64, b.G.N())
 		for v := range streams {
 			streams[v] = core.TieSeed(opt.Seed, v)
@@ -146,7 +147,7 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 		}
 
 		// Step 2 — each server accepts exactly one proposal (under
-		// RandomTies a draw per proposer in ascending id); one round.
+		// TieRandom a draw per proposer in ascending id); one round.
 		accepted := make(map[int]int) // customer -> server
 		acceptedOrder := make([]int, 0, len(proposalsTo))
 		token := make([]bool, b.NumServers())
@@ -206,10 +207,10 @@ func Solve(b *graph.Bipartite, opt Options) (*Result, error) {
 			solveGame = hypergame.SolveThreeLevel
 		}
 		sol, stats, err := solveGame(inst, hypergame.SolveOptions{
-			RandomTies: opt.RandomTies,
-			Seed:       opt.Seed + int64(phase)*1_000_003,
-			Workers:    opt.Workers,
-			MaxRounds:  1 << 20,
+			Tie:       opt.Tie,
+			Seed:      opt.Seed + int64(phase)*1_000_003,
+			Workers:   opt.Workers,
+			MaxRounds: 1 << 20,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("assign: phase %d game failed: %w", phase, err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
 	"tokendrop/internal/matching"
 )
@@ -98,8 +99,8 @@ func TestSolveRandomNetworks(t *testing.T) {
 		nl, nr := 5+rng.Intn(20), 3+rng.Intn(10)
 		c := 1 + rng.Intn(min(nr, 5))
 		g := graph.RandomBipartite(nl, nr, c, rng)
-		for _, random := range []bool{false, true} {
-			solve(t, bip(t, g, nl), Options{RandomTies: random, Seed: int64(i)})
+		for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
+			solve(t, bip(t, g, nl), Options{Tie: tie, Seed: int64(i)})
 		}
 	}
 }
@@ -198,7 +199,11 @@ func TestSolveProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Solve(b, Options{Seed: seed, RandomTies: seed%2 == 0, CheckInvariants: true})
+		tie := core.TieFirstPort
+		if seed%2 == 0 {
+			tie = core.TieRandom
+		}
+		res, err := Solve(b, Options{Seed: seed, Tie: tie, CheckInvariants: true})
 		if err != nil || !res.Assignment.Stable() {
 			return false
 		}

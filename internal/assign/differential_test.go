@@ -99,7 +99,7 @@ func diffBipartite(i int) (*graph.Bipartite, string) {
 // sharded subgame is verified, and both results must be stable.
 func checkAssignEngines(t *testing.T, tag string, b *graph.Bipartite, k int, tie core.TieBreak, seed int64, shards int) *ShardedResult {
 	t.Helper()
-	seedRes, err := Solve(b, Options{K: k, RandomTies: tie == core.TieRandom, Seed: seed, CheckInvariants: true})
+	seedRes, err := Solve(b, Options{K: k, Tie: tie, Seed: seed, CheckInvariants: true})
 	if err != nil {
 		t.Fatalf("%s: seed engine: %v", tag, err)
 	}

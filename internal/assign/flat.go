@@ -48,8 +48,8 @@ type ShardedOptions struct {
 	// min(load, K), K = 1 is rejected.
 	K int
 	// Tie selects the tie-breaking rule. Runs are bit-identical to Solve
-	// with RandomTies equal to Tie == TieRandom: both draw the
-	// per-customer and per-server core.TieSeed streams.
+	// under the same rule: both draw the per-customer and per-server
+	// core.TieSeed streams.
 	Tie core.TieBreak
 	// Seed drives all randomized tie-breaking.
 	Seed int64
@@ -602,11 +602,11 @@ func (p phases) Step(phase int, rec *PhaseRecord) error {
 		solveGame = hypergame.SolveThreeLevelShardedInto
 	}
 	if err := solveGame(fi, hypergame.ShardedSolveOptions{
-		RandomTies: sc.tie == core.TieRandom,
-		Seed:       sc.seed + int64(phase)*1_000_003,
-		MaxRounds:  1 << 20,
-		Session:    sess,
-		Workspace:  gws,
+		Tie:       sc.tie,
+		Seed:      sc.seed + int64(phase)*1_000_003,
+		MaxRounds: 1 << 20,
+		Session:   sess,
+		Workspace: gws,
 	}, &sc.sol); err != nil {
 		return fmt.Errorf("phase %d game failed: %w", phase, err)
 	}

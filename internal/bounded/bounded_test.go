@@ -12,6 +12,7 @@ import (
 	"testing/quick"
 
 	"tokendrop/internal/assign"
+	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
 	"tokendrop/internal/matching"
 )
@@ -127,7 +128,11 @@ func TestTheorem74Reduction(t *testing.T) {
 		c := 1 + rng.Intn(min(nr, 4))
 		g := graph.RandomBipartite(nl, nr, c, rng)
 		b := bip(t, g, nl)
-		res := solve(t, b, assign.Options{Seed: int64(i), RandomTies: i%2 == 0})
+		tie := core.TieFirstPort
+		if i%2 == 0 {
+			tie = core.TieRandom
+		}
+		res := solve(t, b, assign.Options{Seed: int64(i), Tie: tie})
 		matchOf := assign.ReduceToMatching(res.Assignment)
 		if err := matching.VerifyMaximal(b, matchOf); err != nil {
 			t.Fatalf("instance %d: %v", i, err)

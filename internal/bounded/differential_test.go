@@ -53,7 +53,7 @@ func diffBoundedBipartite(i int) (*graph.Bipartite, string) {
 // verified, and both results must be k-stable.
 func checkBoundedEngines(t *testing.T, tag string, b *graph.Bipartite, k int, tie core.TieBreak, seed int64, shards int) *assign.ShardedResult {
 	t.Helper()
-	seedRes, err := assign.Solve(b, assign.Options{K: k, RandomTies: tie == core.TieRandom, Seed: seed, CheckInvariants: true})
+	seedRes, err := assign.Solve(b, assign.Options{K: k, Tie: tie, Seed: seed, CheckInvariants: true})
 	if err != nil {
 		t.Fatalf("%s: seed engine: %v", tag, err)
 	}

@@ -99,7 +99,7 @@ func TestTieRandomPicksUniform(t *testing.T) {
 			return -1, nil
 		}},
 		{"assign Solve proposal", uniform, func(seed int64) (int, error) {
-			res, err := assign.Solve(fanB, assign.Options{RandomTies: true, Seed: seed})
+			res, err := assign.Solve(fanB, assign.Options{Tie: core.TieRandom, Seed: seed})
 			if err != nil {
 				return 0, err
 			}
@@ -114,7 +114,7 @@ func TestTieRandomPicksUniform(t *testing.T) {
 			return int(res.ServerOf[0]), nil
 		}},
 		{"assign Solve accept", pairWant, func(seed int64) (int, error) {
-			res, err := assign.Solve(pairB, assign.Options{RandomTies: true, Seed: seed})
+			res, err := assign.Solve(pairB, assign.Options{Tie: core.TieRandom, Seed: seed})
 			if err != nil {
 				return 0, err
 			}

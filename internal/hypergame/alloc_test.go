@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tokendrop/internal/core"
 	"tokendrop/internal/local"
 )
 
@@ -91,7 +92,10 @@ func TestHyperSessionWorkspaceReuseMatchesFresh(t *testing.T) {
 				Levels: 2 + i%3, Width: 10 + 20*(i%4), Edges: 40 + 30*(i%3), Rank: 2 + i%2, TokenProb: 0.6,
 			}, rng))
 		}
-		opt := ShardedSolveOptions{RandomTies: i%3 == 2, Seed: int64(i)}
+		opt := ShardedSolveOptions{Seed: int64(i)}
+		if i%3 == 2 {
+			opt.Tie = core.TieRandom
+		}
 		reused := opt
 		reused.Session = sess
 		reused.Workspace = w

@@ -314,10 +314,10 @@ var (
 
 // SolveOptions configure the distributed solver.
 type SolveOptions struct {
-	RandomTies bool
-	Seed       int64
-	MaxRounds  int
-	Workers    int
+	Tie       core.TieBreak
+	Seed      int64
+	MaxRounds int
+	Workers   int
 	// MeasureBits tracks the largest message size delivered (the CONGEST
 	// compatibility check of experiment E21).
 	MeasureBits bool
@@ -357,9 +357,9 @@ func SolveProposal(inst *Instance, opt SolveOptions) (*Solution, DistStats, erro
 				vertex:   node,
 				role:     make([]portRole, len(adj)),
 				occupied: inst.Token(node),
+				tie:      opt.Tie,
 			}
-			if opt.RandomTies {
-				sm.tie = core.TieRandom
+			if opt.Tie == core.TieRandom {
 				sm.stream = core.TieSeed(opt.Seed, node)
 			}
 			for p, a := range adj {

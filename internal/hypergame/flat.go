@@ -306,13 +306,13 @@ func (fi *FlatInstance) Instance() *Instance {
 }
 
 // ShardedSolveOptions configure the sharded flat solvers. Runs are
-// bit-identical to the object solvers under either tie rule: RandomTies
+// bit-identical to the object solvers under either tie rule: TieRandom
 // draws the per-vertex core.TieSeed streams the object machines draw.
 type ShardedSolveOptions struct {
-	RandomTies bool
-	Seed       int64
-	MaxRounds  int
-	Shards     int // worker count of the solve's own session; 0 = runtime.GOMAXPROCS(0)
+	Tie       core.TieBreak
+	Seed      int64
+	MaxRounds int
+	Shards    int // worker count of the solve's own session; 0 = runtime.GOMAXPROCS(0)
 	// Session, if non-nil, plays the game on this persistent engine
 	// session; its worker count overrides Shards. Without one the solve
 	// starts its own session and closes it on return. The assignment
@@ -354,7 +354,7 @@ func (r *FlatResult) Solution(inst *Instance) *Solution {
 // incidence CSR.
 type flatHyperState struct {
 	fi   *FlatInstance
-	tie  int // 0 = first port, 1 = seeded random
+	tie  core.TieBreak
 	rngs []uint64
 
 	occ      []bool   // servers: occupied; relays: last announced head occupancy
@@ -394,14 +394,13 @@ func (st *flatHyperState) reset(fi *FlatInstance, opt ShardedSolveOptions) {
 	st.active = reuse.Grown(st.active, n)
 	st.aflags = reuse.Grown(st.aflags, inc.NumArcs())
 	st.unch = reuse.Grown(st.unch, n+m)
-	if opt.RandomTies {
-		st.tie = 1
+	st.tie = opt.Tie
+	if opt.Tie == core.TieRandom {
 		st.rngs = reuse.Grown(st.rngs, n+m)
 		for v := range st.rngs {
 			st.rngs[v] = core.TieSeed(opt.Seed, v)
 		}
 	} else {
-		st.tie = 0
 		st.rngs = nil
 	}
 	clear(st.active)
@@ -658,7 +657,7 @@ func (pr *flatHyperProposal) stepServer(round, v int, recv, send []local.Word, h
 	// Grant: only a token held since the previous round can be granted.
 	grantArc := -1
 	if wasOcc && reqSeen > 0 {
-		if pr.tie == 0 || reqSeen == 1 {
+		if pr.tie == core.TieFirstPort || reqSeen == 1 {
 			grantArc = reqFirst
 		} else {
 			cn := 0
@@ -686,7 +685,7 @@ func (pr *flatHyperProposal) stepServer(round, v int, recv, send []local.Word, h
 	if !occ && req < 0 && cnt>>(2*hcntBits) > 0 {
 		const mask = hRoleMask | hDead | hChanOcc
 		const want = hRoleChild | hChanOcc
-		if pr.tie == 0 {
+		if pr.tie == core.TieFirstPort {
 			requestArc = pr.pickFirst(a0, a1, mask, want)
 		} else {
 			requestArc = pr.pickRandom(v, a0, a1, mask, want)

@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"tokendrop/internal/core"
 )
 
 // The flat-solver differential tests pin the sharded hypergame ports to
 // the object machines: both build the incidence network with the same port
 // numbering and run the same protocol, so under either tie rule the
 // rounds, message counts, move logs, and final placements must agree
-// exactly (RandomTies runs draw the same per-vertex core.TieSeed streams
+// exactly (TieRandom runs draw the same per-vertex core.TieSeed streams
 // on both engines), and every flat solution must pass the rules oracle.
 
 func assertFlatMatches(t *testing.T, tag string, inst *Instance, sol *Solution, stats DistStats, flat *FlatResult) {
@@ -82,8 +84,8 @@ func TestFlatThreeLevelMatchesObject(t *testing.T) {
 func TestFlatSolversRandomTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for i := 0; i < 60; i++ {
-		opt := SolveOptions{RandomTies: true, Seed: int64(i), MaxRounds: 200000}
-		flatOpt := ShardedSolveOptions{RandomTies: true, Seed: int64(i), Shards: 1 + i%4}
+		opt := SolveOptions{Tie: core.TieRandom, Seed: int64(i), MaxRounds: 200000}
+		flatOpt := ShardedSolveOptions{Tie: core.TieRandom, Seed: int64(i), Shards: 1 + i%4}
 
 		inst := randomHyperInstance(2+rng.Intn(3), 3+rng.Intn(4), 2+rng.Intn(10), 2+rng.Intn(3), rng.Float64(), rng)
 		sol, stats, err := SolveProposal(inst, opt)

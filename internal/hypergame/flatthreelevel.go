@@ -122,7 +122,7 @@ func (pr *flatHyper3) stepTop(v int, recv, send []local.Word, halted []bool) int
 	}
 	grantArc := -1
 	if occ && reqSeen > 0 {
-		if pr.tie == 0 || reqSeen == 1 {
+		if pr.tie == core.TieFirstPort || reqSeen == 1 {
 			grantArc = reqFirst
 		} else {
 			grantArc = pr.rescanPick(v, reqFirst, a1, reqSeen, hwRequest, recv)
@@ -205,7 +205,7 @@ func (pr *flatHyper3) stepBottom(v int, recv, send []local.Word, halted []bool) 
 	}
 	acceptArc := -1
 	if !occ && offSeen > 0 {
-		if pr.tie == 0 || offSeen == 1 {
+		if pr.tie == core.TieFirstPort || offSeen == 1 {
 			acceptArc = offFirst
 		} else {
 			acceptArc = pr.rescanPick(v, offFirst, a1, offSeen, hwOffer, recv)
@@ -321,7 +321,7 @@ func (pr *flatHyper3) stepMiddle(v int, recv, send []local.Word, halted []bool) 
 	if !occ && req < 0 && cnt>>(2*hcntBits) > 0 {
 		const mask = hRoleMask | hDead | hChanOcc
 		const want = hRoleChild | hChanOcc
-		if pr.tie == 0 {
+		if pr.tie == core.TieFirstPort {
 			requestArc = pr.pickFirst(a0, a1, mask, want)
 		} else {
 			requestArc = pr.pickRandom(v, a0, a1, mask, want)
@@ -332,7 +332,7 @@ func (pr *flatHyper3) stepMiddle(v int, recv, send []local.Word, halted []bool) 
 	if occ && off < 0 && cnt&hcntMask > 0 {
 		const mask = hRoleMask | hDead
 		const want = hRoleHead
-		if pr.tie == 0 {
+		if pr.tie == core.TieFirstPort {
 			offerArc = pr.pickFirst(a0, a1, mask, want)
 		} else {
 			offerArc = pr.pickRandom(v, a0, a1, mask, want)

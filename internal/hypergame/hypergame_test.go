@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"tokendrop/internal/core"
 )
 
 // triInstance builds a small 3-level hypergraph game used across tests:
@@ -215,13 +217,13 @@ func TestDistributedRandomInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20; i++ {
 		inst := randomHyperInstance(1+rng.Intn(3), 3+rng.Intn(5), 4+rng.Intn(16), 2+rng.Intn(3), rng.Float64(), rng)
-		for _, random := range []bool{false, true} {
-			sol, _, err := SolveProposal(inst, SolveOptions{RandomTies: random, Seed: int64(i), MaxRounds: 200000})
+		for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
+			sol, _, err := SolveProposal(inst, SolveOptions{Tie: tie, Seed: int64(i), MaxRounds: 200000})
 			if err != nil {
 				t.Fatalf("instance %d: %v", i, err)
 			}
 			if err := Verify(sol); err != nil {
-				t.Fatalf("instance %d (random=%v): %v", i, random, err)
+				t.Fatalf("instance %d (tie=%v): %v", i, tie, err)
 			}
 		}
 	}
@@ -292,7 +294,11 @@ func TestDistributedProperty(t *testing.T) {
 		edges := int(eRaw%20) + 2
 		rank := int(rRaw%3) + 2
 		inst := randomHyperInstance(levels, width, edges, rank, rng.Float64(), rng)
-		sol, _, err := SolveProposal(inst, SolveOptions{RandomTies: seed%2 == 0, Seed: seed, MaxRounds: 1 << 20})
+		tie := core.TieFirstPort
+		if seed%2 == 0 {
+			tie = core.TieRandom
+		}
+		sol, _, err := SolveProposal(inst, SolveOptions{Tie: tie, Seed: seed, MaxRounds: 1 << 20})
 		if err != nil {
 			return false
 		}

@@ -458,9 +458,9 @@ func SolveThreeLevel(inst *Instance, opt SolveOptions) (*Solution, DistStats, er
 				level:    inst.level[node],
 				role:     make([]portRole, len(adj)),
 				occupied: inst.Token(node),
+				tie:      opt.Tie,
 			}
-			if opt.RandomTies {
-				sm.tie = core.TieRandom
+			if opt.Tie == core.TieRandom {
 				sm.stream = core.TieSeed(opt.Seed, node)
 			}
 			for p, a := range adj {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"tokendrop/internal/core"
 )
 
 func TestThreeLevelRejectsTallGames(t *testing.T) {
@@ -88,13 +90,13 @@ func TestThreeLevelRandomInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 20; i++ {
 		inst := random3Level(3+rng.Intn(6), 2+rng.Intn(10), 2+rng.Intn(10), 2+rng.Intn(3), rng.Float64(), rng)
-		for _, random := range []bool{false, true} {
-			sol, _, err := SolveThreeLevel(inst, SolveOptions{RandomTies: random, Seed: int64(i), MaxRounds: 200000})
+		for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
+			sol, _, err := SolveThreeLevel(inst, SolveOptions{Tie: tie, Seed: int64(i), MaxRounds: 200000})
 			if err != nil {
 				t.Fatalf("instance %d: %v", i, err)
 			}
 			if err := Verify(sol); err != nil {
-				t.Fatalf("instance %d (random=%v): %v", i, random, err)
+				t.Fatalf("instance %d (tie=%v): %v", i, tie, err)
 			}
 		}
 	}
@@ -165,7 +167,11 @@ func TestThreeLevelProperty(t *testing.T) {
 	check := func(seed int64, wRaw, puRaw, psRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		inst := random3Level(int(wRaw%6)+3, int(puRaw%10)+1, int(psRaw%10)+1, 2+int(seed&1), rng.Float64(), rng)
-		sol, _, err := SolveThreeLevel(inst, SolveOptions{RandomTies: seed%2 == 0, Seed: seed, MaxRounds: 1 << 20})
+		tie := core.TieFirstPort
+		if seed%2 == 0 {
+			tie = core.TieRandom
+		}
+		sol, _, err := SolveThreeLevel(inst, SolveOptions{Tie: tie, Seed: seed, MaxRounds: 1 << 20})
 		if err != nil {
 			return false
 		}

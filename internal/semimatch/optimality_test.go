@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"tokendrop/internal/assign"
+	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
 )
 
@@ -101,7 +102,7 @@ func TestStableIsNotAlwaysOptimal(t *testing.T) {
 		c := 1 + rng.Intn(min(nr, 3))
 		g := graph.RandomBipartite(nl, nr, c, rng)
 		b := bip(t, g, nl)
-		res, err := assign.Solve(b, assign.Options{Seed: int64(i), RandomTies: true})
+		res, err := assign.Solve(b, assign.Options{Seed: int64(i), Tie: core.TieRandom})
 		if err != nil {
 			t.Fatal(err)
 		}
