@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"tokendrop/internal/fault"
@@ -462,13 +464,37 @@ func (r *FlatResult) Solution(inst *Instance) *Solution {
 	}
 }
 
+// MergeByRound calls emit on the runs of logs in the order a stable sort
+// by round of their concatenation puts them, without sorting: each log
+// is round-major, so every round takes its run from each log in turn,
+// found by binary search. Rounds must lie below math.MaxInt. Per-shard
+// move logs merge this way into the object engine's exact (round,
+// vertex) order, because a shard's moves are round-major with vertices
+// ascending and shards partition the vertices in order.
+func MergeByRound[T any](logs [][]T, round func(T) int, emit func([]T)) {
+	byRound := func(t T, r int) int { return cmp.Compare(round(t), r) }
+	for r := math.MinInt; r != math.MaxInt; {
+		next := math.MaxInt
+		for _, log := range logs {
+			lo, _ := slices.BinarySearchFunc(log, r, byRound)
+			hi, _ := slices.BinarySearchFunc(log, r+1, byRound)
+			if hi > lo {
+				emit(log[lo:hi])
+			}
+			if hi < len(log) {
+				next = min(next, round(log[hi]))
+			}
+		}
+		r = next
+	}
+}
+
+// moveRound is the round key of MergeByRound over move logs.
+func moveRound(m Move) int { return m.Round }
+
 // finishFlatResult completes out once a program has written the final
-// placement and appended its per-shard move logs in shard order. A
-// shard's moves are round-major with vertices ascending and shards
-// partition the vertices in order, so the stable sort by round gives
-// the object engine's exact (round, vertex) order.
+// placement and merged its per-shard move logs (MergeByRound).
 func finishFlatResult(out *FlatResult, stats local.ShardedStats, active []int32, shardMsgs []int64) {
-	slices.SortStableFunc(out.Moves, func(a, b Move) int { return a.Round - b.Round })
 	var messages int64
 	for _, m := range shardMsgs {
 		messages += m

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -117,5 +118,32 @@ func TestShardedStopEarly(t *testing.T) {
 	}
 	if res.Stats.Rounds != 3 {
 		t.Fatalf("rounds=%d, want 3", res.Stats.Rounds)
+	}
+}
+
+// TestMergeByRoundIsStableSort checks the log merge of the sharded
+// results against the stable sort by round it replaces, on random
+// round-major logs: empty logs, shared and disjoint rounds, gaps, and
+// long runs of one round.
+func TestMergeByRoundIsStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		logs := make([][]Move, rng.Intn(6))
+		var all []Move
+		for i := range logs {
+			round := rng.Intn(3)
+			for j := rng.Intn(40); j > 0; j-- {
+				round += rng.Intn(3) // 0: the same round again
+				logs[i] = append(logs[i], Move{Edge: len(all), From: i, Round: round})
+				all = append(all, logs[i][len(logs[i])-1])
+			}
+		}
+		want := slices.Clone(all)
+		slices.SortStableFunc(want, func(a, b Move) int { return a.Round - b.Round })
+		var got []Move
+		MergeByRound(logs, moveRound, func(ms []Move) { got = append(got, ms...) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: merged %v, want %v", trial, got, want)
+		}
 	}
 }

@@ -81,8 +81,8 @@ type flatProposal struct {
 	childEnd []int32
 
 	// Per-shard grant logs, packed as arc<<32|round. Resolving a grant
-	// to a Move needs two cold array reads (EID, Col) plus a 32-byte
-	// store; deferring that to result() keeps the round loop lean.
+	// to a Move needs cold array reads (EID, Col, Rev) plus a 32-byte
+	// store; deferring that to resultInto keeps the round loop lean.
 	shardGrants [][]int64
 	shardMsgs   []int64
 }
@@ -433,19 +433,22 @@ func (pr *flatProposal) resultInto(stats local.ShardedStats, out *FlatResult) {
 	}
 	csr := pr.fi.csr
 	out.Moves = reuse.Grown(out.Moves, total)[:0]
-	for _, g := range pr.shardGrants {
+	MergeByRound(pr.shardGrants, grantRound, func(g []int64) {
 		for _, packed := range g {
 			arc := int(packed >> 32)
 			out.Moves = append(out.Moves, Move{
 				Edge:  int(csr.EID[arc]),
-				From:  csr.Tail(arc),
+				From:  int(csr.Col[csr.Rev[arc]]), // the reverse arc's head is the granting vertex
 				To:    int(csr.Col[arc]),
-				Round: int(int32(packed)),
+				Round: grantRound(packed),
 			})
 		}
-	}
+	})
 	finishFlatResult(out, stats, pr.active, pr.shardMsgs)
 }
+
+// grantRound is the round of a packed grant.
+func grantRound(packed int64) int { return int(int32(packed)) }
 
 var _ flatGame = (*flatProposal)(nil)
 

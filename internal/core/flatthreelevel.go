@@ -414,9 +414,9 @@ func (pr *flatThreeLevel) resultInto(stats local.ShardedStats, out *FlatResult) 
 		total += len(ms)
 	}
 	out.Moves = reuse.Grown(out.Moves, total)[:0]
-	for _, ms := range pr.shardMoves {
+	MergeByRound(pr.shardMoves, moveRound, func(ms []Move) {
 		out.Moves = append(out.Moves, ms...)
-	}
+	})
 	finishFlatResult(out, stats, pr.active, pr.shardMsgs)
 }
 

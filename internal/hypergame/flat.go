@@ -2,7 +2,6 @@ package hypergame
 
 import (
 	"fmt"
-	"slices"
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
@@ -530,14 +529,13 @@ func (st *flatHyperState) resultInto(stats local.ShardedStats, out *FlatResult) 
 	for _, ms := range st.shardMoves {
 		total += len(ms)
 	}
-	out.Moves = reuse.Grown(out.Moves, total)[:0]
-	for _, ms := range st.shardMoves {
-		out.Moves = append(out.Moves, ms...)
-	}
 	// Within a shard, moves are appended round-major with relay vertices
-	// ascending; shards partition the vertex range in order, so the stable
-	// sort reproduces the object engine's (round, hyperedge id) order.
-	slices.SortStableFunc(out.Moves, func(a, b Move) int { return a.Round - b.Round })
+	// ascending; shards partition the vertex range in order, so the merge
+	// by round reproduces the object engine's (round, hyperedge id) order.
+	out.Moves = reuse.Grown(out.Moves, total)[:0]
+	core.MergeByRound(st.shardMoves, moveRound, func(ms []Move) {
+		out.Moves = append(out.Moves, ms...)
+	})
 	var messages int64
 	for _, ms := range st.shardMsgs {
 		messages += ms
@@ -552,6 +550,9 @@ func (st *flatHyperState) resultInto(stats local.ShardedStats, out *FlatResult) 
 	copy(out.Final, st.occ[:n])
 	out.Stats = DistStats{Rounds: stats.Rounds, Messages: messages, MaxActiveRounds: maxActive}
 }
+
+// moveRound is the round key of core.MergeByRound over move logs.
+func moveRound(m Move) int { return m.Round }
 
 // flatHyperProposal is the generic proposal solver of Theorem 7.1
 // (distributed.go) in struct-of-arrays form. stepServer and stepRelay

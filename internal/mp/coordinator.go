@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"sort"
 	"time"
 
 	"tokendrop/internal/core"
@@ -415,12 +414,14 @@ func expectMsgsFrame(conn *local.FrameConn, p, round int) ([]byte, error) {
 
 // collectResults reads every worker's result frame and assembles the
 // global FlatResult: placements are disjoint slices, and the per-worker
-// move logs — each already round-major — merge with a stable sort into
-// the exact global order of the in-memory engine.
+// move logs — each already round-major — merge by round
+// (core.MergeByRound) into the exact global order of the in-memory
+// engine.
 func collectResults(fi *core.FlatInstance, workers []*worker, bounds []int, spp, round int) (*core.FlatResult, error) {
 	n := fi.N()
 	final := make([]bool, n)
-	all := make([]core.Move, 0, fi.NumTokens())
+	logs := make([][]core.Move, len(workers))
+	total := 0
 	var messages int64
 	maxActive := 0
 	for p, w := range workers {
@@ -428,11 +429,12 @@ func collectResults(fi *core.FlatInstance, workers []*worker, bounds []int, spp,
 		if err != nil {
 			return nil, wrapLost(p, round, err)
 		}
-		rp, err := decodeResult(body, all)
+		rp, err := decodeResult(body)
 		if err != nil {
 			return nil, &WorkerLostError{Proc: p, Round: round, Err: err}
 		}
-		all = rp.Moves
+		logs[p] = rp.Moves
+		total += len(rp.Moves)
 		if rp.Rounds != round {
 			return nil, fmt.Errorf("mp: worker %d solved %d rounds, coordinator routed %d", p, rp.Rounds, round)
 		}
@@ -447,7 +449,10 @@ func collectResults(fi *core.FlatInstance, workers []*worker, bounds []int, spp,
 			maxActive = rp.MaxActive
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Round < all[j].Round })
+	all := make([]core.Move, 0, total)
+	core.MergeByRound(logs, func(m core.Move) int { return m.Round }, func(ms []core.Move) {
+		all = append(all, ms...)
+	})
 	return &core.FlatResult{
 		Final: final,
 		Moves: all,

@@ -426,7 +426,7 @@ func soloResult(tb testing.TB, fi *core.FlatInstance) []byte {
 // or decode to a payload that re-encodes to the same bytes.
 func FuzzDecodeResult(f *testing.F) {
 	good := soloResult(f, core.FlatLayeredGrid(3, 20, 1))
-	if rp, err := decodeResult(good, nil); err != nil || len(rp.Moves) == 0 {
+	if rp, err := decodeResult(good); err != nil || len(rp.Moves) == 0 {
 		f.Fatalf("worker result: %d moves, error %v", len(rp.Moves), err)
 	}
 	overrun := bytes.Clone(good)
@@ -437,7 +437,7 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add(append(bytes.Clone(good), 0))
 	f.Add(overrun)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rp, err := decodeResult(data, nil)
+		rp, err := decodeResult(data)
 		if err != nil {
 			var we *local.WireError
 			if !errors.As(err, &we) {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/encode"
@@ -80,10 +79,8 @@ func encodeResult(rp *resultPayload) []byte {
 }
 
 // decodeResult parses an encodeResult payload, demanding exactly the
-// length its header declares. The decoded moves are appended to moves,
-// and the extended slice is the payload's Moves, so the coordinator
-// collects every worker's moves into one slice; Final aliases b.
-func decodeResult(b []byte, moves []core.Move) (resultPayload, error) {
+// length its header declares; Final aliases b.
+func decodeResult(b []byte) (resultPayload, error) {
 	if len(b) < resultHeader {
 		return resultPayload{}, &local.WireError{Op: "result payload",
 			Detail: fmt.Sprintf("%d bytes, want at least the %d-byte header", len(b), resultHeader)}
@@ -99,7 +96,7 @@ func decodeResult(b []byte, moves []core.Move) (resultPayload, error) {
 		Messages:  int64(be.Uint64(b[4:12])),
 		MaxActive: int(be.Uint32(b[12:16])),
 		Final:     b[resultHeader : resultHeader+int(bitmap)],
-		Moves:     slices.Grow(moves, int(count)),
+		Moves:     make([]core.Move, 0, count),
 	}
 	for off := resultHeader + int(bitmap); off < len(b); off += 16 {
 		rp.Moves = append(rp.Moves, core.Move{
