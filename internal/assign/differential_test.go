@@ -206,12 +206,13 @@ func TestAssignShardCountInvariance(t *testing.T) {
 }
 
 // TestAssignCentralStepInvariance pins the parallel central passes: the
-// proposal/accept kernels, game-assembly marks, result scatter, and the
-// unassigned-list compaction run on Session.ParallelFor, so the whole
-// run must be bit-identical at shard counts 1, 2, and 8 under both tie
-// rules, for the general problem and for both k-bounded subgame paths.
-// TieRandom is the sharper check: the per-customer and per-server draw
-// streams of the owner-computes kernels must not depend on the split.
+// proposal kernel and the badness pass, which also writes the
+// game-assembly marks, run on Session.ParallelFor, so the whole run must
+// be bit-identical at shard counts 1, 2, and 8 under both tie rules, for
+// the general problem and for both k-bounded subgame paths. TieRandom is
+// the sharper check: the per-customer draw streams of the proposal
+// kernel and the per-server ones of the accept pass must not depend on
+// the split.
 func TestAssignCentralStepInvariance(t *testing.T) {
 	const general, bounded = 12, 10
 	for i := 0; i < general+bounded; i++ {

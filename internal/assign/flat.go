@@ -21,13 +21,16 @@ import (
 // serverOf[c] (the assigned server index of customer c, -1 while
 // unassigned) and load[s]. Per phase, the proposals and accepts are
 // evaluated centrally from the shared loads (Solve's simulation
-// shortcut, charged as 2 communication rounds) by owner-computes kernels
-// on the engine session (local.Session.ParallelFor); the badness-1
-// token hypergraph is assembled as a flat hypergame.FlatInstance with
-// hyperedges in customer-id order and endpoints in adjacency order —
-// exactly the insertion order Solve hands hypergame.SolveProposal — and
-// played with the Theorem 7.1 relay protocol; then traversed hyperedges
-// reassign their customers and accepted customers are assigned.
+// shortcut, charged as 2 communication rounds) over the unassigned list
+// alone — the proposals on the engine session's kernels
+// (local.Session.ParallelFor), the accepts in one sequential pass — so
+// they cost per proposal rather than per arc; the badness-1 token
+// hypergraph is assembled from the marks the loop's badness pass left
+// as a flat hypergame.FlatInstance with hyperedges in customer-id order
+// and endpoints in adjacency order — exactly the insertion order Solve
+// hands hypergame.SolveProposal — and played with the Theorem 7.1 relay
+// protocol; then traversed hyperedges reassign their customers and
+// accepted customers are assigned.
 //
 // With identical port numbering, levels, and tokens, the sharded subgame
 // run is bit-identical to the object-engine run under first-port
@@ -119,7 +122,7 @@ func (r *ShardedResult) Bipartite() *graph.CSRBipartite { return r.fb }
 // MaxBadness returns the maximum badness over assigned customers, on
 // true loads whatever the threshold.
 func (r *ShardedResult) MaxBadness() int {
-	return int(flatMaxBadness(r.fb, r.ServerOf, r.Load, math.MaxInt32, 0, r.fb.NumLeft))
+	return int(flatMaxBadness(r.fb, r.ServerOf, r.Load, math.MaxInt32, 0, r.fb.NumLeft, nil))
 }
 
 // Stable reports the stable assignment condition of Section 7: every
@@ -139,7 +142,7 @@ func (r *ShardedResult) KStable() bool {
 // stableAt reports a complete assignment with badness at most 1 on loads
 // truncated at k.
 func (r *ShardedResult) stableAt(k int32) bool {
-	return !slices.Contains(r.ServerOf, -1) && flatMaxBadness(r.fb, r.ServerOf, r.Load, k, 0, r.fb.NumLeft) <= 1
+	return !slices.Contains(r.ServerOf, -1) && flatMaxBadness(r.fb, r.ServerOf, r.Load, k, 0, r.fb.NumLeft, nil) <= 1
 }
 
 // SemimatchingCost returns Σ_s f(load(s)) with f(x) = x(x+1)/2, the
@@ -192,24 +195,28 @@ func ReduceToMatchingSharded(r *ShardedResult) (matchOf []int) {
 // flatMaxBadness returns the maximum badness over the assigned customers
 // among [lo, hi) on loads truncated at k (effective load of the assigned
 // server minus the minimum adjacent effective load); k = math.MaxInt32
-// gives true badness.
-func flatMaxBadness(fb *graph.CSRBipartite, serverOf, load []int32, k int32, lo, hi int) int32 {
+// gives true badness. A non-nil mark gets, per customer, whether its
+// badness is exactly 1.
+func flatMaxBadness(fb *graph.CSRBipartite, serverOf, load []int32, k int32, lo, hi int, mark []bool) int32 {
 	csr := fb.C
 	nl := fb.NumLeft
 	worst := int32(0)
 	for c := lo; c < hi; c++ {
-		so := serverOf[c]
-		if so < 0 {
-			continue
-		}
-		alo, ahi := csr.ArcRange(c)
-		least := int32(-1)
-		for i := alo; i < ahi; i++ {
-			if l := min(load[int(csr.Col[i])-nl], k); least < 0 || l < least {
-				least = l
+		b := int32(0)
+		if so := serverOf[c]; so >= 0 {
+			alo, ahi := csr.ArcRange(c)
+			least := int32(-1)
+			for i := alo; i < ahi; i++ {
+				if l := min(load[int(csr.Col[i])-nl], k); least < 0 || l < least {
+					least = l
+				}
 			}
+			b = min(load[so], k) - least
 		}
-		worst = max(worst, min(load[so], k)-least)
+		worst = max(worst, b)
+		if mark != nil {
+			mark[c] = b == 1
+		}
 	}
 	return worst
 }
@@ -242,12 +249,12 @@ func leastLoaded(adj []int32, offset int32, load []int32, k int32, rng *uint64) 
 
 // SolveScratch owns the per-solve storage of SolveSharded: the engine
 // session and hypergame workspace every phase runs on, the assignment
-// arrays, the proposal/accept index, the per-phase subgame scratch, the
-// subgame result, the core.PhaseLoop with its log and snapshot buffer,
-// and the ShardedResult handed back. All of it is reused grow-only
-// across solves, and the central-pass kernels and the loop are built
-// once per scratch (capturing only the scratch pointer), so a warmed
-// solve performs no heap allocations at all. The
+// arrays, the proposal/accept scratch, the per-phase subgame scratch,
+// the subgame result, the core.PhaseLoop with its log and snapshot
+// buffer, and the ShardedResult handed back. All of it is reused
+// grow-only across solves, and the proposal kernel and the loop are
+// built once per scratch (capturing only the scratch pointer), so a
+// warmed solve performs no heap allocations at all. The
 // zero value is ready to use: the first solve starts the session with
 // its opt.Shards workers and creates the workspace. Close releases the
 // session. Not safe for concurrent use.
@@ -269,26 +276,26 @@ type SolveScratch struct {
 	unassigned []int32
 	custRng    []uint64 // TieRandom streams; nil under TieFirstPort
 	servRng    []uint64
-	servCust   []int32 // per server, its customers ascending (server-side arc order)
 	propServer []int32
 
-	// Reused per-phase scratch.
+	// Reused per-phase scratch. acceptCust and token are -1 and false
+	// between phases: the accept pass sets the acceptors' entries and
+	// step 6 resets them.
 	acceptCust   []int32
+	bids         []int32 // per-server proposal counts of the accept pass
 	token        []bool
 	gameLevel    []int32
 	eptr         []int32
 	ends         []int32
 	heads        []int32
 	gameCustomer []int32
-	include      []byte
+	include      []bool // per customer: in the next phase's game
 	loadsBefore  []int32
-	partAccepted []int32
-	partKept     []int32
 	sol          hypergame.FlatResult
 	res          ShardedResult
 	loop         core.PhaseLoop[Snapshot]
 
-	propose, accept, mark, scatter, compact func(sh, lo, hi int)
+	propose func(sh, lo, hi int)
 }
 
 // Close releases the scratch's engine session and drops its workspace, so
@@ -301,10 +308,10 @@ func (sc *SolveScratch) Close() {
 	sc.sess, sc.gws = nil, nil
 }
 
-// ensureKernels builds the central per-phase kernels and the phase loop
-// on first use. The kernels run on the engine session's parked workers
-// (Session.ParallelFor) and read all state through the scratch pointer,
-// so one set of closures serves every solve the scratch sees.
+// ensureKernels builds the proposal kernel and the phase loop on first
+// use. The kernel runs on the engine session's parked workers
+// (Session.ParallelFor) and reads all state through the scratch pointer,
+// so one closure serves every solve the scratch sees.
 func (sc *SolveScratch) ensureKernels() {
 	if sc.propose != nil {
 		return
@@ -326,97 +333,6 @@ func (sc *SolveScratch) ensureKernels() {
 		}
 	}
 
-	// Step 2, owner-computes per server: accept one proposing customer —
-	// the smallest id under TieFirstPort (the ascending incident scan
-	// finds it first), a uniform draw in ascending customer order under
-	// TieRandom. Stale propServer entries from earlier phases are
-	// filtered by the serverOf test (an unassigned customer rewrote its
-	// entry this phase).
-	sc.accept = func(sh, lo, hi int) {
-		serverOf, propServer := sc.serverOf, sc.propServer
-		row, base := sc.fb.C.Row[sc.fb.NumLeft:], sc.fb.C.Row[sc.fb.NumLeft]
-		accepted := int32(0)
-		for s := lo; s < hi; s++ {
-			best, count := int32(-1), 0
-			for _, c := range sc.servCust[row[s]-base : row[s+1]-base] {
-				if serverOf[c] >= 0 || propServer[c] != int32(s) {
-					continue
-				}
-				if sc.tie != core.TieRandom {
-					best = c
-					break
-				}
-				if count++; core.TieKeep(&sc.servRng[s], count) {
-					best = c
-				}
-			}
-			sc.acceptCust[s] = best
-			sc.token[s] = best >= 0
-			if best >= 0 {
-				accepted++
-			}
-		}
-		sc.partAccepted[sh] = accepted
-	}
-
-	// Step 3's filter over customers: the min-level adjacency scan is the
-	// expensive part and runs on the kernels; the order-dependent
-	// hyperedge insertion that follows is a sequential scan of the marks
-	// (customer-id order is what matches the object network's ports).
-	sc.mark = func(sh, lo, hi int) {
-		csr, nl, level := sc.fb.C, sc.fb.NumLeft, sc.gameLevel
-		for c := lo; c < hi; c++ {
-			so := sc.serverOf[c]
-			if so < 0 {
-				sc.include[c] = 0
-				continue
-			}
-			alo, ahi := csr.ArcRange(c)
-			if ahi-alo < 2 {
-				sc.include[c] = 0
-				continue
-			}
-			least := int32(-1)
-			for i := alo; i < ahi; i++ {
-				if l := level[int(csr.Col[i])-nl]; least < 0 || l < least {
-					least = l
-				}
-			}
-			if level[so]-least == 1 {
-				sc.include[c] = 1
-			} else {
-				sc.include[c] = 0
-			}
-		}
-	}
-
-	// Step 6's scatter: each accepting server assigns its customer.
-	// Distinct servers accept distinct customers, so the writes never
-	// collide.
-	sc.scatter = func(sh, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			if c := sc.acceptCust[s]; c >= 0 {
-				sc.serverOf[c] = int32(s)
-				sc.load[s]++
-			}
-		}
-	}
-
-	// The unassigned list's compaction: each shard compacts the
-	// survivors of its own slice in place (the slices are disjoint and
-	// writes stay at or below the read cursor); the coordinator then
-	// concatenates the per-shard prefixes, preserving ascending order.
-	sc.compact = func(sh, lo, hi int) {
-		w := lo
-		for i := lo; i < hi; i++ {
-			if c := sc.unassigned[i]; sc.serverOf[c] < 0 {
-				sc.unassigned[w] = c
-				w++
-			}
-		}
-		sc.partKept[sh] = int32(w - lo)
-	}
-
 	sc.loop = core.PhaseLoop[Snapshot]{Layer: "assign", Lemma: "Lemma 7.2", Param: "C·S", Body: phases{sc}}
 }
 
@@ -426,8 +342,10 @@ type phases struct{ *SolveScratch }
 
 func (p phases) Done() bool { return len(p.unassigned) == 0 }
 
+// Badness returns the maximum badness over customers [lo, hi) and marks
+// the ones of badness exactly 1, the next phase's hyperedges.
 func (p phases) Badness(lo, hi int) int32 {
-	return flatMaxBadness(p.fb, p.serverOf, p.load, p.k, lo, hi)
+	return flatMaxBadness(p.fb, p.serverOf, p.load, p.k, lo, hi, p.include)
 }
 
 // SolveSharded runs the Theorem 7.3 algorithm (Theorem 7.5 when
@@ -486,32 +404,21 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 		sc.custRng, sc.servRng = nil, nil
 	}
 
-	// Per-server incident customers in ascending customer order: the
-	// server side of the input's arcs, each server's sorted (CSR-native
-	// inputs may order a server's ports arbitrarily). The central accept
-	// pass runs owner-computes on the kernel executor — each server
-	// derives its own accepted customer — and this index keeps that
-	// bit-identical to the unassigned-list loop it replaces: a server's
-	// accept decision (and, under TieRandom, its per-server draw stream)
-	// depends only on the subsequence of its proposing customers in
-	// ascending customer order, which is exactly the order the ascending
-	// unassigned list presented them in.
-	custArcs := int(csr.Row[nl]) // arcs of the customer side
-	sc.servCust = append(sc.servCust[:0], csr.Col[custArcs:]...)
-	for s := nl; s < nl+ns; s++ {
-		lo, hi := csr.ArcRange(s)
-		slices.Sort(sc.servCust[lo-custArcs : hi-custArcs])
-	}
 	sc.propServer = reuse.Grown(sc.propServer, nl) // customer -> proposed-to server, this phase
-	for c := range sc.propServer {
-		sc.propServer[c] = -1
-	}
 
-	// Reused per-phase scratch.
+	// Reused per-phase scratch; a solve that failed mid-phase may have
+	// left accept entries behind.
 	sc.acceptCust = reuse.Grown(sc.acceptCust, ns)
+	for s := range sc.acceptCust {
+		sc.acceptCust[s] = -1
+	}
+	if opt.Tie == core.TieRandom {
+		sc.bids = reuse.Grown(sc.bids, ns)
+	}
 	sc.token = reuse.Grown(sc.token, ns)
+	clear(sc.token)
 	sc.gameLevel = reuse.Grown(sc.gameLevel, ns)
-	sc.include = reuse.Grown(sc.include, nl) // game-assembly marks, indexed by customer
+	sc.include = reuse.Grown(sc.include, nl)
 	if opt.CheckInvariants {
 		sc.loadsBefore = reuse.Grown(sc.loadsBefore, ns)
 	}
@@ -527,13 +434,6 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 		sc.gws = hypergame.NewWorkspace()
 	}
 
-	// The central per-phase passes run as the kernels of ensureKernels on
-	// the session's parked workers (Session.ParallelFor); their
-	// per-shard reductions land here.
-	shards := sc.sess.Shards()
-	sc.partAccepted = reuse.Grown(sc.partAccepted, shards)
-	sc.partKept = reuse.Grown(sc.partKept, shards)
-
 	sc.loop.Bound, sc.loop.BadnessItems = cs, nl
 	if err := sc.loop.Run(sc.sess, opt.Tie, opt.Checkpoint); err != nil {
 		return nil, err
@@ -546,39 +446,44 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 func (p phases) Step(phase int, rec *PhaseRecord) error {
 	sc := p.SolveScratch
 	fb, res, sess, gws := sc.fb, &sc.res, sc.sess, sc.gws
-	csr, nl, ns := fb.C, fb.NumLeft, fb.NumServers()
+	csr, nl := fb.C, fb.NumLeft
 	serverOf, load := sc.serverOf, sc.load
 	rec.Proposals = len(sc.unassigned)
 
-	// Steps 1 and 2 — the proposal and accept passes (see
-	// ensureKernels). 2 communication rounds; in the distributed reading
-	// the broadcast costs one load announcement per customer-side arc,
-	// then one proposal and one acceptance notification per
-	// participating customer.
+	// Steps 1 and 2 — the proposals (sc.propose, on the kernels), then
+	// the accepts in one pass over the proposers in ascending customer
+	// order: each server accepts the smallest proposing id under
+	// TieFirstPort, a uniform draw from its stream under TieRandom (the
+	// order Solve draws in; see core.Bid). 2 communication rounds; in the
+	// distributed reading the broadcast costs one load announcement per
+	// customer-side arc, then one proposal and one acceptance notification
+	// per participating customer.
 	sess.ParallelFor(len(sc.unassigned), sc.propose)
-	sess.ParallelFor(ns, sc.accept)
-	for _, a := range sc.partAccepted {
-		rec.Accepted += int(a)
+	for _, c := range sc.unassigned {
+		if s := sc.propServer[c]; core.Bid(sc.acceptCust, sc.bids, sc.servRng, int(s), c) {
+			sc.token[s] = true
+			rec.Accepted++
+		}
 	}
 	res.Messages += int64(csr.Row[nl]) + int64(rec.Proposals) + int64(rec.Accepted)
 
 	// Step 3 — the virtual token hypergraph: server levels = effective
 	// loads, hyperedges = the assigned customers of badness exactly 1
-	// (heads = their servers), tokens at acceptors. The badness filter
-	// runs on the kernels (sc.mark); the insertion itself stays a
-	// sequential scan of the marks, because customer-id insertion order
-	// with adjacency-order endpoints is what reproduces the object
-	// network's port numbering (see the file comment).
+	// (heads = their servers), tokens at acceptors. The loop's badness
+	// pass marked those customers after the previous phase (Badness),
+	// from the loads and servers that steps 1 and 2 leave alone; the
+	// insertion is a sequential scan of the marks, because customer-id
+	// insertion order with adjacency-order endpoints is what reproduces
+	// the object network's port numbering (see the file comment).
 	for s, l := range load {
 		sc.gameLevel[s] = min(l, sc.k)
 	}
-	sess.ParallelFor(nl, sc.mark)
 	sc.eptr = append(sc.eptr[:0], 0)
 	sc.ends = sc.ends[:0]
 	sc.heads = sc.heads[:0]
 	sc.gameCustomer = sc.gameCustomer[:0]
-	for c := 0; c < nl; c++ {
-		if sc.include[c] == 0 {
+	for c, in := range sc.include {
+		if !in {
 			continue
 		}
 		lo, hi := csr.ArcRange(c)
@@ -634,21 +539,21 @@ func (p phases) Step(phase int, rec *PhaseRecord) error {
 		load[mv.To]++
 		rec.TokensMoved++
 	}
-	// Step 6 — assign the accepted customers (sc.scatter), then compact
-	// the unassigned list (sc.compact + ordered concat of the per-shard
-	// survivor prefixes, using ParallelFor's documented slice split).
-	sess.ParallelFor(ns, sc.scatter)
-	u := len(sc.unassigned)
-	sess.ParallelFor(u, sc.compact)
-	kept := 0
-	shards := len(sc.partKept)
-	for sh := 0; sh < shards; sh++ {
-		lo := u * sh / shards
-		n := int(sc.partKept[sh])
-		copy(sc.unassigned[kept:kept+n], sc.unassigned[lo:lo+n])
-		kept += n
+	// Step 6 — assign each accepted customer, which resets its server's
+	// accept entry and token, and keep the rest, ascending, as the next
+	// phase's proposers.
+	kept := sc.unassigned[:0]
+	for _, c := range sc.unassigned {
+		s := sc.propServer[c]
+		if sc.acceptCust[s] != c {
+			kept = append(kept, c)
+			continue
+		}
+		serverOf[c] = s
+		load[s]++
+		sc.acceptCust[s], sc.token[s] = -1, false
 	}
-	sc.unassigned = sc.unassigned[:kept]
+	sc.unassigned = kept
 
 	if sc.check {
 		if err := checkFlatPhaseInvariants(fb, serverOf, load, sc.loadsBefore, sol.Final, sc.k); err != nil {
@@ -700,7 +605,7 @@ func checkFlatPhaseInvariants(fb *graph.CSRBipartite, serverOf, load, before []i
 	if err := recountLoads(fb, serverOf, load); err != nil {
 		return err
 	}
-	if mb := flatMaxBadness(fb, serverOf, load, k, 0, fb.NumLeft); mb > 1 {
+	if mb := flatMaxBadness(fb, serverOf, load, k, 0, fb.NumLeft, nil); mb > 1 {
 		return fmt.Errorf("lemma 5.4 analogue violated: max badness %d", mb)
 	}
 	return nil

@@ -15,14 +15,14 @@ import (
 // E26: shard scaling of the whole phase loops. E25 isolates the subgame
 // rounds; this experiment solves one orientation and one assignment
 // instance end to end at increasing worker counts, so it also exercises
-// the central per-phase passes (proposal/accept evaluation, game-assembly
-// marks, result scatter, badness recounts) that run as Session.ParallelFor
-// kernels on the same worker pool. By the kernels' owner-computes
-// discipline every run must be bit-identical (same phases, rounds, and
-// final orientation/assignment), which the "agrees with 1" column checks;
-// on a single hardware thread the throughput curve is expected to be
-// flat, on multi-core hardware rounds/s should climb until the shard
-// count passes the core count.
+// the central per-phase passes: the badness pass with its game-assembly
+// marks and assign's proposals, which run as Session.ParallelFor kernels
+// on the same worker pool, and the sequential per-proposal accepts.
+// Each kernel writes only its own slice, so every run must be
+// bit-identical (same phases, rounds, and final orientation/assignment),
+// which the "agrees with 1" column checks; on a single hardware thread
+// the throughput curve is expected to be flat, on multi-core hardware
+// rounds/s should climb until the shard count passes the core count.
 func E26CentralStepScaling(p Profile) *Table {
 	t := &Table{
 		ID:    "E26",

@@ -132,10 +132,10 @@ func TestOneShotAllocCeilings(t *testing.T) {
 	}{
 		{"game", 1, 37, 19, gameRounds(game)},
 		{"game", 2, 46, 19, gameRounds(game)},
-		{"orient", 1, 110, 31, orientRounds(g)},
-		{"orient", 2, 125, 31, orientRounds(g)},
-		{"assign", 1, 232, 87, assignRounds(fb)},
-		{"assign", 2, 244, 87, assignRounds(fb)},
+		{"orient", 1, 102, 31, orientRounds(g)},
+		{"orient", 2, 118, 31, orientRounds(g)},
+		{"assign", 1, 225, 87, assignRounds(fb)},
+		{"assign", 2, 237, 87, assignRounds(fb)},
 	} {
 		var rounds int
 		var err error

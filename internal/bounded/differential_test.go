@@ -119,11 +119,12 @@ func TestDifferentialBoundedTieRandom(t *testing.T) {
 	}
 }
 
-// TestBoundedCentralStepInvariance pins the parallel central passes of
-// the k-bounded phase loop (effective-load proposal/accept kernels,
-// level table, game marks, scatter, compaction): the whole run must be
-// bit-identical at shard counts 1, 2, and 8 under both tie rules, for
-// both the three-level (k = 2) and generic (k > 2) subgame paths.
+// TestBoundedCentralStepInvariance pins the central passes of the
+// k-bounded phase loop on effective loads (the proposal kernel, the
+// sequential accepts, the level table, and the badness pass that writes
+// the game marks): the whole run must be bit-identical at shard counts
+// 1, 2, and 8 under both tie rules, for both the three-level (k = 2)
+// and generic (k > 2) subgame paths.
 func TestBoundedCentralStepInvariance(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b, name := diffBoundedBipartite(3 * i)

@@ -26,8 +26,8 @@ type PhaseLoop[S any] struct {
 	// crosses.
 	Layer, Lemma, Param string
 	Bound               int
-	// Body is the layer's half; after each phase the loop recounts its
-	// Badness over BadnessItems items.
+	// Body is the layer's half; before the first phase and after each
+	// phase the loop runs its Badness pass over BadnessItems items.
 	Body         PhaseBody[S]
 	BadnessItems int
 
@@ -44,7 +44,9 @@ type PhaseLoop[S any] struct {
 // PhaseBody is a layer's half of a PhaseLoop over snapshots of type S:
 // Done reports that every edge or customer is placed; Step runs steps
 // 1–6 of a phase into its numbered record, filling every counter but
-// MaxBadness; Badness is the maximum badness over items [lo, hi);
+// MaxBadness; Badness is the maximum badness over items [lo, hi), and
+// it marks the items that enter the next phase's game (steps 1 and 2
+// change no load or placement, so step 3 reads the marks as written);
 // Capture fills snap from the layer's arrays after a phase; Cursor
 // checks a resume snapshot's shape and reads its cursor, and Restore
 // validates the rest and installs the layer's arrays.
@@ -84,6 +86,7 @@ func (l *PhaseLoop[S]) Run(sess *local.Session, tie TieBreak, ck Checkpoint[S]) 
 	if l.kernel == nil {
 		l.kernel = func(sh, lo, hi int) { l.part[sh] = l.Body.Badness(lo, hi) }
 	}
+	sess.ParallelFor(l.BadnessItems, l.kernel) // the first phase's game marks
 	for phase := l.Phases + 1; !l.Body.Done(); phase++ {
 		if phase > 4*l.Bound+8 {
 			return fmt.Errorf("%s: phase %d exceeds the %s budget (%s=%d)", l.Layer, phase, l.Lemma, l.Param, l.Bound)
@@ -151,6 +154,28 @@ func checkStreams(tie TieBreak, ss []TieStreams) error {
 			strings.Join(have, "/"), strings.Join(want, " / "))
 	}
 	return nil
+}
+
+// Bid is step 2 of a phase, the accept, for one proposal: proposer p
+// bids for target t, in one pass over the phase's proposers in
+// ascending order. accepted[t] holds t's pick, -1 until t's first bid.
+// Under TieFirstPort (streams nil) the first bid wins; under TieRandom
+// every bid draws TieKeep once from t's stream, counting t's bids in
+// bids, so the pick is uniform. It reports whether the bid was t's first.
+func Bid(accepted, bids []int32, streams []uint64, t int, p int32) (first bool) {
+	first = accepted[t] < 0
+	if first {
+		accepted[t] = p
+	}
+	if streams != nil {
+		if first {
+			bids[t] = 0
+		}
+		if bids[t]++; TieKeep(&streams[t], int(bids[t])) {
+			accepted[t] = p
+		}
+	}
+	return first
 }
 
 // CheckPotential checks a phase game's potential identity: every move

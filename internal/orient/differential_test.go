@@ -150,12 +150,13 @@ func TestOrientShardCountInvariance(t *testing.T) {
 }
 
 // TestOrientCentralStepInvariance pins the parallel central passes: the
-// proposal/accept evaluation, game-assembly marks, result scatter, and
-// badness recounts run as Session.ParallelFor kernels, so the whole run
-// — phase logs (proposal/accept counts included), rounds, final heads
-// and loads — must be bit-identical at shard counts 1, 2, and 8 under
-// both tie rules. TieRandom is the sharper check: the per-vertex draw
-// streams of the owner-computes kernels must not depend on the split.
+// badness pass, which also writes the game-assembly marks, runs as a
+// Session.ParallelFor kernel over lex positions, and every subgame runs
+// on the same session, so the whole run — phase logs (proposal/accept
+// counts included), rounds, final heads and loads — must be
+// bit-identical at shard counts 1, 2, and 8 under both tie rules.
+// TieRandom is the sharper check: the per-vertex draw streams of the
+// accept pass and of the subgames must not depend on the split.
 func TestOrientCentralStepInvariance(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		g, name := diffGraph(3 * i)
@@ -185,8 +186,11 @@ func TestOrientCentralStepInvariance(t *testing.T) {
 }
 
 // TestSolveShardedCSRNative runs the sharded port on graphs built directly
-// in CSR form (whose adjacency is not neighbor-sorted) — the port order of
-// the input CSR must not matter, because the phase games build their own.
+// in CSR form (whose adjacency is not neighbor-sorted), under both tie
+// rules — the port order of the input CSR must not matter, because the
+// phase games build their own in lexicographic edge order. The last
+// input inserts its edges in shuffled order with shuffled endpoints, so
+// no row is neighbor-sorted by construction.
 func TestSolveShardedCSRNative(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range []struct {
@@ -196,31 +200,51 @@ func TestSolveShardedCSRNative(t *testing.T) {
 		{"regular", graph.CSRRandomRegular(200, 4, rng)},
 		{"powerlaw", graph.CSRPowerLaw(300, 2.2, 10, rng)},
 		{"powerlaw bipartite", graph.CSRPowerLawBipartite(200, 40, 2.0, 8, rng)},
+		{"gnm shuffled", shuffledCSR(graph.RandomGNM(150, 450, rng), rng)},
 	} {
-		res, err := SolveSharded(tc.csr, ShardedOptions{
-			Tie: core.TieFirstPort, Seed: 5, CheckInvariants: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !res.Stable() {
-			t.Fatalf("%s: not stable", tc.name)
-		}
-		// Cross-check against the seed engine on the materialized graph:
-		// Solve ignores the input's port order, so the runs must agree.
-		g := tc.csr.ToGraph()
-		seedRes, err := Solve(g, Options{Tie: core.TieFirstPort, Seed: 5})
-		if err != nil {
-			t.Fatalf("%s: seed engine: %v", tc.name, err)
-		}
-		if seedRes.Rounds != res.Rounds || seedRes.Phases != res.Phases {
-			t.Fatalf("%s: runs diverge: rounds %d/%d phases %d/%d",
-				tc.name, res.Rounds, seedRes.Rounds, res.Phases, seedRes.Phases)
-		}
-		for id := 0; id < g.M(); id++ {
-			if int(res.Head[id]) != seedRes.Orientation.Head(id) {
-				t.Fatalf("%s: edge %d heads diverge", tc.name, id)
+		for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
+			tag := fmt.Sprintf("%s tie=%v", tc.name, tie)
+			res, err := SolveSharded(tc.csr, ShardedOptions{
+				Tie: tie, Seed: 5, CheckInvariants: true,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if !res.Stable() {
+				t.Fatalf("%s: not stable", tag)
+			}
+			// Cross-check against the seed engine on the materialized
+			// graph: Solve ignores the input's port order, so the runs
+			// must agree.
+			g := tc.csr.ToGraph()
+			seedRes, err := Solve(g, Options{Tie: tie, Seed: 5})
+			if err != nil {
+				t.Fatalf("%s: seed engine: %v", tag, err)
+			}
+			if seedRes.Rounds != res.Rounds || seedRes.Phases != res.Phases {
+				t.Fatalf("%s: runs diverge: rounds %d/%d phases %d/%d",
+					tag, res.Rounds, seedRes.Rounds, res.Phases, seedRes.Phases)
+			}
+			for id := 0; id < g.M(); id++ {
+				if int(res.Head[id]) != seedRes.Orientation.Head(id) {
+					t.Fatalf("%s: edge %d heads diverge", tag, id)
+				}
 			}
 		}
 	}
+}
+
+// shuffledCSR builds g in CSR form with its edges inserted in a random
+// order and each edge's endpoints in a random order.
+func shuffledCSR(g *graph.Graph, rng *rand.Rand) *graph.CSR {
+	edges := slices.Clone(g.Edges())
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	b := graph.NewCSRBuilder(g.N(), len(edges))
+	for _, e := range edges {
+		if rng.Intn(2) == 0 {
+			e.U, e.V = e.V, e.U
+		}
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
 }

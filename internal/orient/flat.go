@@ -1,9 +1,9 @@
 package orient
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
@@ -19,11 +19,12 @@ import (
 // head vertex of edge id, -1 while unoriented) and load[v] (the
 // indegree). Per phase, the proposals and accepts are evaluated
 // centrally from the shared loads (Solve's simulation shortcut, charged
-// as 2 communication rounds) by owner-computes kernels on the engine
-// session (local.Session.ParallelFor), so they shard like the subgame
-// rounds; the badness-1 token graph is assembled in place and played
-// with core.SolveProposalShardedInto; then traversed edges flip and
-// accepted edges orient toward their acceptors.
+// as 2 communication rounds) in one sequential pass over the unoriented
+// edges, so they cost per proposal rather than per arc; the badness-1
+// token graph is assembled in place from the marks the loop's badness
+// pass left, and played with core.SolveProposalShardedInto on the engine
+// session; then traversed edges flip and accepted edges orient toward
+// their acceptors.
 //
 // Bit-identical parity with Solve, under either tie rule, rests on one
 // construction detail: Solve builds each phase's game with SortAdjacency,
@@ -95,18 +96,14 @@ func (r *ShardedResult) edgeTail(id int) int32 {
 
 // MaxBadness returns the maximum badness over oriented edges (0 if there
 // are none).
-func (r *ShardedResult) MaxBadness() int { return int(r.maxBadness(0, len(r.Head))) }
-
-// maxBadness returns the maximum badness over the oriented edges among
-// ids [lo, hi), 0 if there are none.
-func (r *ShardedResult) maxBadness(lo, hi int) int32 {
+func (r *ShardedResult) MaxBadness() int {
 	worst := int32(0)
-	for id := lo; id < hi; id++ {
-		if h := r.Head[id]; h >= 0 {
+	for id, h := range r.Head {
+		if h >= 0 {
 			worst = max(worst, r.Load[h]-r.Load[r.edgeTail(id)])
 		}
 	}
-	return worst
+	return int(worst)
 }
 
 // Stable reports the stable-orientation condition of Section 1.1: every
@@ -158,29 +155,24 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	// Per-edge endpoints (eu < ev, matching graph.Edge normalization), and
 	// the edge ids in lexicographic endpoint order — the insertion order
 	// that makes every phase-game CSR neighbor-sorted (see the file
-	// comment).
+	// comment): each vertex's edges to larger neighbors, sorted by that
+	// neighbor, since CSR-native inputs may order a row's ports arbitrarily.
 	eu := make([]int32, m)
 	ev := make([]int32, m)
+	lex := make([]int32, 0, m)
+	byUpper := func(a, b int32) int { return cmp.Compare(ev[a], ev[b]) }
 	for v := 0; v < n; v++ {
+		start := len(lex)
 		lo, hi := c.ArcRange(v)
 		for i := lo; i < hi; i++ {
 			if w := c.Col[i]; int32(v) < w {
-				eu[c.EID[i]] = int32(v)
-				ev[c.EID[i]] = w
+				id := c.EID[i]
+				eu[id], ev[id] = int32(v), w
+				lex = append(lex, id)
 			}
 		}
+		slices.SortFunc(lex[start:], byUpper)
 	}
-	lex := make([]int32, m)
-	for id := range lex {
-		lex[id] = int32(id)
-	}
-	sort.Slice(lex, func(i, j int) bool {
-		a, b := lex[i], lex[j]
-		if eu[a] != eu[b] {
-			return eu[a] < eu[b]
-		}
-		return ev[a] < ev[b]
-	})
 
 	head := make([]int32, m)
 	for id := range head {
@@ -193,30 +185,22 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 	}
 
 	var rngs []uint64 // per-vertex TieRandom accept streams
+	var bids []int32  // per-vertex proposal counts of the accept pass
 	if opt.Tie == core.TieRandom {
 		rngs = make([]uint64, n)
 		for v := range rngs {
 			rngs[v] = core.TieSeed(opt.Seed, v)
 		}
+		bids = make([]int32, n)
 	}
 
-	// Per-vertex incident edge ids in ascending id order: the input's
-	// arcs with each vertex's edge ids sorted. The central
-	// proposal/accept pass runs owner-computes on the kernel executor —
-	// each vertex derives its own accepted edge — and this index is what
-	// keeps that bit-identical to the edge-id-major loop it replaces: a
-	// vertex's accept decision (and, under TieRandom, its per-vertex
-	// draw stream) depends only on the subsequence of its own proposing
-	// edges in ascending id order, which is exactly the order the global
-	// id loop visited them in.
-	incPtr, incEID := c.Row, slices.Clone(c.EID)
-	for v := 0; v < n; v++ {
-		lo, hi := c.ArcRange(v)
-		slices.Sort(incEID[lo:hi])
-	}
-
-	// Reused per-phase scratch.
+	// Reused per-phase scratch. acceptEdge and token are -1 and false
+	// between phases: the accept pass sets the acceptors' entries and
+	// step 6 resets them.
 	acceptEdge := make([]int32, n) // vertex -> accepted proposing edge, -1
+	for v := range acceptEdge {
+		acceptEdge[v] = -1
+	}
 	token := make([]bool, n)
 	gameLevel := make([]int32, n)
 	tokOrigin := make([]int32, n) // traversal replay: vertex -> token origin
@@ -228,121 +212,57 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 		loadsBefore = make([]int32, n)
 	}
 	gameToOrig := make([]int32, 0, m)
-	include := make([]byte, m) // game-assembly marks, indexed by lex position
+	unoriented := make([]int32, m)
+	for id := range unoriented {
+		unoriented[id] = int32(id)
+	}
 
 	// The reusable execution layer: one engine session (persistent worker
-	// pool and message buffers) plays every phase's subgame, one builder
-	// and CSR hold each phase's token graph, and one solver workspace
-	// keeps the flat program's state — all rebuilt in place per phase, so
-	// the steady-state phase loop performs no engine or program
-	// allocations.
+	// pool and message buffers) plays every phase's subgame and runs the
+	// loop's badness pass, one builder and CSR hold each phase's token
+	// graph, and one solver workspace keeps the flat program's state — all
+	// rebuilt in place per phase, so the steady-state phase loop performs
+	// no engine or program allocations.
 	sess := local.NewSession(opt.Shards)
 	defer sess.Close()
 	sws := core.NewSolverWorkspace()
 	builder := graph.NewCSRBuilder(n, 0)
 	var game graph.CSR
 
-	// The central per-phase passes run as flat kernels on the session's
-	// parked workers (Session.ParallelFor), with per-shard partial
-	// accumulators combined after each barrier. The kernels are hoisted
-	// out of the phase loop — closure construction allocates — and
-	// capture the loop's flat state by reference.
-	shards := sess.Shards()
-	partAccepted := make([]int32, shards)
-	partOriented := make([]int32, shards)
-
-	// Steps 1 and 2 of each phase, owner-computes per vertex: every
-	// unoriented edge proposes to its smaller-load endpoint (ties toward
-	// the smaller vertex id, which is eu), and each proposed-to vertex
-	// accepts one proposing edge — the smallest id under TieFirstPort
-	// (the ascending incident scan finds it first), a uniform draw over
-	// its proposing edges in ascending id order under TieRandom (the
-	// per-vertex stream Solve draws in the same order).
-	acceptKernel := func(sh, lo, hi int) {
-		accepted := int32(0)
-		for v := lo; v < hi; v++ {
-			best, count := int32(-1), 0
-			for j := incPtr[v]; j < incPtr[v+1]; j++ {
-				id := incEID[j]
-				if head[id] >= 0 {
-					continue
-				}
-				target := eu[id]
-				if load[ev[id]] < load[eu[id]] {
-					target = ev[id]
-				}
-				if target != int32(v) {
-					continue
-				}
-				if rngs == nil { // TieFirstPort
-					best = id
-					break
-				}
-				if count++; core.TieKeep(&rngs[v], count) {
-					best = id
-				}
-			}
-			acceptEdge[v] = best
-			token[v] = best >= 0
-			if best >= 0 {
-				accepted++
-			}
-		}
-		partAccepted[sh] = accepted
-	}
-
-	// Step 3's filter over lex positions: the badness test performs the
-	// random load lookups, so it runs on the kernels; the order-dependent
-	// builder insertion that follows is a sequential scan of the marks.
-	markKernel := func(sh, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			id := int(lex[j])
-			include[j] = 0
-			if h := head[id]; h >= 0 && load[h]-load[res.edgeTail(id)] == 1 {
-				include[j] = 1
-			}
-		}
-	}
-
-	// Step 6's scatter: each acceptor orients its accepted edge toward
-	// itself. Distinct vertices accept distinct edges (an edge proposes
-	// to exactly one target), so the head writes never collide.
-	scatterKernel := func(sh, lo, hi int) {
-		count := int32(0)
-		for v := lo; v < hi; v++ {
-			if id := acceptEdge[v]; id >= 0 {
-				head[id] = int32(v)
-				load[v]++
-				count++
-			}
-		}
-		partOriented[sh] = count
-	}
-
 	var sol core.FlatResult // every phase's game outcome, reused
-	body := &phases{res: res, rngs: rngs}
+	body := &phases{res: res, rngs: rngs, lex: lex, include: make([]bool, m), unoriented: unoriented}
 	body.step = func(phase int, rec *PhaseRecord) error {
-		// Steps 1 and 2 — the proposal/accept pass (see acceptKernel).
-		// Every unoriented edge proposes exactly once, so the proposal
-		// count is the number of still-unoriented edges. 2 communication
-		// rounds.
-		rec.Proposals = m - body.oriented
-		sess.ParallelFor(n, acceptKernel)
-		for _, a := range partAccepted {
-			rec.Accepted += int(a)
+		// Steps 1 and 2 — every unoriented edge proposes to its
+		// smaller-load endpoint (ties toward the smaller vertex id, which
+		// is eu), and each proposed-to vertex accepts one proposing edge,
+		// in one pass over the proposers in ascending id order: the
+		// smallest id under TieFirstPort, a uniform draw from the
+		// per-vertex stream under TieRandom (the order Solve draws in; see
+		// core.Bid). 2 communication rounds.
+		rec.Proposals = len(body.unoriented)
+		for _, id := range body.unoriented {
+			t := eu[id]
+			if load[ev[id]] < load[t] {
+				t = ev[id]
+			}
+			if core.Bid(acceptEdge, bids, rngs, int(t), id) {
+				token[t] = true
+				rec.Accepted++
+			}
 		}
 
 		// Step 3 — the virtual token graph: levels = loads, edges = the
-		// oriented edges of badness exactly 1, tokens at acceptors
-		// (Lemma 5.2 guarantees validity). The badness filter runs on the
-		// kernels (markKernel); the insertion itself stays a sequential
-		// scan of the marks, because lex insertion order is what makes
-		// the builder's port numbering neighbor-ascending, as in Solve.
-		sess.ParallelFor(m, markKernel)
+		// oriented edges of badness exactly 1, tokens at acceptors (Lemma
+		// 5.2 guarantees validity). The loop's badness pass marked those
+		// edges after the previous phase (Badness), from the heads and
+		// loads that steps 1 and 2 leave alone; the insertion is a
+		// sequential scan of the marks, because lex insertion order is
+		// what makes the builder's port numbering neighbor-ascending, as
+		// in Solve.
 		builder.Reset(n)
 		gameToOrig = gameToOrig[:0]
-		for j := 0; j < m; j++ {
-			if include[j] == 0 {
+		for j, in := range body.include {
+			if !in {
 				continue
 			}
 			id := lex[j]
@@ -407,15 +327,27 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 			load[t]++
 			head[id] = t
 		}
-		// Step 6 — orient the accepted edges toward their acceptors
-		// (scatterKernel).
-		sess.ParallelFor(n, scatterKernel)
-		for _, c := range partOriented {
-			body.oriented += int(c)
+		// Step 6 — orient each accepted edge toward its acceptor, which
+		// resets its accept entry and token, and keep the rest as the next
+		// phase's proposers. An edge proposed to one endpoint, so at most
+		// one endpoint accepted it.
+		kept := body.unoriented[:0]
+		for _, id := range body.unoriented {
+			v := eu[id]
+			if acceptEdge[v] != id {
+				if v = ev[id]; acceptEdge[v] != id {
+					kept = append(kept, id)
+					continue
+				}
+			}
+			head[id] = v
+			load[v]++
+			acceptEdge[v], token[v] = -1, false
 		}
+		body.unoriented = kept
 
 		if opt.CheckInvariants {
-			if err := checkFlatPhaseInvariants(res, loadsBefore, sol.Final, body.oriented); err != nil {
+			if err := checkFlatPhaseInvariants(res, loadsBefore, sol.Final, m-len(kept)); err != nil {
 				return fmt.Errorf("phase %d: %w", phase, err)
 			}
 		}
@@ -433,18 +365,37 @@ func SolveSharded(c *graph.CSR, opt ShardedOptions) (*ShardedResult, error) {
 }
 
 // phases is SolveSharded's core.PhaseBody. Steps 1–6 are step, a
-// closure over the solve's flat state; the done test, the badness
-// recount, and the snapshot hooks (snapshot.go) read the orientation.
+// closure over the solve's flat state; the done test, the badness pass,
+// and the snapshot hooks (snapshot.go) read the orientation.
 type phases struct {
-	res      *ShardedResult
-	rngs     []uint64 // per-vertex TieRandom accept streams; nil under TieFirstPort
-	oriented int
-	step     func(phase int, rec *PhaseRecord) error
+	res        *ShardedResult
+	rngs       []uint64 // per-vertex TieRandom accept streams; nil under TieFirstPort
+	lex        []int32  // edge ids in lexicographic endpoint order
+	include    []bool   // per lex position: the edge is in the next phase's game
+	unoriented []int32  // the unoriented edge ids, ascending: the next phase's proposers
+	step       func(phase int, rec *PhaseRecord) error
 }
 
-func (p *phases) Done() bool                             { return p.oriented >= len(p.res.Head) }
+func (p *phases) Done() bool                             { return len(p.unoriented) == 0 }
 func (p *phases) Step(phase int, rec *PhaseRecord) error { return p.step(phase, rec) }
-func (p *phases) Badness(lo, hi int) int32               { return p.res.maxBadness(lo, hi) }
+
+// Badness returns the maximum badness over the edges at lex positions
+// [lo, hi) and marks the ones of badness exactly 1, the next phase's game
+// edges.
+func (p *phases) Badness(lo, hi int) int32 {
+	r := p.res
+	worst := int32(0)
+	for j := lo; j < hi; j++ {
+		id := p.lex[j]
+		b := int32(0)
+		if h := r.Head[id]; h >= 0 {
+			b = r.Load[h] - r.Load[r.edgeTail(int(id))]
+		}
+		worst = max(worst, b)
+		p.include[j] = b == 1
+	}
+	return worst
+}
 
 // checkFlatPhaseInvariants enforces Lemma 5.3 (the load of v grows by
 // exactly 1 iff v is the destination of a token — equivalently, iff v

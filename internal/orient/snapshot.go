@@ -56,7 +56,7 @@ func captureSnapshot(snap *Snapshot, phase, oriented, rounds int, head, load []i
 
 // Capture fills snap from the orientation after the given phase.
 func (p *phases) Capture(snap *Snapshot, phase, rounds int, log []PhaseRecord) {
-	captureSnapshot(snap, phase, p.oriented, rounds, p.res.Head, p.res.Load, p.rngs, log)
+	captureSnapshot(snap, phase, len(p.res.Head)-len(p.unoriented), rounds, p.res.Head, p.res.Load, p.rngs, log)
 }
 
 // Cursor checks rs's shape against the solve's graph and returns its
@@ -75,7 +75,8 @@ func (p *phases) Cursor(rs *Snapshot) (core.PhaseCursor, error) {
 // Restore validates the rest of rs against the solve's graph — every
 // head an endpoint of its edge, the oriented count and every load what
 // the heads encode, every edge of badness at most 1 (Lemma 5.4, which
-// holds between phases) — and installs it into the orientation.
+// holds between phases) — and installs it into the orientation, with
+// the unoriented edges as the next phase's proposers.
 func (p *phases) Restore(rs *Snapshot) error {
 	r := p.res
 	head, load, eu, ev := r.Head, r.Load, r.eu, r.ev
@@ -104,6 +105,11 @@ func (p *phases) Restore(rs *Snapshot) error {
 	if b := r.MaxBadness(); b > 1 {
 		return fmt.Errorf("resume snapshot has an edge of badness %d (at most 1 between phases)", b)
 	}
-	p.oriented = oriented
+	p.unoriented = p.unoriented[:0]
+	for id, h := range head {
+		if h < 0 {
+			p.unoriented = append(p.unoriented, int32(id))
+		}
+	}
 	return nil
 }
