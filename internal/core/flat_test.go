@@ -122,9 +122,9 @@ func TestShardedStopEarly(t *testing.T) {
 }
 
 // TestMergeByRoundIsStableSort checks the log merge of the sharded
-// results against the stable sort by round it replaces, on random
-// round-major logs: empty logs, shared and disjoint rounds, gaps, and
-// long runs of one round.
+// results against a stable sort by round of the concatenated logs, on
+// random round-major logs: empty logs, shared and disjoint rounds, gaps,
+// and long runs of one round.
 func TestMergeByRoundIsStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
