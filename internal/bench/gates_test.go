@@ -132,8 +132,8 @@ func TestOneShotAllocCeilings(t *testing.T) {
 	}{
 		{"game", 1, 37, 19, gameRounds(game)},
 		{"game", 2, 46, 19, gameRounds(game)},
-		{"orient", 1, 102, 31, orientRounds(g)},
-		{"orient", 2, 118, 31, orientRounds(g)},
+		{"orient", 1, 101, 31, orientRounds(g)},
+		{"orient", 2, 113, 31, orientRounds(g)},
 		{"assign", 1, 225, 87, assignRounds(fb)},
 		{"assign", 2, 237, 87, assignRounds(fb)},
 	} {

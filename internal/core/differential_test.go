@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"tokendrop/internal/graph"
 )
 
 // The differential suite runs every solver — the centralized sequential
@@ -161,6 +163,63 @@ func TestDifferentialTieRandom(t *testing.T) {
 		checkEnginePair(t, tag, proposalPair, inst, TieRandom, seed, 1+i%4)
 		if cfg.Levels <= ThreeLevelMaxLevel {
 			checkEnginePair(t, tag, threeLevelPair, inst, TieRandom, seed, 1+i%4)
+		}
+	}
+}
+
+// withArcless returns inst with two isolated vertices added on every
+// level, one holding a token and one not, spread over the vertex ids so
+// that every shard of a multi-shard run owns some. Edges keep their ids
+// and their endpoints' relative order.
+func withArcless(inst *Instance) *Instance {
+	n, extra := inst.N(), 2*(inst.Height()+1)
+	var level []int
+	var token []bool
+	id := make([]int, n)
+	next := 0
+	addArcless := func() {
+		level = append(level, next/2)
+		token = append(token, next%2 == 0)
+		next++
+	}
+	for v := 0; v < n; v++ {
+		if next < extra && v*extra >= next*n {
+			addArcless()
+		}
+		id[v] = len(level)
+		level = append(level, inst.Level(v))
+		token = append(token, inst.Token(v))
+	}
+	for next < extra {
+		addArcless()
+	}
+	g := graph.New(len(level))
+	for _, e := range inst.Graph().Edges() {
+		g.AddEdge(id[e.U], id[e.V])
+	}
+	g.SortAdjacency()
+	return MustInstance(g, level, token)
+}
+
+// TestDifferentialArclessVertices holds both solvers to bit-identity
+// under both tie rules on games with an isolated vertex, with and
+// without a token, on every level, and on a game with no edges at all.
+// The sharded engine never steps such a vertex (it starts halted), so
+// the reset state of each flat program must be the state the object
+// machine ends its one round in.
+func TestDifferentialArclessVertices(t *testing.T) {
+	insts := []*Instance{withArcless(MustInstance(graph.New(3), []int{0, 1, 2}, []bool{true, false, true}))}
+	for i := 0; i < 40; i++ {
+		cfg, seed := diffCase(i)
+		insts = append(insts, withArcless(RandomLayered(cfg, rand.New(rand.NewSource(seed)))))
+	}
+	for i, inst := range insts {
+		for _, tie := range []TieBreak{TieFirstPort, TieRandom} {
+			tag := fmt.Sprintf("arc-less case %d (n=%d, m=%d) tie=%d", i, inst.N(), inst.Graph().M(), tie)
+			checkEnginePair(t, tag, proposalPair, inst, tie, int64(i), 1+i%5)
+			if inst.Height() <= ThreeLevelMaxLevel {
+				checkEnginePair(t, tag, threeLevelPair, inst, tie, int64(i), 1+i%5)
+			}
 		}
 	}
 }

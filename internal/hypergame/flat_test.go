@@ -111,6 +111,86 @@ func TestFlatSolversRandomTies(t *testing.T) {
 	}
 }
 
+// withArclessServers returns inst with two servers in no hyperedge
+// added on every level, one holding a token and one not, spread over the
+// server ids so that every shard of a multi-shard run owns some.
+// Hyperedges keep their ids and endpoint order.
+func withArclessServers(inst *Instance) *Instance {
+	n, extra := inst.N(), 2*(inst.Height()+1)
+	var level []int
+	var token []bool
+	id := make([]int, n)
+	next := 0
+	addArcless := func() {
+		level = append(level, next/2)
+		token = append(token, next%2 == 0)
+		next++
+	}
+	for v := 0; v < n; v++ {
+		if next < extra && v*extra >= next*n {
+			addArcless()
+		}
+		id[v] = len(level)
+		level = append(level, inst.Level(v))
+		token = append(token, inst.Token(v))
+	}
+	for next < extra {
+		addArcless()
+	}
+	edges := make([][]int, inst.M())
+	heads := make([]int, inst.M())
+	for e := range edges {
+		for _, v := range inst.Edge(e) {
+			edges[e] = append(edges[e], id[v])
+		}
+		heads[e] = id[inst.Head(e)]
+	}
+	return MustInstance(level, token, edges, heads)
+}
+
+// TestFlatArclessServersMatchObject holds both flat solvers to
+// bit-identity with the object machines under both tie rules on games
+// with a server in no hyperedge, with and without a token, on every
+// level, and on a game with no hyperedges at all. The sharded engine
+// never steps such a server (it starts halted), so the reset state must
+// be the state the object machine ends its one round in.
+func TestFlatArclessServersMatchObject(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for i := 0; i < 30; i++ {
+		inst := withArclessServers(randomHyperInstance(2+rng.Intn(3), 3+rng.Intn(4), 2+rng.Intn(10), 2+rng.Intn(3), rng.Float64(), rng))
+		inst3 := withArclessServers(random3Level(3+rng.Intn(4), 2+rng.Intn(8), 2+rng.Intn(8), 2+rng.Intn(3), rng.Float64(), rng))
+		if i == 0 {
+			inst = withArclessServers(MustInstance([]int{0, 1, 2}, []bool{true, false, true}, nil, nil))
+			inst3 = inst
+		}
+		for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
+			opt := SolveOptions{Tie: tie, Seed: int64(i), MaxRounds: 200000}
+			flatOpt := ShardedSolveOptions{Tie: tie, Seed: int64(i), Shards: 1 + i%5}
+			tag := fmt.Sprintf("instance %d tie=%d", i, tie)
+
+			sol, stats, err := SolveProposal(inst, opt)
+			if err != nil {
+				t.Fatalf("%s: object solver: %v", tag, err)
+			}
+			flat, err := SolveProposalSharded(NewFlatInstanceFromInstance(inst), flatOpt)
+			if err != nil {
+				t.Fatalf("%s: flat solver: %v", tag, err)
+			}
+			assertFlatMatches(t, tag+": proposal", inst, sol, stats, flat)
+
+			sol3, stats3, err := SolveThreeLevel(inst3, opt)
+			if err != nil {
+				t.Fatalf("%s: 3-level object solver: %v", tag, err)
+			}
+			flat3, err := SolveThreeLevelSharded(NewFlatInstanceFromInstance(inst3), flatOpt)
+			if err != nil {
+				t.Fatalf("%s: 3-level flat solver: %v", tag, err)
+			}
+			assertFlatMatches(t, tag+": three-level", inst3, sol3, stats3, flat3)
+		}
+	}
+}
+
 // TestFlatShardCountInvariance pins schedule independence: the same game
 // solved with 1..8 shards produces the same run.
 func TestFlatShardCountInvariance(t *testing.T) {

@@ -61,11 +61,12 @@ type Kernel func(sh, lo, hi int)
 
 // Session is a reusable sharded-engine execution context: a persistent
 // worker pool plus the double-buffered message arrays, halted flags,
-// awake-vertex lists, and scrub rings of the engine, all retained and
-// rebuilt in place across Run calls. Create one with NewSession, run any
-// number of (csr, program) pairs through Run — the phase loops of the
-// orientation and assignment runtimes run every per-phase subgame on one
-// session — and release the workers with Close.
+// awake-vertex lists (of the vertices that have arcs), and scrub rings
+// of the engine, all retained and rebuilt in place across Run calls.
+// Create one with NewSession, run any number of (csr, program) pairs
+// through Run — the phase loops of the orientation and assignment
+// runtimes run every per-phase subgame on one session — and release the
+// workers with Close.
 //
 // Between runs the parked pool doubles as a generic parallel-for
 // executor: ParallelFor runs a caller-supplied flat kernel over an index
@@ -168,8 +169,11 @@ func (s *Session) Close() {
 
 // worker owns shard sh: it scrubs the outboxes of its recently halted
 // vertices, steps the program over its awake list, and compacts the list,
-// once per received roundWork. All state it touches is either owned by
-// the shard or ordered by the start/done channel pair.
+// once per received roundWork. The list starts as the shard's vertices
+// that have arcs and the ring starts empty: a vertex Run halted before
+// round 1 wrote no out-slot, so it is never stepped, compacted or
+// scrubbed. All state it touches is either owned by the shard or ordered
+// by the start/done channel pair.
 //
 // The pool self-heals: a panic anywhere on the round path (injected
 // KindCrash or an organic program bug) is recovered here at the
@@ -307,9 +311,11 @@ func shardBoundsInto(bounds []int, csr *graph.CSR, shards int) []int {
 
 // Run initializes prog and executes synchronous rounds on csr until every
 // vertex has halted, opt.MaxRounds is exceeded (an error), or opt.Stop
-// says so. The session's worker count applies. All engine state is
-// rebuilt in place from the previous run — a warmed session (same or
-// smaller graph) allocates nothing.
+// says so. Vertices without arcs start halted (see FlatProgram), so a
+// graph with no edges still takes one round, on empty awake lists. The
+// session's worker count applies. All engine state is rebuilt in place
+// from the previous run — a warmed session (same or smaller graph)
+// allocates nothing.
 //
 // Under a remote transport the session steps only its owned global
 // shards: prog is initialized over the full global shard map (so vertex
@@ -359,14 +365,7 @@ func (s *Session) Run(csr *graph.CSR, prog FlatProgram, opt ShardedOptions) (Sha
 		s.halted = s.halted[:n]
 		clear(s.halted)
 	}
-	if cap(s.awake) < n {
-		s.awake = make([]int32, n)
-	} else {
-		s.awake = s.awake[:n]
-	}
-	for v := range s.awake {
-		s.awake[v] = int32(v)
-	}
+	s.awake = reuse.Grown(s.awake, n)
 	for sh := 0; sh < s.shards; sh++ {
 		// Three-index reslice: each worker compacts (shrinks) its own
 		// list in place, so the segments can never collide even though
@@ -374,8 +373,21 @@ func (s *Session) Run(csr *graph.CSR, prog FlatProgram, opt ShardedOptions) (Sha
 		// shardBase+sh; under a remote transport the foreign segments
 		// are simply never placed on any awake list, so those vertices
 		// are never stepped and their state stays at its initial values.
+		// An owned arc-less vertex starts halted instead of awake: it has
+		// nothing to send or receive, so by the FlatProgram contract it
+		// keeps its reset state, and having written no out-slot it never
+		// needs a scrub.
 		g := shardLo + sh
-		s.awakeLists[sh] = s.awake[s.bounds[g]:s.bounds[g+1]:s.bounds[g+1]]
+		lo, hi := s.bounds[g], s.bounds[g+1]
+		list := s.awake[lo:lo:hi]
+		for v := lo; v < hi; v++ {
+			if csr.Row[v] == csr.Row[v+1] {
+				s.halted[v] = true
+			} else {
+				list = append(list, int32(v))
+			}
+		}
+		s.awakeLists[sh] = list
 		s.scrubs[sh] = s.scrubs[sh][:0]
 	}
 	s.csr, s.prog = csr, prog

@@ -52,6 +52,13 @@ type FlatProgram interface {
 	// vertices (ascending, all owned by this shard; the engine removes
 	// halted vertices from the list between rounds).
 	//
+	// A vertex without arcs is never handed to StepShard: it can neither
+	// send nor receive, so the engine starts it halted. Its state is
+	// therefore what the program's reset gave it, and a program's result
+	// must read that as the vertex's final state — as if the vertex had
+	// halted in round 1 with no message and no counter change, which is
+	// what every program in this repository does on such a vertex.
+	//
 	// For vertex v and port p (arc index i = Row[v]+p), the word received
 	// this round is recv[i] (0 = nothing), and the program must store the
 	// outgoing word for port i into send[Rev[i]] — for every port of

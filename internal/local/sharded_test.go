@@ -1,6 +1,7 @@
 package local
 
 import (
+	"fmt"
 	"testing"
 
 	"tokendrop/internal/graph"
@@ -250,5 +251,90 @@ func TestShardBoundsCoverAndBalance(t *testing.T) {
 				t.Fatalf("shards=%d: bounds %v not monotone", shards, bounds)
 			}
 		}
+	}
+}
+
+// arclessProbe is flatCountdown with the engine's arc-less rule as an
+// assertion: it panics (a WorkerCrashError from Run) if it is ever handed
+// a vertex without arcs, and records the round each vertex was first
+// stepped in (0 = never).
+type arclessProbe struct {
+	*flatCountdown
+	firstStep []int
+}
+
+func newArclessProbe(csr *graph.CSR) *arclessProbe {
+	p := &arclessProbe{flatCountdown: newFlatCountdown(csr, 0), firstStep: make([]int, csr.N())}
+	for v := range p.left {
+		p.left[v] = 1 + v%4
+	}
+	return p
+}
+
+func (p *arclessProbe) StepShard(round, shard int, verts []int32, recv, send []Word, halted []bool) {
+	for _, v := range verts {
+		if p.csr.Degree(int(v)) == 0 {
+			panic(fmt.Sprintf("arc-less vertex %d stepped in round %d", v, round))
+		}
+		if p.firstStep[v] == 0 {
+			p.firstStep[v] = round
+		}
+	}
+	p.flatCountdown.StepShard(round, shard, verts, recv, send, halted)
+}
+
+// TestShardedArclessVerticesStartHalted pins the engine rule: a vertex
+// without arcs is never stepped, every other vertex is stepped in round
+// 1, every vertex counts as halted at the end, and the run takes as many
+// rounds as the seed engine running the same countdowns with each
+// arc-less machine halting in its first step — one round on a graph with
+// no edges. One session per shard count runs both graphs, so the rule
+// also holds on a reused session.
+func TestShardedArclessVerticesStartHalted(t *testing.T) {
+	mixed := graph.New(40)
+	for v := 1; v+1 < 40; v++ {
+		if v%3 != 0 && (v+1)%3 != 0 {
+			mixed.AddEdge(v, v+1)
+		}
+		if v%5 == 1 && v+5 < 40 && (v+5)%3 != 0 {
+			mixed.AddEdge(v, v+5)
+		}
+	}
+	for _, shards := range []int{1, 2, 8} {
+		sess := NewSession(shards)
+		for _, tc := range []struct {
+			name string
+			g    *graph.Graph
+		}{{"mixed", mixed}, {"edgeless", graph.New(12)}} {
+			csr := graph.NewCSRFromGraph(tc.g)
+			p := newArclessProbe(csr)
+			stats, err := sess.Run(csr, p, ShardedOptions{})
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", tc.name, shards, err)
+			}
+			seed, err := NewNetwork(tc.g, func(v int) Machine {
+				if tc.g.Degree(v) == 0 {
+					return &countdownMachine{left: 1}
+				}
+				return &countdownMachine{left: 1 + v%4}
+			}).Run(Options{})
+			if err != nil {
+				t.Fatalf("%s: seed engine: %v", tc.name, err)
+			}
+			if stats.Rounds != seed.Rounds || stats.Halted != csr.N() {
+				t.Fatalf("%s shards=%d: %d rounds, %d halted; want %d rounds, %d halted",
+					tc.name, shards, stats.Rounds, stats.Halted, seed.Rounds, csr.N())
+			}
+			if tc.g.M() == 0 && stats.Rounds != 1 {
+				t.Fatalf("%s shards=%d: %d rounds on a graph with no edges, want 1", tc.name, shards, stats.Rounds)
+			}
+			for v, r := range p.firstStep {
+				if csr.Degree(v) > 0 && r != 1 {
+					t.Fatalf("%s shards=%d: vertex %d with arcs first stepped in round %d, want 1",
+						tc.name, shards, v, r)
+				}
+			}
+		}
+		sess.Close()
 	}
 }

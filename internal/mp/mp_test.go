@@ -15,6 +15,7 @@ import (
 
 	"tokendrop/internal/core"
 	"tokendrop/internal/fault"
+	"tokendrop/internal/graph"
 	"tokendrop/internal/local"
 )
 
@@ -120,6 +121,61 @@ func TestSolveThreeLevel(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("tie=%d: threelevel mp result diverged from the in-memory engine", tie)
+		}
+	}
+}
+
+// TestSolveArclessMatchesInMemory runs a fleet whose two workers both
+// own vertices without arcs, with and without tokens, on every level of
+// a 3-level game. The engine starts such vertices halted on the worker
+// that owns them, so the fleet must still bit-match the in-memory solve
+// for both solvers under both tie rules.
+func TestSolveArclessMatchesInMemory(t *testing.T) {
+	const levels, width = 3, 300
+	rng := rand.New(rand.NewSource(13))
+	n := levels * width
+	level := make([]int32, n)
+	token := make([]bool, n)
+	arcless := func(v int) bool { return v%width%7 == 3 }
+	b := graph.NewCSRBuilder(n, 2*n)
+	for v := 0; v < n; v++ {
+		level[v] = int32(v / width)
+		token[v] = rng.Intn(5) < 3
+		if level[v] == 0 || arcless(v) {
+			continue
+		}
+		for _, c := range rng.Perm(width)[:3] {
+			if u := v - width - v%width + c; !arcless(u) {
+				b.AddEdge(v, u)
+			}
+		}
+	}
+	fi, err := core.NewFlatInstanceCSR(b.Build(), level, token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Worker 0 owns the vertices before the arc-balanced split of a
+	// 2-shard layout, worker 1 the rest.
+	csr := fi.CSR()
+	split := 0
+	for int(csr.Row[split]) < csr.NumArcs()/2 {
+		split++
+	}
+	if !arcless(3) || !arcless(n-width+3) || split <= 3 || split >= n-width+3 {
+		t.Fatalf("split at vertex %d of %d leaves a worker without arc-less vertices", split, n)
+	}
+	for _, solver := range []string{"proposal", "threelevel"} {
+		for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
+			want := solveInMemory(t, fi, solver, tie, 17, 2)
+			got, _, err := Solve(fi, Options{
+				Procs: 2, Solver: solver, Tie: tie, Seed: 17, Command: selfWorker,
+			})
+			if err != nil {
+				t.Fatalf("%s tie=%d: mp solve: %v", solver, tie, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s tie=%d: mp result diverged from the in-memory engine", solver, tie)
+			}
 		}
 	}
 }
