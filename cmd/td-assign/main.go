@@ -11,6 +11,7 @@
 //	td-assign -customers 40 -servers 8 -cdeg 3 -kbounded -k 2
 //	td-assign -customers 30 -servers 10 -cdeg 3 -optimal
 //	td-assign -customers 200000 -servers 50000 -cdeg 3 -engine sharded
+//	td-assign -customers 20000 -servers 5000 -cdeg 3 -engine sharded -random-ties
 package main
 
 import (
@@ -26,10 +27,10 @@ import (
 )
 
 // recordMeta canonicalizes the generator flags as run provenance.
-func recordMeta(nc, ns, cdeg int, seed int64, shards int) tokendrop.RunMetaJSON {
+func recordMeta(nc, ns, cdeg int, tie tokendrop.TieBreak, seed int64, shards int) tokendrop.RunMetaJSON {
 	return tokendrop.RunMetaJSON{
 		Workload: fmt.Sprintf("bipartite customers=%d servers=%d cdeg=%d", nc, ns, cdeg),
-		GenSeed:  seed, Tie: tokendrop.TieName(tokendrop.TieFirstPort), Seed: seed, Shards: shards,
+		GenSeed:  seed, Tie: tokendrop.TieName(tie), Seed: seed, Shards: shards,
 	}
 }
 
@@ -62,6 +63,7 @@ func main() {
 		k        = flag.Int("k", 2, "threshold for -kbounded")
 		optimal  = flag.Bool("optimal", false, "also compute the exact optimal semi-matching")
 		seed     = flag.Int64("seed", 1, "seed")
+		random   = flag.Bool("random-ties", false, "randomized tie-breaking")
 		loads    = flag.Bool("loads", false, "print the server load histogram")
 		engine   = flag.String("engine", "local", "local (goroutine-per-node simulator) | sharded (flat CSR engine)")
 		shards   = cliutil.ShardsFlag()
@@ -73,6 +75,11 @@ func main() {
 
 	if *record != "" && *engine != "sharded" {
 		log.Fatal("-record requires -engine sharded (snapshots capture the flat engine's state)")
+	}
+
+	tie := tokendrop.TieFirstPort
+	if *random {
+		tie = tokendrop.TieRandom
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -109,9 +116,9 @@ func main() {
 	if *engine == "sharded" {
 		fb := tokendrop.NewFlatBipartite(b)
 		sopt := tokendrop.AssignShardedOptions{
-			K: threshold, Seed: *seed, Shards: *shards, CheckInvariants: true,
+			K: threshold, Tie: tie, Seed: *seed, Shards: *shards, CheckInvariants: true,
 		}
-		meta := recordMeta(*nc, *ns, *cdeg, *seed, *shards)
+		meta := recordMeta(*nc, *ns, *cdeg, tie, *seed, *shards)
 		if *record != "" {
 			sopt.SnapshotEvery = 1
 			sopt.OnSnapshot = func(s *tokendrop.AssignSnapshot) error {
@@ -143,7 +150,7 @@ func main() {
 			a = res.Assignment()
 		}
 	} else {
-		res, err := tokendrop.StableAssignment(b, tokendrop.AssignOptions{K: threshold, Seed: *seed, CheckInvariants: true})
+		res, err := tokendrop.StableAssignment(b, tokendrop.AssignOptions{K: threshold, Tie: tie, Seed: *seed, CheckInvariants: true})
 		if err != nil {
 			log.Fatal(err)
 		}
