@@ -373,9 +373,8 @@ func (s *Session) Run(csr *graph.CSR, prog FlatProgram, opt ShardedOptions) (Sha
 		// shardBase+sh; under a remote transport the foreign segments
 		// are simply never placed on any awake list, so those vertices
 		// are never stepped and their state stays at its initial values.
-		// An owned arc-less vertex starts halted instead of awake: it has
-		// nothing to send or receive, so by the FlatProgram contract it
-		// keeps its reset state, and having written no out-slot it never
+		// An owned arc-less vertex starts halted instead (see
+		// FlatProgram.StepShard); it writes no out-slot, so it never
 		// needs a scrub.
 		g := shardLo + sh
 		lo, hi := s.bounds[g], s.bounds[g+1]
