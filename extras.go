@@ -3,39 +3,40 @@ package tokendrop
 import (
 	"io"
 
+	"tokendrop/internal/baseline"
 	"tokendrop/internal/encode"
-	"tokendrop/internal/loadbalance"
 	"tokendrop/internal/lowerbound"
 )
 
-// Extras: serialization, the load-balancing contrast substrate (Section 2)
-// and the Section 6 lower-bound experiment, exposed through the facade.
+// Extras: serialization, the load-balancing contrast substrate of Section
+// 2 (internal/baseline, beside the selfish-flip comparator) and the
+// Section 6 lower-bound experiment, exposed through the facade.
 
 type (
 	// LoadState is an integer load vector over a graph's vertices.
-	LoadState = loadbalance.State
+	LoadState = baseline.State
 	// BalanceResult reports a distributed load-balancing run.
-	BalanceResult = loadbalance.Result
+	BalanceResult = baseline.Result
 	// Indistinguishability is the Theorem 6.3 experiment report.
 	Indistinguishability = lowerbound.Indistinguishability
 )
 
 // NewLoadState wraps a load vector over g (copied).
 func NewLoadState(g *Graph, load []int) (*LoadState, error) {
-	return loadbalance.NewState(g, load)
+	return baseline.NewState(g, load)
 }
 
 // BalanceLoads runs the locally-optimal load balancing dynamic (FHS15, the
 // problem Section 2 contrasts token dropping against) until no unit move
 // improves Σ load².
 func BalanceLoads(s *LoadState, seed int64, maxRounds, workers int) (*BalanceResult, error) {
-	return loadbalance.Balance(s, seed, maxRounds, workers)
+	return baseline.Balance(s, seed, maxRounds, workers)
 }
 
 // DumbbellLoads builds the bottleneck workload of the Section 2 argument:
 // two path-connected groups joined by one bridge, all load on one side.
 func DumbbellLoads(side, initial int) (*LoadState, error) {
-	return loadbalance.Dumbbell(side, initial)
+	return baseline.Dumbbell(side, initial)
 }
 
 // SaveGame writes an instance as JSON.

@@ -12,10 +12,16 @@
 //     al. (DISC 2012) is not available offline; this comparator preserves
 //     the design decision the paper credits for the prior work's O(Δ⁵)
 //     cost — starting from an arbitrary orientation and repairing the
-//     resulting unhappiness — which is what experiment E8 isolates.
+//     resulting unhappiness — which is what experiment E8 isolates;
+//   - locally optimal load balancing (FHS15), the problem Section 2
+//     contrasts token dropping against (experiment E15), on the same
+//     unit-transfer machine as the selfish flips (transfer.go); and
+//   - selfish reassignment, the selfish flips carried over to
+//     customer/server assignment, which races the paper's assignment
+//     layer in internal/arena.
 //
-// Both baselines produce stable orientations verified by the same oracle
-// (graph.Orientation.Stable) as the paper's algorithm.
+// The orientation baselines produce stable orientations verified by the
+// same oracle (graph.Orientation.Stable) as the paper's algorithm.
 package baseline
 
 import (
@@ -138,11 +144,4 @@ func FlipChainLength(o *graph.Orientation) int {
 		}
 		o.Flip(id)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,4 +1,4 @@
-package loadbalance
+package baseline
 
 import (
 	"math/rand"
@@ -130,11 +130,4 @@ func TestBalanceConservesAndConverges(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,150 +2,9 @@ package baseline
 
 import (
 	"fmt"
-	"math/rand"
 
 	"tokendrop/internal/graph"
-	"tokendrop/internal/loadbalance"
-	"tokendrop/internal/local"
 )
-
-// This file implements the distributed selfish-flip dynamic: the
-// CHSW12-class comparator of experiment E8. All edges start oriented
-// arbitrarily; in every 3-round cycle,
-//
-//	round 0: every node applies the flip acknowledged in the previous
-//	         cycle (if any) and broadcasts its load,
-//	round 1: every node tosses a fair coin to be a PROPOSER or ACCEPTOR;
-//	         a proposer that heads an unhappy edge (badness ≥ 2) offers
-//	         one such edge's flip to the edge's tail,
-//	round 2: an acceptor that received offers acknowledges exactly one,
-//	         applying its side of the flip; the proposer applies its side
-//	         at the start of the next cycle.
-//
-// Flips executed in one cycle touch pairwise-disjoint nodes, so each flip
-// strictly decreases the potential Σ indegree² by at least 2 and the
-// dynamic converges with probability 1; the coin toss breaks the symmetric
-// deadlocks a deterministic rule would spin on. Nodes cannot locally
-// detect global stability (a classic property of best-response dynamics),
-// so the run is ended by the simulator's termination oracle once every
-// edge is happy — see local.Options.Stop.
-
-// The cycle's messages are the shared best-response vocabulary of
-// internal/loadbalance (LoadMsg/OfferMsg/AckMsg), defined once for every
-// comparator dynamic in this repository.
-
-// flipMachine is the per-node state machine of the selfish-flip dynamic.
-type flipMachine struct {
-	vertex     int
-	rng        *rand.Rand
-	headIsSelf []bool // per port: edge points at this node
-	load       int
-	nbrLoad    []int
-	offerOut   int // port of our outstanding offer, -1 if none
-	flips      int
-}
-
-func newFlipMachine(o *graph.Orientation, v int, seed int64) *flipMachine {
-	g := o.Graph()
-	adj := g.Adj(v)
-	m := &flipMachine{
-		vertex:     v,
-		rng:        rand.New(rand.NewSource(seed ^ int64(v)*0x5bd1e995)),
-		headIsSelf: make([]bool, len(adj)),
-		load:       o.Load(v),
-		offerOut:   -1,
-	}
-	for p, a := range adj {
-		m.headIsSelf[p] = o.Head(a.Edge) == v
-	}
-	return m
-}
-
-func (m *flipMachine) Init(info local.NodeInfo) {
-	m.nbrLoad = make([]int, info.Degree)
-	for i := range m.nbrLoad {
-		m.nbrLoad[i] = -1
-	}
-}
-
-func (m *flipMachine) Step(round int, in []local.Payload, out []local.Payload) bool {
-	switch (round - 1) % 3 {
-	case 0: // apply pending ack, broadcast load
-		for p, raw := range in {
-			if raw == nil {
-				continue
-			}
-			if _, ok := raw.(loadbalance.AckMsg); !ok {
-				panic(fmt.Sprintf("baseline: vertex %d expected acks, got %T", m.vertex, raw))
-			}
-			if p != m.offerOut {
-				panic(fmt.Sprintf("baseline: vertex %d acked on a port it never offered", m.vertex))
-			}
-			// Our offer was taken: the edge now points at the tail.
-			m.headIsSelf[p] = false
-			m.load--
-			m.flips++
-		}
-		m.offerOut = -1
-		for p := range out {
-			out[p] = loadbalance.LoadMsg{Load: m.load}
-		}
-	case 1: // read loads, maybe offer one unhappy in-edge for flipping
-		for p, raw := range in {
-			if raw == nil {
-				continue
-			}
-			msg, ok := raw.(loadbalance.LoadMsg)
-			if !ok {
-				panic(fmt.Sprintf("baseline: vertex %d expected loads, got %T", m.vertex, raw))
-			}
-			m.nbrLoad[p] = msg.Load
-		}
-		if m.rng.Intn(2) == 0 {
-			return false // acceptor this cycle
-		}
-		// Proposer: offer the worst unhappy in-edge, ties to low port.
-		best, bestBadness := -1, 1
-		for p, self := range m.headIsSelf {
-			if !self || m.nbrLoad[p] < 0 {
-				continue
-			}
-			if b := m.load - m.nbrLoad[p]; b > bestBadness {
-				best, bestBadness = p, b
-			}
-		}
-		if best >= 0 {
-			m.offerOut = best
-			out[best] = loadbalance.OfferMsg{}
-		}
-	case 2: // acceptors take at most one offer
-		var offers []int
-		for p, raw := range in {
-			if raw == nil {
-				continue
-			}
-			if _, ok := raw.(loadbalance.OfferMsg); !ok {
-				panic(fmt.Sprintf("baseline: vertex %d expected offers, got %T", m.vertex, raw))
-			}
-			offers = append(offers, p)
-		}
-		if m.offerOut >= 0 || len(offers) == 0 {
-			// Proposers never accept; their own offer resolves next cycle.
-			return false
-		}
-		p := offers[m.rng.Intn(len(offers))]
-		if m.headIsSelf[p] {
-			panic(fmt.Sprintf("baseline: vertex %d offered a flip of an edge it heads", m.vertex))
-		}
-		m.headIsSelf[p] = true
-		m.load++
-		m.flips++
-		out[p] = loadbalance.AckMsg{}
-	}
-	return false
-}
-
-var _ local.Machine = (*flipMachine)(nil)
 
 // SelfishResult reports a selfish-flip run.
 type SelfishResult struct {
@@ -155,53 +14,36 @@ type SelfishResult struct {
 	Messages    int64 // messages delivered
 }
 
-// SelfishFlips runs the distributed dynamic from the given starting
-// orientation until it is stable (or maxRounds passes without
-// convergence, which returns an error). The input orientation is not
-// mutated; the stabilized orientation is returned.
+// SelfishFlips runs the distributed selfish-flip dynamic, the CHSW12-class
+// comparator of experiment E8, from the given starting orientation until
+// it is stable (or maxRounds passes without convergence, which returns an
+// error). It is the unit-transfer dynamic of transfer.go with a node's
+// indegree as its load and the edges it heads as its units. The input
+// orientation is not mutated; the stabilized orientation is returned.
 func SelfishFlips(o *graph.Orientation, seed int64, maxRounds, workers int) (*SelfishResult, error) {
 	g := o.Graph()
 	if maxRounds == 0 {
 		maxRounds = 1 << 20
 	}
-	machines := make([]*flipMachine, g.N())
-	nw := local.NewNetwork(g, func(v int) local.Machine {
-		machines[v] = newFlipMachine(o, v, seed)
-		return machines[v]
-	})
-	// Termination oracle: loads and orientations are consistent across
-	// machine mirrors at the barrier after every round ≡ 1 (mod 3) — both
-	// flip sides have applied, and the cycle's broadcast is in flight.
-	stable := func(round int) bool {
-		if (round-1)%3 != 0 {
-			return false
+	load := make([]int, g.N())
+	heads := make([][]bool, g.N())
+	for v := range heads {
+		load[v] = o.Load(v)
+		heads[v] = make([]bool, g.Degree(v))
+		for p, a := range g.Adj(v) {
+			heads[v][p] = o.Head(a.Edge) == v
 		}
-		for _, e := range g.Edges() {
-			u, v := e.U, e.V
-			pu := portOf(g, u, v)
-			var head, tail int
-			if machines[u].headIsSelf[pu] {
-				head, tail = u, v
-			} else {
-				head, tail = v, u
-			}
-			if machines[head].load >= machines[tail].load+2 {
-				return false
-			}
-		}
-		return true
 	}
-	stats, err := nw.Run(local.Options{MaxRounds: maxRounds, Workers: workers, Stop: stable})
+	machines, stats, err := runTransfers(g, load, heads, seed, 0x5bd1e995, maxRounds, workers)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: selfish flips did not converge: %w", err)
 	}
-	// Read the final orientation out of the machine mirrors.
 	final := graph.NewOrientation(g)
 	flips := 0
 	for v, m := range machines {
-		flips += m.flips
+		flips += m.moves
 		for p, a := range g.Adj(v) {
-			if m.headIsSelf[p] {
+			if m.heads[p] {
 				final.Orient(a.Edge, v)
 			}
 		}
@@ -212,14 +54,4 @@ func SelfishFlips(o *graph.Orientation, seed int64, maxRounds, workers int) (*Se
 		Flips:       flips / 2, // both endpoints count each flip
 		Messages:    stats.Messages,
 	}, nil
-}
-
-// portOf returns the port at u leading to v.
-func portOf(g *graph.Graph, u, v int) int {
-	for p, a := range g.Adj(u) {
-		if a.To == v {
-			return p
-		}
-	}
-	panic(fmt.Sprintf("baseline: no edge {%d,%d}", u, v))
 }

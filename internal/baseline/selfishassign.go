@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"tokendrop/internal/graph"
-	"tokendrop/internal/loadbalance"
 	"tokendrop/internal/local"
 )
 
@@ -41,8 +40,8 @@ import (
 // other best-response comparators, nodes cannot detect global
 // stability, so the simulator's termination oracle (local.Options.Stop)
 // ends the run once every customer has badness at most 1 — exactly the
-// stable-assignment predicate of Section 7. Messages are the shared
-// best-response vocabulary of internal/loadbalance.
+// stable-assignment predicate of Section 7. Messages are those of the
+// unit-transfer dynamic (transfer.go).
 
 // selfishCustomer is the per-customer machine of the dynamic.
 type selfishCustomer struct {
@@ -69,11 +68,11 @@ func (m *selfishCustomer) Step(round int, in []local.Payload, out []local.Payloa
 			if raw == nil {
 				continue
 			}
-			msg, ok := raw.(loadbalance.LoadMsg)
+			msg, ok := raw.(loadMsg)
 			if !ok {
 				panic(fmt.Sprintf("baseline: customer %d expected loads, got %T", m.vertex, raw))
 			}
-			m.nbrLoad[p] = msg.Load
+			m.nbrLoad[p] = msg.load
 		}
 		min := m.nbrLoad[m.cur]
 		for _, l := range m.nbrLoad {
@@ -82,13 +81,13 @@ func (m *selfishCustomer) Step(round int, in []local.Payload, out []local.Payloa
 			}
 		}
 		if m.nbrLoad[m.cur] >= min+2 {
-			out[m.cur] = loadbalance.OfferMsg{}
+			out[m.cur] = offerMsg{}
 		}
 	case 3: // a granted customer targets a least-loaded alternative
 		if in[m.cur] == nil {
 			return false
 		}
-		if _, ok := in[m.cur].(loadbalance.AckMsg); !ok {
+		if _, ok := in[m.cur].(ackMsg); !ok {
 			panic(fmt.Sprintf("baseline: customer %d expected a leave grant, got %T", m.vertex, in[m.cur]))
 		}
 		min := -1
@@ -113,7 +112,7 @@ func (m *selfishCustomer) Step(round int, in []local.Payload, out []local.Payloa
 				m.target = p
 			}
 		}
-		out[m.target] = loadbalance.OfferMsg{}
+		out[m.target] = offerMsg{}
 	case 5: // an admitted customer switches and notifies its old server
 		if m.target < 0 {
 			return false
@@ -123,13 +122,13 @@ func (m *selfishCustomer) Step(round int, in []local.Payload, out []local.Payloa
 		if in[p] == nil {
 			return false // rejected: the target was a proposer or admitted another
 		}
-		if _, ok := in[p].(loadbalance.AckMsg); !ok {
+		if _, ok := in[p].(ackMsg); !ok {
 			panic(fmt.Sprintf("baseline: customer %d expected a join ack, got %T", m.vertex, in[p]))
 		}
 		old := m.cur
 		m.cur = p
 		m.moves++
-		out[old] = loadbalance.AckMsg{}
+		out[old] = ackMsg{}
 	}
 	return false
 }
@@ -153,13 +152,13 @@ func (m *selfishServer) Step(round int, in []local.Payload, out []local.Payload)
 			if raw == nil {
 				continue
 			}
-			if _, ok := raw.(loadbalance.AckMsg); !ok {
+			if _, ok := raw.(ackMsg); !ok {
 				panic(fmt.Sprintf("baseline: server %d expected departure notices, got %T", m.vertex, raw))
 			}
 			m.load--
 		}
 		for p := range out {
-			out[p] = loadbalance.LoadMsg{Load: m.load}
+			out[p] = loadMsg{load: m.load}
 		}
 	case 2: // proposers grant exactly one leave request
 		m.proposer = m.rng.Intn(2) == 1
@@ -171,7 +170,7 @@ func (m *selfishServer) Step(round int, in []local.Payload, out []local.Payload)
 			if raw == nil {
 				continue
 			}
-			if _, ok := raw.(loadbalance.OfferMsg); !ok {
+			if _, ok := raw.(offerMsg); !ok {
 				panic(fmt.Sprintf("baseline: server %d expected leave requests, got %T", m.vertex, raw))
 			}
 			count++
@@ -180,7 +179,7 @@ func (m *selfishServer) Step(round int, in []local.Payload, out []local.Payload)
 			}
 		}
 		if pick >= 0 {
-			out[pick] = loadbalance.AckMsg{}
+			out[pick] = ackMsg{}
 		}
 	case 4: // acceptors admit at most one join request
 		if m.proposer {
@@ -191,7 +190,7 @@ func (m *selfishServer) Step(round int, in []local.Payload, out []local.Payload)
 			if raw == nil {
 				continue
 			}
-			if _, ok := raw.(loadbalance.OfferMsg); !ok {
+			if _, ok := raw.(offerMsg); !ok {
 				panic(fmt.Sprintf("baseline: server %d expected join requests, got %T", m.vertex, raw))
 			}
 			count++
@@ -201,7 +200,7 @@ func (m *selfishServer) Step(round int, in []local.Payload, out []local.Payload)
 		}
 		if pick >= 0 {
 			m.load++
-			out[pick] = loadbalance.AckMsg{}
+			out[pick] = ackMsg{}
 		}
 	}
 	return false

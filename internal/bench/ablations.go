@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"tokendrop/internal/assign"
+	"tokendrop/internal/baseline"
 	"tokendrop/internal/core"
 	"tokendrop/internal/graph"
-	"tokendrop/internal/loadbalance"
 	"tokendrop/internal/orient"
 )
 
@@ -28,11 +28,11 @@ func E15LoadBalancingContrast(p Profile) *Table {
 	}
 	var xs, ys []float64
 	for _, initial := range loads {
-		st, err := loadbalance.Dumbbell(4, initial)
+		st, err := baseline.Dumbbell(4, initial)
 		if err != nil {
 			continue
 		}
-		res, err := loadbalance.Balance(st, p.Seed, 1<<22, 0)
+		res, err := baseline.Balance(st, p.Seed, 1<<22, 0)
 		if err != nil {
 			t.AddRow(initial, "error: "+err.Error(), "-", "-", "-")
 			continue
