@@ -459,6 +459,8 @@ var _ flatGame = (*flatProposal)(nil)
 // verify the outcome. With opt.Session and opt.Workspace set, the engine
 // and the program state are rebuilt in place across solves (see
 // SolverWorkspace); without a session the solve runs on one of its own.
+// A game with a vertex of degree 2^21 or more is rejected with an error:
+// the program counts live ports in 21-bit fields.
 func SolveProposalSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResult, error) {
 	out := new(FlatResult)
 	if err := SolveProposalShardedInto(fi, opt, out); err != nil {
@@ -472,5 +474,9 @@ func SolveProposalSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResul
 // the whole solve performs no heap allocations, which is what the
 // orientation phase loop runs every phase's game on.
 func SolveProposalShardedInto(fi *FlatInstance, opt ShardedSolveOptions, out *FlatResult) error {
+	if d := fi.MaxDegree(); d >= 1<<cntBits {
+		return fmt.Errorf("core: degree %d exceeds the proposal program's counter range (2^%d - 1)",
+			d, cntBits)
+	}
 	return solveShardedInto(fi, opt, out, func(ws *SolverWorkspace) flatGame { return &ws.prop })
 }
