@@ -51,10 +51,16 @@ func layered12k(seed int64) *core.FlatInstance {
 	return core.NewFlatInstance(inst)
 }
 
+// maxRounds caps every solve of these tests. Their games finish in at
+// most 31 rounds; without a cap the engine default of 2^20 lockstep
+// rounds over pipes lets a protocol bug that leaves one vertex awake run
+// for minutes instead of failing.
+const maxRounds = 1 << 10
+
 // solveInMemory runs the reference in-memory sharded solve.
 func solveInMemory(t *testing.T, fi *core.FlatInstance, solver string, tie core.TieBreak, seed int64, shards int) *core.FlatResult {
 	t.Helper()
-	sopt := core.ShardedSolveOptions{Tie: tie, Seed: seed, Shards: shards}
+	sopt := core.ShardedSolveOptions{Tie: tie, Seed: seed, MaxRounds: maxRounds, Shards: shards}
 	var res *core.FlatResult
 	var err error
 	if solver == "threelevel" {
@@ -90,7 +96,7 @@ func TestSolveMatchesInMemory(t *testing.T) {
 			got, stats, err := Solve(fi, Options{
 				Procs: tc.procs, ShardsPerProc: tc.spp,
 				Solver: "proposal", Tie: tc.tie, Seed: 42,
-				Command: selfWorker,
+				MaxRounds: maxRounds, Command: selfWorker,
 			})
 			if err != nil {
 				t.Fatalf("mp solve: %v", err)
@@ -114,7 +120,7 @@ func TestSolveThreeLevel(t *testing.T) {
 	for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
 		want := solveInMemory(t, fi, "threelevel", tie, 11, 2)
 		got, _, err := Solve(fi, Options{
-			Procs: 2, Solver: "threelevel", Tie: tie, Seed: 11, Command: selfWorker,
+			Procs: 2, Solver: "threelevel", Tie: tie, Seed: 11, MaxRounds: maxRounds, Command: selfWorker,
 		})
 		if err != nil {
 			t.Fatalf("tie=%d: mp solve: %v", tie, err)
@@ -169,7 +175,7 @@ func TestSolveArclessMatchesInMemory(t *testing.T) {
 		for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
 			want := solveInMemory(t, fi, solver, tie, 17, 2)
 			got, _, err := Solve(fi, Options{
-				Procs: 2, Solver: solver, Tie: tie, Seed: 17, Command: selfWorker,
+				Procs: 2, Solver: solver, Tie: tie, Seed: 17, MaxRounds: maxRounds, Command: selfWorker,
 			})
 			if err != nil {
 				t.Fatalf("%s tie=%d: mp solve: %v", solver, tie, err)
@@ -191,7 +197,7 @@ func TestSolveLarge(t *testing.T) {
 	for _, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
 		want := solveInMemory(t, fi, "proposal", tie, 1, 2)
 		got, _, err := Solve(fi, Options{
-			Procs: 2, Solver: "proposal", Tie: tie, Seed: 1, Command: selfWorker,
+			Procs: 2, Solver: "proposal", Tie: tie, Seed: 1, MaxRounds: maxRounds, Command: selfWorker,
 		})
 		if err != nil {
 			t.Fatalf("tie=%d: mp solve: %v", tie, err)
@@ -210,7 +216,7 @@ func TestWireAccountingMatchesPlan(t *testing.T) {
 	fi := layered12k(3)
 	const procs, spp = 3, 2
 	got, stats, err := Solve(fi, Options{
-		Procs: procs, ShardsPerProc: spp, Solver: "proposal", Seed: 5, Command: selfWorker,
+		Procs: procs, ShardsPerProc: spp, Solver: "proposal", Seed: 5, MaxRounds: maxRounds, Command: selfWorker,
 	})
 	if err != nil {
 		t.Fatalf("mp solve: %v", err)
@@ -253,7 +259,7 @@ func TestKillWorkerAutoResume(t *testing.T) {
 	got, stats, err := Solve(fi, Options{
 		Procs: 2, Solver: "proposal", Seed: 42,
 		SnapshotEvery: 4, AutoResume: 2,
-		Fault: reg, Command: selfWorker,
+		Fault: reg, MaxRounds: maxRounds, Command: selfWorker,
 	})
 	if err != nil {
 		t.Fatalf("mp solve with kill at round 8: %v", err)
@@ -277,7 +283,7 @@ func TestKillWorkerNoBudget(t *testing.T) {
 	}
 	reg.Arm(FaultSiteWorker, sched)
 	_, _, err = Solve(fi, Options{
-		Procs: 2, Solver: "proposal", Seed: 42, Fault: reg, Command: selfWorker,
+		Procs: 2, Solver: "proposal", Seed: 42, Fault: reg, MaxRounds: maxRounds, Command: selfWorker,
 	})
 	var lost *WorkerLostError
 	if !errors.As(err, &lost) {
