@@ -30,6 +30,7 @@ func E15LoadBalancingContrast(p Profile) *Table {
 	for _, initial := range loads {
 		st, err := baseline.Dumbbell(4, initial)
 		if err != nil {
+			t.AddRow(initial, "error: "+err.Error(), "-", "-", "-")
 			continue
 		}
 		res, err := baseline.Balance(st, p.Seed, 1<<22, 0)
@@ -41,13 +42,12 @@ func E15LoadBalancingContrast(p Profile) *Table {
 		// top of a two-layer bottleneck; each token can cross once.
 		rng := rand.New(rand.NewSource(p.Seed))
 		inst := core.Bottleneck(initial, 2, rng)
-		sol, stats, gerr := core.SolveProposal(inst, core.SolveOptions{Seed: p.Seed, MaxRounds: 1 << 20})
-		gameRounds, gameMoves := -1, -1
-		if gerr == nil {
-			gameRounds = stats.Rounds
-			gameMoves = len(sol.Moves)
+		sol, stats, err := core.SolveProposal(inst, core.SolveOptions{Seed: p.Seed, MaxRounds: 1 << 20})
+		if err != nil {
+			t.AddRow(initial, res.Rounds, res.UnitMoves, "error: "+err.Error(), "-")
+			continue
 		}
-		t.AddRow(initial, res.Rounds, res.UnitMoves, gameRounds, gameMoves)
+		t.AddRow(initial, res.Rounds, res.UnitMoves, stats.Rounds, len(sol.Moves))
 		xs = append(xs, float64(initial))
 		ys = append(ys, float64(res.Rounds))
 	}
@@ -77,11 +77,14 @@ func E16HeightGapAblation(p Profile) *Table {
 		delta := inst.MaxDegree()
 		_, stats, err := core.SolveProposal(inst, core.SolveOptions{Seed: p.Seed, MaxRounds: 1 << 20})
 		if err != nil {
+			t.AddRow(h+1, delta, "error: "+err.Error(), "-", "-")
 			continue
 		}
 		spec := "-"
 		if h <= core.ThreeLevelMaxLevel {
-			if _, s3, err := core.SolveThreeLevel(inst, core.SolveOptions{Seed: p.Seed, MaxRounds: 1 << 20}); err == nil {
+			if _, s3, err := core.SolveThreeLevel(inst, core.SolveOptions{Seed: p.Seed, MaxRounds: 1 << 20}); err != nil {
+				spec = "error: " + err.Error()
+			} else {
 				spec = fmt.Sprint(s3.Rounds)
 			}
 		}
@@ -120,7 +123,9 @@ func E17ThresholdSweep(p Profile) *Table {
 			fmt.Sprint(res.Assignment.Stable()))
 	}
 	full, err := assign.Solve(b, assign.Options{Seed: p.Seed})
-	if err == nil {
+	if err != nil {
+		t.AddRow("∞ (general)", "-", "-", "error: "+err.Error(), "-")
+	} else {
 		t.AddRow("∞ (general)", full.Phases, full.Rounds, mark(full.Assignment.Stable()), "true")
 	}
 	return t

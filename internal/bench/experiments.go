@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -87,6 +88,9 @@ func E2TokenDroppingFigure2(p Profile) *Table {
 			paths = "UNVERIFIED " + paths
 		}
 		t.AddRow(r.name, r.sol.Rounds, len(r.sol.Moves), paths)
+	}
+	if err != nil {
+		t.AddRow("distributed proposal", "-", "-", "error: "+err.Error())
 	}
 	return t
 }
@@ -177,6 +181,7 @@ func E4ProposalLevelSweep(p Profile) *Table {
 		inst := core.Chain(L)
 		_, stats, err := core.SolveProposal(inst, core.SolveOptions{MaxRounds: 1 << 20})
 		if err != nil {
+			t.AddRow("chain", L, inst.MaxDegree(), "error: "+err.Error(), "-")
 			continue
 		}
 		t.AddRow("chain", L, inst.MaxDegree(), stats.Rounds, float64(stats.Rounds)/float64(L))
@@ -189,6 +194,7 @@ func E4ProposalLevelSweep(p Profile) *Table {
 		inst := core.RandomLayered(cfg, rng)
 		_, stats, err := core.SolveProposal(inst, core.SolveOptions{Seed: p.Seed, MaxRounds: 1 << 20})
 		if err != nil {
+			t.AddRow("random layered", L, inst.MaxDegree(), "error: "+err.Error(), "-")
 			continue
 		}
 		t.AddRow("random layered", L, inst.MaxDegree(), stats.Rounds, float64(stats.Rounds)/float64(L))
@@ -214,8 +220,10 @@ func E5Height2Matching(p Profile) *Table {
 		bg := graph.RandomBipartite(sz.nl, sz.nr, sz.c, rng)
 		b := graph.MustBipartite(bg, sz.nl)
 		inst := core.FromBipartite(bg, sz.nl)
+		delta := bg.MaxDegree()
 		sol, stats, err := core.SolveProposal(inst, core.SolveOptions{Seed: p.Seed, MaxRounds: 1 << 20})
 		if err != nil {
+			t.AddRow(sz.nl, sz.nr, delta, "error: "+err.Error(), "-", "-")
 			continue
 		}
 		// Convert traversals to a matching and verify maximality.
@@ -231,12 +239,11 @@ func E5Height2Matching(p Profile) *Table {
 		}
 		maximal := matching.VerifyMaximal(b, matchOf) == nil
 		mm, err := matching.Solve(b, 1<<20, 0)
-		mmRounds := -1
-		if err == nil {
-			mmRounds = mm.Rounds
+		if err != nil {
+			t.AddRow(sz.nl, sz.nr, delta, stats.Rounds, "error: "+err.Error(), mark(maximal))
+			continue
 		}
-		delta := bg.MaxDegree()
-		t.AddRow(sz.nl, sz.nr, delta, stats.Rounds, mmRounds, mark(maximal))
+		t.AddRow(sz.nl, sz.nr, delta, stats.Rounds, mm.Rounds, mark(maximal))
 	}
 	return t
 }
@@ -261,7 +268,8 @@ func E6ThreeLevelSweep(p Profile) *Table {
 		delta := inst.MaxDegree()
 		_, st3, err3 := core.SolveThreeLevel(inst, core.SolveOptions{Seed: p.Seed, MaxRounds: 1 << 20})
 		_, stg, errg := core.SolveProposal(inst, core.SolveOptions{Seed: p.Seed, MaxRounds: 1 << 20})
-		if err3 != nil || errg != nil {
+		if err := errors.Join(err3, errg); err != nil {
+			t.AddRow(delta, inst.N(), "-", "-", "-", "error: "+err.Error())
 			continue
 		}
 		t.AddRow(delta, inst.N(), st3.Rounds, stg.Rounds,
@@ -333,11 +341,13 @@ func E8OrientVsBaseline(p Profile) []*Table {
 		g := graph.RandomRegular(n, d, rng)
 		ours, err := orient.Solve(g, orient.Options{Seed: p.Seed})
 		if err != nil {
+			degree.AddRow(d, n, "error: "+err.Error(), "-", "-", "-")
 			continue
 		}
 		init := baseline.OrientAll(g, baseline.InitTowardHigherID, nil)
 		selfish, err := baseline.SelfishFlips(init, p.Seed, 1<<20, 0)
 		if err != nil {
+			degree.AddRow(d, n, ours.Rounds, "error: "+err.Error(), "-", "-")
 			continue
 		}
 		greedy := baseline.SequentialGreedy(init.Clone(), baseline.FlipFirst, nil)
@@ -359,11 +369,13 @@ func E8OrientVsBaseline(p Profile) []*Table {
 		g := graph.RandomRegular(n, 4, rng)
 		ours, err := orient.Solve(g, orient.Options{Seed: p.Seed})
 		if err != nil {
+			size.AddRow(n, 4, "error: "+err.Error(), "-", "-", "-")
 			continue
 		}
 		init := baseline.OrientAll(g, baseline.InitRandom, rng)
 		selfish, err := baseline.SelfishFlips(init, p.Seed, 1<<20, 0)
 		if err != nil {
+			size.AddRow(n, 4, ours.Rounds, "error: "+err.Error(), "-", "-")
 			continue
 		}
 		greedy := baseline.SequentialGreedy(init.Clone(), baseline.FlipFirst, nil)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -124,7 +125,8 @@ func E12BoundedSweep(p Profile) *Table {
 		b := graph.MustBipartite(g, nl)
 		rb, err1 := assign.Solve(b, assign.Options{K: 2, Seed: p.Seed})
 		ra, err2 := assign.Solve(b, assign.Options{Seed: p.Seed})
-		if err1 != nil || err2 != nil {
+		if err := errors.Join(err1, err2); err != nil {
+			t.AddRow(b.MaxCustomerDegree(), b.MaxServerDegree(), "-", "-", "error: "+err.Error())
 			continue
 		}
 		ratio := float64(ra.Rounds) / float64(rb.Rounds)
