@@ -218,13 +218,13 @@ func TestRollbackAnywhereOracle(t *testing.T) {
 	fb := graph.NewCSRBipartiteFromBipartite(b)
 	reg := fault.NewRegistry(3)
 	r, err := NewResolver(fb, nil, ResolverOptions{
-		Tie: core.TieRandom, Seed: 7, Shards: 2, SelfCheck: true,
-		FragThreshold: 0.3, Fault: reg,
+		Tie: core.TieRandom, Seed: 7, Shards: 2, SelfCheck: true, Fault: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	r.ov.FragThreshold = 0.3 // compact often, so rollbacks cross compactions
 
 	var liveCust, liveServ []int32
 	for c := 0; c < fb.NumLeft; c++ {

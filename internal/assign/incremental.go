@@ -51,8 +51,6 @@ type ResolverOptions struct {
 	// Resolver starts on its first from-scratch solve; 0 means
 	// runtime.GOMAXPROCS(0).
 	Shards int
-	// FragThreshold is passed to the overlay (0 means its 0.5 default).
-	FragThreshold float64
 	// SelfCheck runs Verify after every delta operation and turns a
 	// failure into the operation's error. Linear per delta — tests keep
 	// it on, serving paths leave it off.
@@ -152,9 +150,6 @@ func NewResolverFromOverlay(ov *graph.BipartiteOverlay, prior []int32, opt Resol
 		seed:    opt.Seed,
 		shards:  opt.Shards,
 		builder: graph.NewCSRBuilder(0, 0),
-	}
-	if opt.FragThreshold != 0 {
-		r.ov.FragThreshold = opt.FragThreshold
 	}
 	r.selfCheck = opt.SelfCheck
 	if opt.Fault != nil {

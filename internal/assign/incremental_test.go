@@ -123,12 +123,13 @@ func TestResolverChurnEquivalence(t *testing.T) {
 		b := graph.MustBipartite(graph.RandomBipartite(60, 16, 3, rng), 60)
 		fb := graph.NewCSRBipartiteFromBipartite(b)
 		r, err := NewResolver(fb, nil, ResolverOptions{
-			Tie: tie, Seed: 5, Shards: 2, SelfCheck: true, FragThreshold: 0.3,
+			Tie: tie, Seed: 5, Shards: 2, SelfCheck: true,
 		})
 		if err != nil {
 			t.Fatalf("tie %v: NewResolver: %v", tie, err)
 		}
 		defer r.Close()
+		r.ov.FragThreshold = 0.3 // compact often, so the churn crosses compactions
 
 		liveCust := make([]int32, 0, 128)
 		liveServ := make([]int32, 0, 32)

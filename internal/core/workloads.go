@@ -69,17 +69,6 @@ func RandomLayered(cfg LayeredConfig, rng *rand.Rand) *Instance {
 	return MustInstance(g, level, token)
 }
 
-// TopHeavy places a token on every vertex of the top layer and nowhere
-// else — the adversary that maximizes total traversal length.
-func TopHeavy(cfg LayeredConfig, rng *rand.Rand) *Instance {
-	cfg.TokenProb = 0
-	inst := RandomLayered(cfg, rng)
-	for v := 0; v < inst.N(); v++ {
-		inst.token[v] = inst.level[v] == cfg.Levels
-	}
-	return inst
-}
-
 // Chain returns the single-slot cascade: a path of length levels with the
 // vertex on level ℓ for each ℓ, tokens everywhere except level 0. Every
 // token must wait for the one below it, which forces Θ(L) sequential

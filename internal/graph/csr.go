@@ -265,31 +265,6 @@ func (b *CSRBuilder) Reset(n int) {
 	b.vs = b.vs[:0]
 }
 
-// ResetShrink is Reset with a release policy for long-running callers:
-// backing arrays whose capacity exceeds what a graph of edgeCap edges
-// needs are dropped for the garbage collector to reclaim, instead of
-// being pinned at their peak size forever. Reset alone retains peak
-// capacity by design (the phase loops rebuild same-sized subgames every
-// phase); a daemon that served one outsized solve calls ResetShrink with
-// its steady-state edge budget so the one-off peak does not become the
-// process's floor. edgeCap <= 0 releases the buffers entirely.
-func (b *CSRBuilder) ResetShrink(n, edgeCap int) {
-	b.Reset(n)
-	if edgeCap < 0 {
-		edgeCap = 0
-	}
-	if cap(b.us) > edgeCap {
-		b.us = make([]int32, 0, edgeCap)
-		b.vs = make([]int32, 0, edgeCap)
-	}
-	if cap(b.deg) > n {
-		b.deg = nil
-		if n > 0 {
-			b.deg = make([]int32, 0, n)
-		}
-	}
-}
-
 // Build assembles the CSR into fresh arrays. The builder can be reused
 // afterwards (its edge buffer is retained); the returned CSR is
 // independent of the builder and of any later BuildInto targets.

@@ -421,8 +421,9 @@ func TestOverlayDuplicateCheckLinear(t *testing.T) {
 	}
 }
 
-// TestResetShrink pins the builder's release policy: Reset retains peak
-// capacity, ResetShrink drops it to the requested budget.
+// TestResetShrink pins that Reset does not shrink the builder: it
+// retains the edge buffer's peak capacity, which the phase loops rely on
+// to rebuild same-sized subgames every phase without allocating.
 func TestResetShrink(t *testing.T) {
 	b := NewCSRBuilder(4, 0)
 	for i := 0; i < 1000; i++ {
@@ -432,24 +433,6 @@ func TestResetShrink(t *testing.T) {
 	b.Reset(4)
 	if cap(b.us) < 1000 {
 		t.Fatalf("Reset released the edge buffer (cap %d)", cap(b.us))
-	}
-	b.ResetShrink(4, 16)
-	if cap(b.us) > 16 || cap(b.vs) > 16 {
-		t.Fatalf("ResetShrink kept cap %d/%d over budget 16", cap(b.us), cap(b.vs))
-	}
-	if b.N() != 4 || b.M() != 0 {
-		t.Fatalf("ResetShrink broke the reset: n=%d m=%d", b.N(), b.M())
-	}
-	// Still fully usable afterwards.
-	b.AddEdge(0, 1)
-	b.AddEdge(2, 3)
-	c := b.Build()
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	b.ResetShrink(0, 0)
-	if cap(b.us) != 0 || cap(b.deg) != 0 {
-		t.Fatalf("ResetShrink(0,0) kept buffers (cap %d, deg %d)", cap(b.us), cap(b.deg))
 	}
 }
 
