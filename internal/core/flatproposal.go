@@ -474,9 +474,12 @@ func SolveProposalSharded(fi *FlatInstance, opt ShardedSolveOptions) (*FlatResul
 // the whole solve performs no heap allocations, which is what the
 // orientation phase loop runs every phase's game on.
 func SolveProposalShardedInto(fi *FlatInstance, opt ShardedSolveOptions, out *FlatResult) error {
-	if d := fi.MaxDegree(); d >= 1<<cntBits {
-		return fmt.Errorf("core: degree %d exceeds the proposal program's counter range (2^%d - 1)",
-			d, cntBits)
+	// A degree is at most the arc count, so smaller games skip the scan.
+	if fi.csr.NumArcs() >= 1<<cntBits {
+		if d := fi.MaxDegree(); d >= 1<<cntBits {
+			return fmt.Errorf("core: degree %d exceeds the proposal program's counter range (2^%d - 1)",
+				d, cntBits)
+		}
 	}
 	return solveShardedInto(fi, opt, out, func(ws *SolverWorkspace) flatGame { return &ws.prop })
 }
