@@ -1,7 +1,10 @@
 package hypergame
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -179,5 +182,87 @@ func TestThreeLevelProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pinnedRun is what TestThreeLevelPinned holds a three-level run to.
+type pinnedRun struct {
+	rounds    int
+	messages  int64
+	maxActive int
+	moves     int
+	hash      uint64 // FNV-1a of the move log and the final placement
+}
+
+func pinRun(stats DistStats, moves []Move, final []bool) pinnedRun {
+	h := fnv.New64a()
+	for _, m := range moves {
+		fmt.Fprintf(h, "%d %d %d %d;", m.Edge, m.From, m.To, m.Round)
+	}
+	for _, occ := range final {
+		fmt.Fprint(h, occ)
+	}
+	return pinnedRun{stats.Rounds, stats.Messages, stats.MaxActiveRounds, len(moves), h.Sum64()}
+}
+
+// sortedEnds returns inst with each hyperedge's endpoints in ascending
+// order, so its incidence ports do not depend on the generator's
+// endpoint order.
+func sortedEnds(inst *Instance) *Instance {
+	edges := cloneEdges(inst.edges)
+	for _, e := range edges {
+		slices.Sort(e)
+	}
+	return MustInstance(inst.level, inst.token, edges, inst.head)
+}
+
+// TestThreeLevelPinned holds both engines' three-level solvers to runs
+// measured once, on seeded three-level and height-2 layered games under
+// both tie rules. The differential suites only compare the engines with
+// each other, so an edit that changes both alike passes them; this test
+// does not.
+func TestThreeLevelPinned(t *testing.T) {
+	games := []*Instance{
+		RandomThreeLevel(ThreeLevelConfig{Width: 12, PullEdges: 20, PushEdges: 20, Rank: 3, MidProb: 0.4}, rand.New(rand.NewSource(1))),
+		RandomThreeLevel(ThreeLevelConfig{Width: 20, PullEdges: 40, PushEdges: 30, Rank: 4, MidProb: 0.2}, rand.New(rand.NewSource(2))),
+		RandomThreeLevel(ThreeLevelConfig{Width: 8, PullEdges: 10, PushEdges: 25, Rank: 2, MidProb: 0.6}, rand.New(rand.NewSource(3))),
+		RandomLayered(LayeredConfig{Levels: 2, Width: 15, Edges: 45, Rank: 3, TokenProb: 0.5}, rand.New(rand.NewSource(4))),
+		RandomLayered(LayeredConfig{Levels: 2, Width: 25, Edges: 60, Rank: 4, TokenProb: 0.3}, rand.New(rand.NewSource(5))),
+	}
+	want := []pinnedRun{ // per game: TieFirstPort, then TieRandom
+		{17, 417, 2, 18, 0xc2dfd0318abf0f4c},
+		{17, 429, 3, 20, 0xa8bc49e081bdcadd},
+		{17, 1055, 2, 35, 0x5078eb0424af5ca8},
+		{15, 979, 3, 35, 0xdf0fc50d927c3ad2},
+		{17, 250, 2, 14, 0x62dd784414ff3682},
+		{13, 250, 1, 13, 0xf8afa855f36a1f46},
+		{13, 243, 1, 14, 0x77feed13bdcb496b},
+		{13, 255, 2, 16, 0xf0c3213e1959c7a3},
+		{11, 353, 1, 11, 0x8cff105f11a0615b},
+		{13, 353, 1, 11, 0x26b79cbf85ea8f77},
+	}
+	for g, inst := range games {
+		inst = sortedEnds(inst)
+		for k, tie := range []core.TieBreak{core.TieFirstPort, core.TieRandom} {
+			seed := int64(10 + g)
+			w := want[2*g+k]
+			sol, stats, err := SolveThreeLevel(inst, SolveOptions{Tie: tie, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := pinRun(stats, sol.Moves, sol.Final)
+			if got != w {
+				t.Errorf("game %d tie %v, seed engine: got %+v, want %+v", g, tie, got, w)
+			}
+			for _, shards := range []int{1, 3} {
+				res, err := SolveThreeLevelSharded(NewFlatInstanceFromInstance(inst), ShardedSolveOptions{Tie: tie, Seed: seed, Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := pinRun(res.Stats, res.Moves, res.Final); got != w {
+					t.Errorf("game %d tie %v, %d shards: got %+v, want %+v", g, tie, shards, got, w)
+				}
+			}
+		}
 	}
 }
