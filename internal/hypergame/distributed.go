@@ -82,7 +82,6 @@ type relayMachine struct {
 
 	headOcc  bool
 	pending  int // child port of the pending request, -1 if none
-	consumed bool
 	portDead []bool
 
 	moves []Move
@@ -171,19 +170,8 @@ func (m *serverMachine) Step(round int, in []local.Payload, out []local.Payload)
 		}
 	}
 
-	liveHead, liveChild := 0, 0
-	for p, dead := range m.portDead {
-		if dead {
-			continue
-		}
-		switch m.role[p] {
-		case roleHead:
-			liveHead++
-		case roleChild:
-			liveChild++
-		}
-	}
-	halt := (m.occupied && liveHead == 0) || (!m.occupied && liveChild == 0 && m.requested < 0)
+	halt := (m.occupied && m.liveByRole(roleHead) == 0) ||
+		(!m.occupied && m.liveByRole(roleChild) == 0 && m.requested < 0)
 
 	for p := range out {
 		if m.portDead[p] && p != grantPort {
@@ -201,6 +189,16 @@ func (m *serverMachine) Step(round int, in []local.Payload, out []local.Payload)
 		}
 	}
 	return halt
+}
+
+func (m *serverMachine) liveByRole(role portRole) int {
+	n := 0
+	for p, dead := range m.portDead {
+		if !dead && m.role[p] == role {
+			n++
+		}
+	}
+	return n
 }
 
 func (m *relayMachine) Init(info local.NodeInfo) {
@@ -254,7 +252,6 @@ func (m *relayMachine) Step(round int, in []local.Payload, out []local.Payload) 
 
 	if granted {
 		// Route the token and dissolve: the hyperedge is consumed.
-		m.consumed = true
 		m.moves = append(m.moves, Move{
 			Edge:  m.edgeID,
 			From:  m.vertexAt[m.headPort],
@@ -282,13 +279,7 @@ func (m *relayMachine) Step(round int, in []local.Payload, out []local.Payload) 
 		m.pending = -1
 	}
 
-	liveChildren := 0
-	for _, p := range m.childPts {
-		if !m.portDead[p] {
-			liveChildren++
-		}
-	}
-	halt := m.portDead[m.headPort] || liveChildren == 0
+	halt := m.portDead[m.headPort] || m.liveChildren() == 0
 	for p := range out {
 		if m.portDead[p] {
 			continue
@@ -305,6 +296,16 @@ func (m *relayMachine) Step(round int, in []local.Payload, out []local.Payload) 
 		}
 	}
 	return halt
+}
+
+func (m *relayMachine) liveChildren() int {
+	n := 0
+	for _, p := range m.childPts {
+		if !m.portDead[p] {
+			n++
+		}
+	}
+	return n
 }
 
 var (
@@ -334,6 +335,18 @@ type DistStats struct {
 // SolveProposal runs the distributed proposal algorithm for hypergraph
 // token dropping and returns the verified-shape solution and statistics.
 func SolveProposal(inst *Instance, opt SolveOptions) (*Solution, DistStats, error) {
+	return solveObject(inst, opt,
+		func(sm *serverMachine) local.Machine { return sm },
+		func(rm *relayMachine) local.Machine { return rm })
+}
+
+// solveObject is the driver of both object solvers. It builds the
+// incidence network of inst and a proposal machine for every server and
+// relay, runs on each node the machine that server or relay returns for
+// it (the proposal machine itself, or a machine that embeds it), and
+// collects the solution from the proposal machines' state.
+func solveObject(inst *Instance, opt SolveOptions,
+	server func(*serverMachine) local.Machine, relay func(*relayMachine) local.Machine) (*Solution, DistStats, error) {
 	if opt.MaxRounds == 0 {
 		opt.MaxRounds = 1 << 20
 	}
@@ -374,7 +387,7 @@ func SolveProposal(inst *Instance, opt SolveOptions) (*Solution, DistStats, erro
 				}
 			}
 			servers[node] = sm
-			return sm
+			return server(sm)
 		}
 		edge := node - n
 		adj := net.Adj(node)
@@ -391,7 +404,7 @@ func SolveProposal(inst *Instance, opt SolveOptions) (*Solution, DistStats, erro
 			panic("hypergame: relay lost its head")
 		}
 		relays[edge] = rm
-		return rm
+		return relay(rm)
 	})
 	stats, err := nw.Run(local.Options{MaxRounds: opt.MaxRounds, Workers: opt.Workers, MeasureBits: opt.MeasureBits})
 	if err != nil {

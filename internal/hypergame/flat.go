@@ -520,6 +520,24 @@ func (st *flatHyperState) pickRandom(v, a0, a1 int, mask, want uint8) int {
 	return choice
 }
 
+// rescanPick reservoir-samples over the arcs in [first, a1) that received
+// msg this round on a live channel — the flat form of the object machines'
+// random pick over a requests/offers bitmap. seen is how many there are.
+func (st *flatHyperState) rescanPick(v, first, a1, seen int, msg local.Word, recv []local.Word) int {
+	count, choice := 0, -1
+	for i := first; i < a1; i++ {
+		if recv[i] == msg && st.aflags[i]&hDead == 0 {
+			if count++; core.TieKeep(&st.rngs[v], count) {
+				choice = i
+			}
+			if count == seen {
+				break
+			}
+		}
+	}
+	return choice
+}
+
 // resultInto writes the run's outcome into out, reusing its slices
 // grow-only, so callers that solve many games through one workspace (the
 // assignment phase loop) allocate nothing per game.
@@ -556,9 +574,10 @@ func moveRound(m Move) int { return m.Round }
 
 // flatHyperProposal is the generic proposal solver of Theorem 7.1
 // (distributed.go) in struct-of-arrays form. stepServer and stepRelay
-// mirror serverMachine.Step and relayMachine.Step case for case; any
-// semantic divergence is caught by the differential tests, which demand
-// bit-identical runs under either tie rule.
+// mirror serverMachine.Step and relayMachine.Step case for case; they are
+// methods of flatHyperState because the three-level program runs them
+// too. Any semantic divergence is caught by the differential tests, which
+// demand bit-identical runs under either tie rule.
 type flatHyperProposal struct {
 	*flatHyperState
 }
@@ -571,7 +590,7 @@ func (pr *flatHyperProposal) StepShard(round, shard int, verts []int32, recv, se
 	for _, v32 := range verts {
 		v := int(v32)
 		if v < n {
-			delivered += pr.stepServer(round, v, recv, send, halted)
+			delivered += pr.stepServer(v, recv, send, halted)
 		} else {
 			var d int64
 			moves, d = pr.stepRelay(round, v, recv, send, halted, moves)
@@ -582,14 +601,14 @@ func (pr *flatHyperProposal) StepShard(round, shard int, verts []int32, recv, se
 	pr.shardMsgs[shard] += delivered
 }
 
-func (pr *flatHyperProposal) stepServer(round, v int, recv, send []local.Word, halted []bool) int64 {
-	inc := pr.fi.inc
+func (st *flatHyperState) stepServer(v int, recv, send []local.Word, halted []bool) int64 {
+	inc := st.fi.inc
 	a0, a1 := inc.ArcRange(v)
-	aflags := pr.aflags
-	occ := pr.occ[v]
+	aflags := st.aflags
+	occ := st.occ[v]
 	wasOcc := occ
-	cnt := pr.counters[v]
-	req := int(pr.reqArc[v])
+	cnt := st.counters[v]
+	req := int(st.reqArc[v])
 	var delivered int64
 	portDied := false
 	reqFirst, reqSeen := -1, 0
@@ -605,7 +624,7 @@ func (pr *flatHyperProposal) stepServer(round, v int, recv, send []local.Word, h
 			if f&hDead == 0 {
 				portDied = true
 			}
-			cnt = pr.killArc(i, cnt)
+			cnt = st.killArc(i, cnt)
 		case hwAnnFree, hwAnnOcc:
 			if f&hRoleMask != hRoleChild {
 				panic(fmt.Sprintf("hypergame: server %d got a child announce on a non-child channel", v))
@@ -633,7 +652,7 @@ func (pr *flatHyperProposal) stepServer(round, v int, recv, send []local.Word, h
 			if aflags[i]&hDead == 0 {
 				portDied = true
 			}
-			cnt = pr.killArc(i, cnt)
+			cnt = st.killArc(i, cnt)
 		case hwRequest:
 			if f&hRoleMask != hRoleHead {
 				panic(fmt.Sprintf("hypergame: server %d got a request on a non-head channel", v))
@@ -658,25 +677,15 @@ func (pr *flatHyperProposal) stepServer(round, v int, recv, send []local.Word, h
 	// Grant: only a token held since the previous round can be granted.
 	grantArc := -1
 	if wasOcc && reqSeen > 0 {
-		if pr.tie == core.TieFirstPort || reqSeen == 1 {
+		if st.tie == core.TieFirstPort || reqSeen == 1 {
 			grantArc = reqFirst
 		} else {
-			cn := 0
-			for i := reqFirst; i < a1; i++ {
-				if recv[i] == hwRequest && aflags[i]&hDead == 0 {
-					if cn++; core.TieKeep(&pr.rngs[v], cn) {
-						grantArc = i
-					}
-					if cn == reqSeen {
-						break
-					}
-				}
-			}
+			grantArc = st.rescanPick(v, reqFirst, a1, reqSeen, hwRequest, recv)
 		}
 	}
 	if grantArc >= 0 {
 		occ = false
-		cnt = pr.killArc(grantArc, cnt)
+		cnt = st.killArc(grantArc, cnt)
 	}
 
 	// Request: unoccupied, nothing in flight, and some live child channel
@@ -686,13 +695,13 @@ func (pr *flatHyperProposal) stepServer(round, v int, recv, send []local.Word, h
 	if !occ && req < 0 && cnt>>(2*hcntBits) > 0 {
 		const mask = hRoleMask | hDead | hChanOcc
 		const want = hRoleChild | hChanOcc
-		if pr.tie == core.TieFirstPort {
-			requestArc = pr.pickFirst(a0, a1, mask, want)
+		if st.tie == core.TieFirstPort {
+			requestArc = st.pickFirst(a0, a1, mask, want)
 		} else {
-			requestArc = pr.pickRandom(v, a0, a1, mask, want)
+			requestArc = st.pickRandom(v, a0, a1, mask, want)
 		}
 		req = requestArc
-		pr.active[v]++
+		st.active[v]++
 	}
 
 	liveHead := cnt & hcntMask
@@ -704,7 +713,7 @@ func (pr *flatHyperProposal) stepServer(round, v int, recv, send []local.Word, h
 	// event-free round whose two predecessors were also event-free finds
 	// its words already in the double buffer and skips the stores.
 	changed := grantArc >= 0 || requestArc >= 0 || halt || occ != wasOcc || portDied
-	un := pr.unch[v]
+	un := st.unch[v]
 	if changed {
 		un = -1
 	} else if un < 2 {
@@ -733,28 +742,28 @@ func (pr *flatHyperProposal) stepServer(round, v int, recv, send []local.Word, h
 			send[rev[i]] = word
 		}
 	}
-	pr.unch[v] = un
+	st.unch[v] = un
 
-	pr.occ[v] = occ
-	pr.reqArc[v] = int32(req)
-	pr.counters[v] = cnt
+	st.occ[v] = occ
+	st.reqArc[v] = int32(req)
+	st.counters[v] = cnt
 	if halt {
 		halted[v] = true
 	}
 	return delivered
 }
 
-func (pr *flatHyperProposal) stepRelay(round, v int, recv, send []local.Word, halted []bool, moves []Move) ([]Move, int64) {
-	inc := pr.fi.inc
-	n := pr.fi.N()
+func (st *flatHyperState) stepRelay(round, v int, recv, send []local.Word, halted []bool, moves []Move) ([]Move, int64) {
+	inc := st.fi.inc
+	n := st.fi.N()
 	a0, a1 := inc.ArcRange(v)
-	aflags := pr.aflags
-	hArc := int(pr.headArc[v])
-	headOcc := pr.occ[v]
+	aflags := st.aflags
+	hArc := int(st.headArc[v])
+	headOcc := st.occ[v]
 	wasOcc := headOcc
-	pend := int(pr.reqArc[v])
+	pend := int(st.reqArc[v])
 	hadPend := pend >= 0
-	cnt := pr.counters[v]
+	cnt := st.counters[v]
 	var delivered int64
 	granted := false
 	portDied := false
@@ -766,10 +775,10 @@ func (pr *flatHyperProposal) stepRelay(round, v int, recv, send []local.Word, ha
 		delivered++
 		switch msg {
 		case hwLeave:
-			if pr.aflags[i]&hDead == 0 {
+			if st.aflags[i]&hDead == 0 {
 				portDied = true
 			}
-			cnt = pr.killArc(i, cnt)
+			cnt = st.killArc(i, cnt)
 		case hwAnnFree, hwAnnOcc:
 			if i != hArc {
 				panic(fmt.Sprintf("hypergame: relay %d got an announce from a non-head", v-n))
@@ -815,9 +824,9 @@ func (pr *flatHyperProposal) stepRelay(round, v int, recv, send []local.Word, ha
 			}
 			send[rev[i]] = word
 		}
-		pr.occ[v] = headOcc
-		pr.reqArc[v] = int32(pend)
-		pr.counters[v] = cnt
+		st.occ[v] = headOcc
+		st.reqArc[v] = int32(pend)
+		st.counters[v] = cnt
 		halted[v] = true
 		return moves, delivered
 	}
@@ -834,7 +843,7 @@ func (pr *flatHyperProposal) stepRelay(round, v int, recv, send []local.Word, ha
 	// Quiescent-outbox skip (see flatHyperState.unch): the relay outbox
 	// is a function of (headOcc, pend-presence, halt, dead ports).
 	changed := halt || portDied || headOcc != wasOcc || (pend >= 0) != hadPend
-	un := pr.unch[v]
+	un := st.unch[v]
 	if changed {
 		un = -1
 	} else if un < 2 {
@@ -861,11 +870,11 @@ func (pr *flatHyperProposal) stepRelay(round, v int, recv, send []local.Word, ha
 			send[rev[i]] = word
 		}
 	}
-	pr.unch[v] = un
+	st.unch[v] = un
 
-	pr.occ[v] = headOcc
-	pr.reqArc[v] = int32(pend)
-	pr.counters[v] = cnt
+	st.occ[v] = headOcc
+	st.reqArc[v] = int32(pend)
+	st.counters[v] = cnt
 	if halt {
 		halted[v] = true
 	}

@@ -9,11 +9,13 @@ import (
 )
 
 // flatHyper3 is the specialized three-level solver of Theorem 7.5
-// (threelevel.go) in struct-of-arrays form. Servers branch on their level
-// (top grants, bottom accepts, the middle pulls from above and pushes
-// below); relays run in pull mode when their head is on level 2 and push
-// mode when it is on level 1. stepTop/stepBottom/stepMiddle/stepRelay3
-// mirror server3Machine.Step and relay3Machine.Step case for case; the
+// (threelevel.go) in struct-of-arrays form. As on the seed engine,
+// level-2 servers and the relays of hyperedges headed on level 2 run the
+// proposal steps (flatHyperState.stepServer and stepRelay). Level-0
+// servers accept (stepBottom), level-1 servers pull from above and push
+// below (stepMiddle), and the relays of hyperedges headed on level 1 walk
+// the head's offer over their children (stepPushRelay); these mirror
+// server3Machine.Step and relay3Machine.Step case for case. The
 // differential tests demand bit-identical runs under either tie rule.
 type flatHyper3 struct {
 	*flatHyperState
@@ -48,126 +50,22 @@ func (pr *flatHyper3) StepShard(round, shard int, verts []int32, recv, send []lo
 	for _, v32 := range verts {
 		v := int(v32)
 		var d int64
-		if v < n {
-			switch pr.fi.level[v] {
-			case 0:
-				d = pr.stepBottom(v, recv, send, halted)
-			case 1:
-				d = pr.stepMiddle(v, recv, send, halted)
-			case 2:
-				d = pr.stepTop(v, recv, send, halted)
-			default:
-				panic(fmt.Sprintf("hypergame: 3-level server on level %d", pr.fi.level[v]))
-			}
-		} else {
-			moves, d = pr.stepRelay3(round, v, recv, send, halted, moves)
+		switch {
+		case v >= n && pr.push[v]:
+			moves, d = pr.stepPushRelay(round, v, recv, send, halted, moves)
+		case v >= n:
+			moves, d = pr.stepRelay(round, v, recv, send, halted, moves)
+		case pr.fi.level[v] == 0:
+			d = pr.stepBottom(v, recv, send, halted)
+		case pr.fi.level[v] == 1:
+			d = pr.stepMiddle(v, recv, send, halted)
+		default:
+			d = pr.stepServer(v, recv, send, halted)
 		}
 		delivered += d
 	}
 	pr.shardMoves[shard] = moves
 	pr.shardMsgs[shard] += delivered
-}
-
-// rescanPick reservoir-samples over the arcs in [first, a1) that received
-// msg this round on a live channel — the flat form of the object machines'
-// random pick over a requests/offers bitmap.
-func (pr *flatHyper3) rescanPick(v, first, a1, seen int, msg local.Word, recv []local.Word) int {
-	count, choice := 0, -1
-	for i := first; i < a1; i++ {
-		if recv[i] == msg && pr.aflags[i]&hDead == 0 {
-			if count++; core.TieKeep(&pr.rngs[v], count) {
-				choice = i
-			}
-			if count == seen {
-				break
-			}
-		}
-	}
-	return choice
-}
-
-// stepTop: level-2 servers only head hyperedges; they announce, grant one
-// relayed request, and leave as soon as they are unoccupied or isolated.
-func (pr *flatHyper3) stepTop(v int, recv, send []local.Word, halted []bool) int64 {
-	inc := pr.fi.inc
-	a0, a1 := inc.ArcRange(v)
-	occ := pr.occ[v]
-	wasOcc := occ
-	cnt := pr.counters[v]
-	var delivered int64
-	portDied := false
-	reqFirst, reqSeen := -1, 0
-	for i := a0; i < a1; i++ {
-		msg := recv[i]
-		if msg == 0 {
-			continue
-		}
-		delivered++
-		switch msg {
-		case hwLeave:
-			if pr.aflags[i]&hDead == 0 {
-				portDied = true
-			}
-			cnt = pr.killArc(i, cnt)
-		case hwRequest:
-			if pr.aflags[i]&hDead == 0 {
-				if reqFirst < 0 {
-					reqFirst = i
-				}
-				reqSeen++
-			}
-		default:
-			panic(fmt.Sprintf("hypergame: level-2 server %d got unexpected word %d", v, msg))
-		}
-	}
-	grantArc := -1
-	if occ && reqSeen > 0 {
-		if pr.tie == core.TieFirstPort || reqSeen == 1 {
-			grantArc = reqFirst
-		} else {
-			grantArc = pr.rescanPick(v, reqFirst, a1, reqSeen, hwRequest, recv)
-		}
-	}
-	if grantArc >= 0 {
-		occ = false
-		cnt = pr.killArc(grantArc, cnt)
-	}
-	halt := !occ || cnt&hcntMask == 0
-	// Quiescent-outbox skip (see flatHyperState.unch).
-	changed := grantArc >= 0 || halt || portDied || occ != wasOcc
-	un := pr.unch[v]
-	if changed {
-		un = -1
-	} else if un < 2 {
-		un++
-	}
-	if un < 2 {
-		rev := inc.Rev
-		for i := a0; i < a1; i++ {
-			var word local.Word
-			switch {
-			case i == grantArc:
-				word = hwGrant
-			case pr.aflags[i]&hDead != 0:
-			case halt:
-				word = hwLeave
-			case pr.aflags[i]&hRoleMask == hRoleHead:
-				if occ {
-					word = hwAnnOcc
-				} else {
-					word = hwAnnFree
-				}
-			}
-			send[rev[i]] = word
-		}
-	}
-	pr.unch[v] = un
-	pr.occ[v] = occ
-	pr.counters[v] = cnt
-	if halt {
-		halted[v] = true
-	}
-	return delivered
 }
 
 // stepBottom: level-0 servers accept one relayed offer and leave.
@@ -376,26 +274,21 @@ func (pr *flatHyper3) stepMiddle(v int, recv, send []local.Word, halted []bool) 
 	return delivered
 }
 
-// stepRelay3 relays for one hyperedge: pull mode reuses the generic relay
-// discipline; push mode walks the head's offer over the live children
-// until one accepts.
-func (pr *flatHyper3) stepRelay3(round, v int, recv, send []local.Word, halted []bool, moves []Move) ([]Move, int64) {
+// stepPushRelay relays for a hyperedge headed on level 1: it walks the
+// head's offer over the live children until one accepts.
+func (pr *flatHyper3) stepPushRelay(round, v int, recv, send []local.Word, halted []bool, moves []Move) ([]Move, int64) {
 	inc := pr.fi.inc
 	n := pr.fi.N()
 	a0, a1 := inc.ArcRange(v)
 	aflags := pr.aflags
 	hArc := int(pr.headArc[v])
-	headOcc := pr.occ[v]
-	wasOcc := headOcc
-	pend := int(pr.reqArc[v])
-	hadPend := pend >= 0
 	offChild := int(pr.offArc[v])
 	wasOffChild := offChild
 	offering := pr.offering[v]
 	wasOffering := offering
 	cnt := pr.counters[v]
 	var delivered int64
-	granted, accepted := false, false
+	accepted := false
 	portDied := false
 	for i := a0; i < a1; i++ {
 		msg := recv[i]
@@ -405,21 +298,10 @@ func (pr *flatHyper3) stepRelay3(round, v int, recv, send []local.Word, halted [
 		delivered++
 		switch msg {
 		case hwLeave:
-			if pr.aflags[i]&hDead == 0 {
+			if aflags[i]&hDead == 0 {
 				portDied = true
 			}
 			cnt = pr.killArc(i, cnt)
-		case hwAnnFree, hwAnnOcc:
-			headOcc = msg == hwAnnOcc
-		case hwRequest:
-			if pend < 0 && aflags[i]&hDead == 0 {
-				pend = i
-			}
-		case hwGrant:
-			if pend < 0 || aflags[pend]&hDead != 0 {
-				panic(fmt.Sprintf("hypergame: relay %d granted with no pending child", v-n))
-			}
-			granted = true
 		case hwOffer:
 			if i != hArc {
 				panic(fmt.Sprintf("hypergame: relay %d got an offer from a non-head", v-n))
@@ -436,32 +318,6 @@ func (pr *flatHyper3) stepRelay3(round, v int, recv, send []local.Word, halted [
 	}
 
 	rev := inc.Rev
-	store := func(halt bool) {
-		pr.occ[v] = headOcc
-		pr.reqArc[v] = int32(pend)
-		pr.offArc[v] = int32(offChild)
-		pr.offering[v] = offering
-		pr.counters[v] = cnt
-		if halt {
-			halted[v] = true
-		}
-	}
-	if granted {
-		moves = append(moves, Move{Edge: v - n, From: int(inc.Col[hArc]), To: int(inc.Col[pend]), Round: round})
-		for i := a0; i < a1; i++ {
-			var word local.Word
-			switch {
-			case aflags[i]&hDead != 0:
-			case i == pend:
-				word = hwGrant
-			default:
-				word = hwLeave
-			}
-			send[rev[i]] = word
-		}
-		store(true)
-		return moves, delivered
-	}
 	if accepted {
 		moves = append(moves, Move{Edge: v - n, From: int(inc.Col[hArc]), To: int(inc.Col[offChild]), Round: round})
 		for i := a0; i < a1; i++ {
@@ -475,41 +331,21 @@ func (pr *flatHyper3) stepRelay3(round, v int, recv, send []local.Word, halted [
 			}
 			send[rev[i]] = word
 		}
-		store(true)
+		pr.counters[v] = cnt
+		halted[v] = true
 		return moves, delivered
 	}
 
-	if pend >= 0 && (aflags[pend]&hDead != 0 || !headOcc) {
-		pend = -1
-	}
-	// Push mode: walk the offer to the next live child when the previous
-	// target died without accepting.
+	// Walk the offer to the next live child when the previous target died
+	// without accepting.
 	if offering && (offChild < 0 || aflags[offChild]&hDead != 0) {
 		offChild = pr.pickFirst(a0, a1, hRoleMask|hDead, hRoleChild)
 	}
+	halt := aflags[hArc]&hDead != 0 || (cnt>>hcntBits)&hcntMask == 0
 
-	if aflags[hArc]&hDead != 0 || (cnt>>hcntBits)&hcntMask == 0 {
-		for i := a0; i < a1; i++ {
-			var word local.Word
-			if aflags[i]&hDead == 0 {
-				if offering && i == hArc {
-					word = hwNoChildren
-				} else {
-					word = hwLeave
-				}
-			}
-			send[rev[i]] = word
-		}
-		store(true)
-		return moves, delivered
-	}
-
-	// Quiescent-outbox skip (see flatHyperState.unch): the steady-state
-	// outbox is a function of (headOcc, pend-presence, offering,
-	// offChild, dead ports); the granted/accepted/no-children paths
-	// above always store (they halt).
-	changed := portDied || headOcc != wasOcc || (pend >= 0) != hadPend ||
-		offChild != wasOffChild || offering != wasOffering
+	// Quiescent-outbox skip (see flatHyperState.unch): the outbox is a
+	// function of (offering, offChild, halt, dead ports).
+	changed := halt || portDied || offChild != wasOffChild || offering != wasOffering
 	un := pr.unch[v]
 	if changed {
 		un = -1
@@ -517,29 +353,27 @@ func (pr *flatHyper3) stepRelay3(round, v int, recv, send []local.Word, halted [
 		un++
 	}
 	if un < 2 {
-		push := pr.push[v]
 		for i := a0; i < a1; i++ {
 			var word local.Word
 			switch {
 			case aflags[i]&hDead != 0:
-			case push && offering && i == offChild:
+			case halt && offering && i == hArc:
+				word = hwNoChildren
+			case halt:
+				word = hwLeave
+			case offering && i == offChild:
 				word = hwOffer
-			case !push && i == hArc:
-				if pend >= 0 {
-					word = hwRequest
-				}
-			case !push && i != hArc:
-				if headOcc {
-					word = hwAnnOcc
-				} else {
-					word = hwAnnFree
-				}
 			}
 			send[rev[i]] = word
 		}
 	}
 	pr.unch[v] = un
-	store(false)
+	pr.offArc[v] = int32(offChild)
+	pr.offering[v] = offering
+	pr.counters[v] = cnt
+	if halt {
+		halted[v] = true
+	}
 	return moves, delivered
 }
 

@@ -2,10 +2,8 @@ package hypergame
 
 import (
 	"fmt"
-	"sort"
 
 	"tokendrop/internal/core"
-	"tokendrop/internal/graph"
 	"tokendrop/internal/local"
 )
 
@@ -18,12 +16,18 @@ import (
 // removes a neighbor or a hyperedge from the game, which is what yields
 // the O(Δ) = O(max(C,S)) round count per game.
 //
-// Pull channels (head on level 2) reuse the generic relay discipline of
-// distributed.go; push channels (head on level 1) work in the opposite
-// direction: the occupied head offers its token to the relay, the relay
-// walks its live children until one accepts (live level-0 nodes are
-// always unoccupied and accept immediately), and the acceptance consumes
-// the hyperedge.
+// Pull channels (head on level 2) run the proposal protocol of
+// distributed.go: level-2 servers are plain serverMachines (with no child
+// channel, a proposal server only announces, grants and leaves) and the
+// relays of hyperedges headed on level 2 are plain relayMachines. Level-0
+// and level-1 servers (server3Machine) and the relays of hyperedges
+// headed on level 1 (relay3Machine) embed those machines for their port
+// state and run their own steps; a level-1 server's pull half requests
+// from its level-2 channels exactly as a proposal server does. Push
+// channels (head on level 1) work in the opposite direction: the occupied
+// head offers its token to the relay, the relay walks its live children
+// until one accepts (live level-0 nodes are always unoccupied and accept
+// immediately), and the acceptance consumes the hyperedge.
 
 type sOffer struct{}
 type sAccept struct{}
@@ -34,99 +38,24 @@ type cNoChildren struct{}
 // ThreeLevelMaxLevel is the maximum height accepted by SolveThreeLevel.
 const ThreeLevelMaxLevel = 2
 
-// server3Machine is the per-server machine of the specialized solver.
+// server3Machine is a level-0 or level-1 server of the specialized solver;
+// level-2 servers run the proposal serverMachine unchanged.
 type server3Machine struct {
-	vertex int
-	level  int
-	role   []portRole
-	tie    core.TieBreak
-	stream uint64 // TieRandom stream
-
-	occupied  bool
-	portDead  []bool
-	chanOcc   []bool
-	requested int // outstanding pull request port (level 1)
-	offered   int // outstanding push offer port (level 1)
-	active    int
+	*serverMachine
+	level   int
+	offered int // outstanding push offer port (level 1)
 }
 
 func (m *server3Machine) Init(info local.NodeInfo) {
-	m.portDead = make([]bool, info.Degree)
-	m.chanOcc = make([]bool, info.Degree)
-	m.requested = -1
+	m.serverMachine.Init(info)
 	m.offered = -1
-	for p, r := range m.role {
-		if r == roleBystander {
-			m.portDead[p] = true
-		}
-	}
-}
-
-func (m *server3Machine) liveByRole(role portRole) int {
-	n := 0
-	for p, dead := range m.portDead {
-		if !dead && m.role[p] == role {
-			n++
-		}
-	}
-	return n
 }
 
 func (m *server3Machine) Step(round int, in []local.Payload, out []local.Payload) bool {
-	switch m.level {
-	case 0:
+	if m.level == 0 {
 		return m.stepBottom(in, out)
-	case 1:
-		return m.stepMiddle(in, out)
-	case 2:
-		return m.stepTop(in, out)
 	}
-	panic(fmt.Sprintf("hypergame: 3-level server on level %d", m.level))
-}
-
-// stepTop: level-2 servers only head hyperedges; they announce, grant one
-// relayed request, and leave as soon as they are unoccupied or isolated.
-func (m *server3Machine) stepTop(in []local.Payload, out []local.Payload) bool {
-	var requests []bool
-	for p, raw := range in {
-		if raw == nil {
-			continue
-		}
-		switch raw.(type) {
-		case cLeave:
-			m.portDead[p] = true
-		case cRequest:
-			if requests == nil {
-				requests = make([]bool, len(in))
-			}
-			requests[p] = !m.portDead[p]
-		default:
-			panic(fmt.Sprintf("hypergame: level-2 server %d got %T", m.vertex, raw))
-		}
-	}
-	grantPort := -1
-	if m.occupied && requests != nil {
-		grantPort = core.PickReceived(requests, m.tie, &m.stream)
-	}
-	if grantPort >= 0 {
-		m.occupied = false
-		m.portDead[grantPort] = true
-	}
-	halt := !m.occupied || m.liveByRole(roleHead) == 0
-	for p := range out {
-		if m.portDead[p] && p != grantPort {
-			continue
-		}
-		switch {
-		case p == grantPort:
-			out[p] = sGrant{}
-		case halt:
-			out[p] = sLeave{}
-		case m.role[p] == roleHead:
-			out[p] = sAnnounce{Occupied: m.occupied}
-		}
-	}
-	return halt
+	return m.stepMiddle(in, out)
 }
 
 // stepBottom: level-0 servers accept one relayed offer and leave.
@@ -267,47 +196,18 @@ func (m *server3Machine) stepMiddle(in []local.Payload, out []local.Payload) boo
 	return halt
 }
 
-// relay3Machine relays for one hyperedge: pull mode when its head is on
-// level 2 (request/grant, as in distributed.go) and push mode when its
-// head is on level 1 (offer walks the children until one accepts).
+// relay3Machine relays for a hyperedge headed on level 1 (push mode): the
+// head's offer walks the live children until one accepts. Hyperedges
+// headed on level 2 run the proposal relayMachine unchanged.
 type relay3Machine struct {
-	edgeID   int
-	pushMode bool
-	headPort int
-	childPts []int
-	vertexAt []int
-
-	headOcc    bool
-	pending    int // pull mode: pending child request port
-	offerChild int // push mode: child the current offer was forwarded to
+	*relayMachine
+	offerChild int // child the current offer was forwarded to
 	offering   bool
-	portDead   []bool
-
-	moves []Move
 }
 
 func (m *relay3Machine) Init(info local.NodeInfo) {
-	m.portDead = make([]bool, info.Degree)
-	alive := make([]bool, info.Degree)
-	alive[m.headPort] = true
-	for _, p := range m.childPts {
-		alive[p] = true
-	}
-	for p := range m.portDead {
-		m.portDead[p] = !alive[p]
-	}
-	m.pending = -1
+	m.relayMachine.Init(info)
 	m.offerChild = -1
-}
-
-func (m *relay3Machine) liveChildren() int {
-	n := 0
-	for _, p := range m.childPts {
-		if !m.portDead[p] {
-			n++
-		}
-	}
-	return n
 }
 
 func (m *relay3Machine) nextLiveChild() int {
@@ -320,25 +220,14 @@ func (m *relay3Machine) nextLiveChild() int {
 }
 
 func (m *relay3Machine) Step(round int, in []local.Payload, out []local.Payload) bool {
-	granted, accepted := false, false
+	accepted := false
 	for p, raw := range in {
 		if raw == nil {
 			continue
 		}
-		switch msg := raw.(type) {
+		switch raw.(type) {
 		case sLeave:
 			m.portDead[p] = true
-		case sAnnounce:
-			m.headOcc = msg.Occupied
-		case sRequest:
-			if m.pending < 0 && !m.portDead[p] {
-				m.pending = p
-			}
-		case sGrant:
-			if m.pending < 0 || m.portDead[m.pending] {
-				panic(fmt.Sprintf("hypergame: relay %d granted with no pending child", m.edgeID))
-			}
-			granted = true
 		case sOffer:
 			if p != m.headPort {
 				panic(fmt.Sprintf("hypergame: relay %d got an offer from a non-head", m.edgeID))
@@ -354,22 +243,6 @@ func (m *relay3Machine) Step(round int, in []local.Payload, out []local.Payload)
 		}
 	}
 
-	if granted {
-		m.moves = append(m.moves, Move{
-			Edge: m.edgeID, From: m.vertexAt[m.headPort], To: m.vertexAt[m.pending], Round: round,
-		})
-		for p := range out {
-			if m.portDead[p] {
-				continue
-			}
-			if p == m.pending {
-				out[p] = cGrant{}
-			} else {
-				out[p] = cLeave{}
-			}
-		}
-		return true
-	}
 	if accepted {
 		m.moves = append(m.moves, Move{
 			Edge: m.edgeID, From: m.vertexAt[m.headPort], To: m.vertexAt[m.offerChild], Round: round,
@@ -387,43 +260,27 @@ func (m *relay3Machine) Step(round int, in []local.Payload, out []local.Payload)
 		return true
 	}
 
-	if m.pending >= 0 && (m.portDead[m.pending] || !m.headOcc) {
-		m.pending = -1
-	}
-	// Push mode: walk the offer to the next live child when the previous
-	// target died without accepting.
+	// Walk the offer to the next live child when the previous target died
+	// without accepting.
 	if m.offering && (m.offerChild < 0 || m.portDead[m.offerChild]) {
 		m.offerChild = m.nextLiveChild()
 	}
 
-	if m.portDead[m.headPort] || m.liveChildren() == 0 {
-		for p := range out {
-			if m.portDead[p] {
-				continue
-			}
-			if m.offering && p == m.headPort {
-				out[p] = cNoChildren{}
-			} else {
-				out[p] = cLeave{}
-			}
-		}
-		return true
-	}
-
+	halt := m.portDead[m.headPort] || m.liveChildren() == 0
 	for p := range out {
 		if m.portDead[p] {
 			continue
 		}
 		switch {
-		case m.pushMode && m.offering && p == m.offerChild:
+		case halt && m.offering && p == m.headPort:
+			out[p] = cNoChildren{}
+		case halt:
+			out[p] = cLeave{}
+		case m.offering && p == m.offerChild:
 			out[p] = cOffer{}
-		case !m.pushMode && p == m.headPort && m.pending >= 0:
-			out[p] = cRequest{}
-		case !m.pushMode && p != m.headPort:
-			out[p] = cAnnounce{Occupied: m.headOcc}
 		}
 	}
-	return false
+	return halt
 }
 
 var (
@@ -437,88 +294,17 @@ func SolveThreeLevel(inst *Instance, opt SolveOptions) (*Solution, DistStats, er
 	if h := inst.Height(); h > ThreeLevelMaxLevel {
 		return nil, DistStats{}, fmt.Errorf("hypergame: 3-level solver got height %d > %d", h, ThreeLevelMaxLevel)
 	}
-	if opt.MaxRounds == 0 {
-		opt.MaxRounds = 1 << 20
-	}
-	n, mm := inst.N(), inst.M()
-	net := graph.New(n + mm)
-	for id, e := range inst.edges {
-		for _, v := range e {
-			net.AddEdge(v, n+id)
-		}
-	}
-
-	servers := make([]*server3Machine, n)
-	relays := make([]*relay3Machine, mm)
-	nw := local.NewNetwork(net, func(node int) local.Machine {
-		if node < n {
-			adj := net.Adj(node)
-			sm := &server3Machine{
-				vertex:   node,
-				level:    inst.level[node],
-				role:     make([]portRole, len(adj)),
-				occupied: inst.Token(node),
-				tie:      opt.Tie,
+	return solveObject(inst, opt,
+		func(sm *serverMachine) local.Machine {
+			if l := inst.level[sm.vertex]; l < ThreeLevelMaxLevel {
+				return &server3Machine{serverMachine: sm, level: l}
 			}
-			if opt.Tie == core.TieRandom {
-				sm.stream = core.TieSeed(opt.Seed, node)
-			}
-			for p, a := range adj {
-				edge := a.To - n
-				switch {
-				case inst.head[edge] == node:
-					sm.role[p] = roleHead
-				case inst.level[node] == inst.level[inst.head[edge]]-1:
-					sm.role[p] = roleChild
-				default:
-					sm.role[p] = roleBystander
-				}
-			}
-			servers[node] = sm
 			return sm
-		}
-		edge := node - n
-		adj := net.Adj(node)
-		rm := &relay3Machine{
-			edgeID:   edge,
-			pushMode: inst.level[inst.head[edge]] == 1,
-			headPort: -1,
-			vertexAt: make([]int, len(adj)),
-		}
-		for p, a := range adj {
-			rm.vertexAt[p] = a.To
-			if a.To == inst.head[edge] {
-				rm.headPort = p
-			} else if inst.level[a.To] == inst.level[inst.head[edge]]-1 {
-				rm.childPts = append(rm.childPts, p)
+		},
+		func(rm *relayMachine) local.Machine {
+			if inst.level[inst.head[rm.edgeID]] == 1 {
+				return &relay3Machine{relayMachine: rm}
 			}
-		}
-		relays[edge] = rm
-		return rm
-	})
-	stats, err := nw.Run(local.Options{MaxRounds: opt.MaxRounds, Workers: opt.Workers, MeasureBits: opt.MeasureBits})
-	if err != nil {
-		return nil, DistStats{}, err
-	}
-
-	var all []Move
-	consumed := make([]bool, mm)
-	for _, rm := range relays {
-		for _, mv := range rm.moves {
-			all = append(all, mv)
-			consumed[mv.Edge] = true
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Round < all[j].Round })
-	final := make([]bool, n)
-	maxActive := 0
-	for v, sm := range servers {
-		final[v] = sm.occupied
-		if sm.active > maxActive {
-			maxActive = sm.active
-		}
-	}
-	sol := &Solution{Inst: inst, Moves: all, Final: final, Consumed: consumed, Rounds: stats.Rounds}
-	ds := DistStats{Rounds: stats.Rounds, Messages: stats.Messages, MaxActiveRounds: maxActive, MaxMessageBits: stats.MaxMessageBits}
-	return sol, ds, nil
+			return rm
+		})
 }
