@@ -90,16 +90,7 @@ type FlatInstance struct {
 // Loops building one instance per phase should use Workspace.NewFlatInstance,
 // which rebuilds the incidence network and the instance shell in place.
 func NewFlatInstance(level []int32, token []bool, eptr, ends, head []int32) (*FlatInstance, error) {
-	if err := validateFlatInstance(level, token, eptr, ends, head, make([]int32, len(level))); err != nil {
-		return nil, err
-	}
-	b := graph.NewCSRBuilder(len(level)+len(head), len(ends))
-	addIncidence(b, len(level), eptr, ends)
-	inc := b.Build()
-	if err := checkIncidenceDegree(inc); err != nil {
-		return nil, err
-	}
-	return &FlatInstance{level: level, token: token, eptr: eptr, ends: ends, head: head, inc: inc}, nil
+	return NewWorkspace().NewFlatInstance(level, token, eptr, ends, head)
 }
 
 // validateFlatInstance runs NewFlatInstance's structural checks. stamp is
