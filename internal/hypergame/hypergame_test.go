@@ -2,6 +2,7 @@ package hypergame
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -138,55 +139,31 @@ func TestVerifyRejectsWrongLengths(t *testing.T) {
 	}
 }
 
-// randomHyperInstance builds a random layered hypergraph game. Levels has
-// width vertices per level; each hyperedge picks a head at some level
-// ℓ ≥ 1 and rank-1 other endpoints from levels ≥ ℓ-1 with at least one at
-// exactly ℓ-1.
+// randomHyperInstance is RandomLayered with positional parameters.
 func randomHyperInstance(levels, width, edges, rank int, tokenProb float64, rng *rand.Rand) *Instance {
-	n := (levels + 1) * width
-	level := make([]int, n)
-	id := func(l, i int) int { return l*width + i }
-	for l := 0; l <= levels; l++ {
-		for i := 0; i < width; i++ {
-			level[id(l, i)] = l
+	return RandomLayered(LayeredConfig{Levels: levels, Width: width, Edges: edges, Rank: rank, TokenProb: tokenProb}, rng)
+}
+
+// TestGeneratorsReproducible checks that one seed gives one game,
+// endpoint order included: the order numbers the incidence ports, and the
+// ports steer every run.
+func TestGeneratorsReproducible(t *testing.T) {
+	for _, gen := range []struct {
+		name  string
+		build func(*rand.Rand) *Instance
+	}{
+		{"RandomLayered", func(rng *rand.Rand) *Instance {
+			return RandomLayered(LayeredConfig{Levels: 3, Width: 10, Edges: 40, Rank: 4, TokenProb: 0.5}, rng)
+		}},
+		{"RandomThreeLevel", func(rng *rand.Rand) *Instance {
+			return RandomThreeLevel(ThreeLevelConfig{Width: 10, PullEdges: 20, PushEdges: 20, Rank: 4, MidProb: 0.5}, rng)
+		}},
+	} {
+		a, b := gen.build(rand.New(rand.NewSource(7))), gen.build(rand.New(rand.NewSource(7)))
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: two calls with seed 7 built different games", gen.name)
 		}
 	}
-	var hedges [][]int
-	var heads []int
-	for e := 0; e < edges; e++ {
-		hl := 1 + rng.Intn(levels)
-		head := id(hl, rng.Intn(width))
-		members := map[int]bool{head: true}
-		// one guaranteed child
-		child := id(hl-1, rng.Intn(width))
-		members[child] = true
-		for len(members) < rank {
-			l := hl - 1 + rng.Intn(levels-hl+2)
-			if l > levels {
-				l = levels
-			}
-			members[id(l, rng.Intn(width))] = true
-		}
-		edge := make([]int, 0, len(members))
-		for v := range members {
-			edge = append(edge, v)
-		}
-		hedges = append(hedges, edge)
-		heads = append(heads, head)
-	}
-	token := make([]bool, n)
-	for v := range token {
-		if level[v] > 0 && rng.Float64() < tokenProb {
-			token[v] = true
-		}
-	}
-	inst, err := NewInstance(level, token, hedges, heads)
-	if err != nil {
-		// The head's min-other-level condition can fail when extra
-		// endpoints all landed above; retry with a fresh draw.
-		return randomHyperInstance(levels, width, edges, rank, tokenProb, rng)
-	}
-	return inst
 }
 
 func TestRandomSequential(t *testing.T) {

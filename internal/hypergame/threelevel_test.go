@@ -36,57 +36,9 @@ func TestThreeLevelOnTriInstance(t *testing.T) {
 	}
 }
 
-// random3Level builds a random game on levels {0,1,2}: level-2 heads with
-// level-1 children (pull edges) and level-1 heads with level-0 children
-// (push edges). Tokens at all of level 2 and some of level 1; level-1
-// heads have true load 1 in the Theorem 7.5 setting, here generalized.
+// random3Level is RandomThreeLevel with positional parameters.
 func random3Level(width, pullEdges, pushEdges, rank int, midProb float64, rng *rand.Rand) *Instance {
-	n := 3 * width
-	level := make([]int, n)
-	id := func(l, i int) int { return l*width + i }
-	for l := 0; l < 3; l++ {
-		for i := 0; i < width; i++ {
-			level[id(l, i)] = l
-		}
-	}
-	var edges [][]int
-	var heads []int
-	addEdge := func(headLevel int) {
-		head := id(headLevel, rng.Intn(width))
-		members := map[int]bool{head: true}
-		members[id(headLevel-1, rng.Intn(width))] = true
-		for len(members) < rank {
-			l := headLevel - 1 + rng.Intn(2)
-			if l > 2 {
-				l = 2
-			}
-			members[id(l, rng.Intn(width))] = true
-		}
-		e := make([]int, 0, len(members))
-		for v := range members {
-			e = append(e, v)
-		}
-		edges = append(edges, e)
-		heads = append(heads, head)
-	}
-	for i := 0; i < pullEdges; i++ {
-		addEdge(2)
-	}
-	for i := 0; i < pushEdges; i++ {
-		addEdge(1)
-	}
-	token := make([]bool, n)
-	for i := 0; i < width; i++ {
-		token[id(2, i)] = true
-		if rng.Float64() < midProb {
-			token[id(1, i)] = true
-		}
-	}
-	inst, err := NewInstance(level, token, edges, heads)
-	if err != nil {
-		return random3Level(width, pullEdges, pushEdges, rank, midProb, rng)
-	}
-	return inst
+	return RandomThreeLevel(ThreeLevelConfig{Width: width, PullEdges: pullEdges, PushEdges: pushEdges, Rank: rank, MidProb: midProb}, rng)
 }
 
 func TestThreeLevelRandomInstances(t *testing.T) {

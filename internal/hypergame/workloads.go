@@ -3,10 +3,13 @@ package hypergame
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Workload generators: the Section 7.1 adversary hands out levels, heads,
 // and tokens; these builders cover the shapes the experiments exercise.
+// Each hyperedge lists its endpoints in draw order, head first, so one
+// seed gives one game down to the incidence port numbering.
 
 // LayeredConfig describes a random layered hypergraph game: Levels+1
 // layers of Width vertices, Edges hyperedges of rank Rank. Every
@@ -50,23 +53,20 @@ func RandomLayered(cfg LayeredConfig, rng *rand.Rand) *Instance {
 		for e := 0; e < cfg.Edges && ok; e++ {
 			hl := 1 + rng.Intn(cfg.Levels)
 			head := id(hl, rng.Intn(cfg.Width))
-			members := map[int]bool{head: true}
-			members[id(hl-1, rng.Intn(cfg.Width))] = true
+			edge := append(make([]int, 0, cfg.Rank), head, id(hl-1, rng.Intn(cfg.Width)))
 			tries := 0
-			for len(members) < cfg.Rank {
+			for len(edge) < cfg.Rank {
 				l := hl - 1 + rng.Intn(cfg.Levels-hl+2)
 				if l > cfg.Levels {
 					l = cfg.Levels
 				}
-				members[id(l, rng.Intn(cfg.Width))] = true
+				if v := id(l, rng.Intn(cfg.Width)); !slices.Contains(edge, v) {
+					edge = append(edge, v)
+				}
 				if tries++; tries > 100*cfg.Rank {
 					ok = false
 					break
 				}
-			}
-			edge := make([]int, 0, len(members))
-			for v := range members {
-				edge = append(edge, v)
 			}
 			edges = append(edges, edge)
 			heads = append(heads, head)
@@ -120,18 +120,15 @@ func RandomThreeLevel(cfg ThreeLevelConfig, rng *rand.Rand) *Instance {
 		var heads []int
 		add := func(headLevel int) {
 			head := id(headLevel, rng.Intn(cfg.Width))
-			members := map[int]bool{head: true}
-			members[id(headLevel-1, rng.Intn(cfg.Width))] = true
-			for len(members) < cfg.Rank {
+			edge := append(make([]int, 0, cfg.Rank), head, id(headLevel-1, rng.Intn(cfg.Width)))
+			for len(edge) < cfg.Rank {
 				l := headLevel - 1 + rng.Intn(2)
 				if l > 2 {
 					l = 2
 				}
-				members[id(l, rng.Intn(cfg.Width))] = true
-			}
-			edge := make([]int, 0, len(members))
-			for v := range members {
-				edge = append(edge, v)
+				if v := id(l, rng.Intn(cfg.Width)); !slices.Contains(edge, v) {
+					edge = append(edge, v)
+				}
 			}
 			edges = append(edges, edge)
 			heads = append(heads, head)
