@@ -13,11 +13,11 @@
 //	powerlaw     -n (vertices), -d (max degree), -alpha (exponent)
 //
 // -engine selects the runtime: "local" is the goroutine-per-node seed
-// engine, "sharded" the flat CSR engine for large graphs. Under sharded
-// the regular kind generates directly into CSR form (requires 2d < n), so
-// its seeded graphs differ from the local engine's pointer generator; all
-// other kinds — powerlaw included — build the identical graph on either
-// engine, and deterministic runs are bit-comparable across engines.
+// engine, "sharded" the flat CSR engine for large graphs. The regular and
+// powerlaw kinds generate directly into CSR form, which the local engine
+// converts, so regular requires 2d < n on both engines. Every kind builds
+// the identical graph on either engine, and runs are bit-comparable
+// across engines.
 //
 // Usage examples:
 //
@@ -70,8 +70,8 @@ func main() {
 	if *baselines && *engine != "local" {
 		log.Fatal("-baselines requires -engine local")
 	}
-	if *engine == "sharded" && *kind == "regular" && 2**d >= *n {
-		log.Fatalf("sharded regular generation requires 2d < n (got n=%d d=%d); dense graphs belong to -engine local", *n, *d)
+	if *kind == "regular" && 2**d >= *n {
+		log.Fatalf("regular generation requires 2d < n (got n=%d d=%d)", *n, *d)
 	}
 	if *kind == "regular" && *n**d%2 != 0 {
 		log.Fatalf("a %d-regular graph needs n*d even (got n=%d)", *d, *n)
@@ -85,17 +85,9 @@ func main() {
 	var c *tokendrop.FlatGraph // CSR graph (sharded engine)
 	switch *kind {
 	case "regular":
-		if *engine == "sharded" {
-			c = tokendrop.RandomRegularFlat(*n, *d, rng)
-		} else {
-			g = tokendrop.RandomRegular(*n, *d, rng)
-		}
+		c = tokendrop.RandomRegularFlat(*n, *d, rng)
 	case "powerlaw":
 		c = tokendrop.PowerLawFlat(*n, *alpha, *d, rng)
-		if *engine == "local" {
-			g = c.ToGraph()
-			c = nil
-		}
 	case "gnm":
 		g = tokendrop.RandomGraph(*n, *m, rng)
 	case "grid":
@@ -111,7 +103,10 @@ func main() {
 	default:
 		log.Fatalf("unknown graph %q", *kind)
 	}
-	if *engine == "sharded" && c == nil {
+	switch {
+	case *engine == "local" && c != nil:
+		g, c = c.ToGraph(), nil
+	case *engine == "sharded" && c == nil:
 		c = tokendrop.NewFlatGraph(g)
 	}
 
