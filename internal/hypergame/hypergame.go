@@ -16,7 +16,7 @@
 // runtimes: SolveProposal/SolveThreeLevel step object machines on the
 // seed engine, SolveProposalSharded/SolveThreeLevelSharded run the same
 // protocols as flat programs on the sharded engine, bit-identically under
-// first-port tie-breaking (flat_test.go asserts this exactly).
+// either tie rule (flat_test.go asserts this exactly).
 package hypergame
 
 import (
