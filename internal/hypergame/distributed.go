@@ -340,11 +340,11 @@ func SolveProposal(inst *Instance, opt SolveOptions) (*Solution, DistStats, erro
 		func(rm *relayMachine) local.Machine { return rm })
 }
 
-// solveObject is the driver of both object solvers. It builds the
-// incidence network of inst and a proposal machine for every server and
-// relay, runs on each node the machine that server or relay returns for
-// it (the proposal machine itself, or a machine that embeds it), and
-// collects the solution from the proposal machines' state.
+// solveObject runs both object solvers. It builds the incidence network
+// of inst and a proposal machine for every server and relay, runs on each
+// node the machine that server or relay returns for it (the proposal
+// machine itself, or a machine that embeds it), and collects the solution
+// from the proposal machines' state.
 func solveObject(inst *Instance, opt SolveOptions,
 	server func(*serverMachine) local.Machine, relay func(*relayMachine) local.Machine) (*Solution, DistStats, error) {
 	if opt.MaxRounds == 0 {
