@@ -25,12 +25,31 @@ import (
 // alone — the proposals on the engine session's kernels
 // (local.Session.ParallelFor), the accepts in one sequential pass — so
 // they cost per proposal rather than per arc; the badness-1 token
-// hypergraph is assembled from the marks the loop's badness pass left
-// as a flat hypergame.FlatInstance with hyperedges in customer-id order
-// and endpoints in adjacency order — exactly the insertion order Solve
-// hands hypergame.SolveProposal — and played with the Theorem 7.1 relay
-// protocol; then traversed hyperedges reassign their customers and
-// accepted customers are assigned.
+// hypergraph is assembled from the badness the loop's badness pass
+// stored, as a flat hypergame.FlatInstance with hyperedges in
+// customer-id order and endpoints in adjacency order — exactly the
+// insertion order Solve hands hypergame.SolveProposal — and played with
+// the Theorem 7.1 relay protocol; then traversed hyperedges reassign
+// their customers and accepted customers are assigned.
+//
+// The game holds only the servers that are an endpoint of some
+// hyperedge, numbered in ascending id, which keeps the incidence port
+// order and the engine's (round, hyperedge) move order, and each draws
+// the TieRandom stream of the server it stands for (the owner map of
+// hypergame.Workspace.NewFlatInstance). A server left out has no game
+// arc: it would start halted and keep its token, which is what the loop
+// does with it directly. The choice between the generic and the
+// three-level solver still reads the height over all servers, as Solve's
+// games span them all.
+//
+// The badness pass recomputes only what can have changed. Each customer
+// stores its badness (-1 when it must be recomputed), and a phase marks
+// the customers that moved or were just assigned and the neighbors of
+// every server whose effective load differs from the one the last pass
+// saw (one int32 per server, compared in one sequential pass). Every
+// solve starts with every customer marked, which covers resumed solves
+// and reused scratches. Under CheckInvariants each phase recomputes
+// every stored badness and fails on any disagreement.
 //
 // With identical port numbering, levels, and tokens, the sharded subgame
 // run is bit-identical to the object-engine run under first-port
@@ -122,7 +141,7 @@ func (r *ShardedResult) Bipartite() *graph.CSRBipartite { return r.fb }
 // MaxBadness returns the maximum badness over assigned customers, on
 // true loads whatever the threshold.
 func (r *ShardedResult) MaxBadness() int {
-	return int(flatMaxBadness(r.fb, r.ServerOf, r.Load, math.MaxInt32, 0, r.fb.NumLeft, nil))
+	return int(flatMaxBadness(r.fb, r.ServerOf, r.Load, math.MaxInt32))
 }
 
 // Stable reports the stable assignment condition of Section 7: every
@@ -142,7 +161,7 @@ func (r *ShardedResult) KStable() bool {
 // stableAt reports a complete assignment with badness at most 1 on loads
 // truncated at k.
 func (r *ShardedResult) stableAt(k int32) bool {
-	return !slices.Contains(r.ServerOf, -1) && flatMaxBadness(r.fb, r.ServerOf, r.Load, k, 0, r.fb.NumLeft, nil) <= 1
+	return !slices.Contains(r.ServerOf, -1) && flatMaxBadness(r.fb, r.ServerOf, r.Load, k) <= 1
 }
 
 // SemimatchingCost returns Σ_s f(load(s)) with f(x) = x(x+1)/2, the
@@ -193,32 +212,33 @@ func ReduceToMatchingSharded(r *ShardedResult) (matchOf []int) {
 }
 
 // flatMaxBadness returns the maximum badness over the assigned customers
-// among [lo, hi) on loads truncated at k (effective load of the assigned
-// server minus the minimum adjacent effective load); k = math.MaxInt32
-// gives true badness. A non-nil mark gets, per customer, whether its
-// badness is exactly 1.
-func flatMaxBadness(fb *graph.CSRBipartite, serverOf, load []int32, k int32, lo, hi int, mark []bool) int32 {
-	csr := fb.C
-	nl := fb.NumLeft
+// on loads truncated at k; k = math.MaxInt32 gives true badness. It is
+// the full-pass oracle of the phase loop's changed-only badness pass.
+func flatMaxBadness(fb *graph.CSRBipartite, serverOf, load []int32, k int32) int32 {
 	worst := int32(0)
-	for c := lo; c < hi; c++ {
-		b := int32(0)
-		if so := serverOf[c]; so >= 0 {
-			alo, ahi := csr.ArcRange(c)
-			least := int32(-1)
-			for i := alo; i < ahi; i++ {
-				if l := min(load[int(csr.Col[i])-nl], k); least < 0 || l < least {
-					least = l
-				}
-			}
-			b = min(load[so], k) - least
-		}
-		worst = max(worst, b)
-		if mark != nil {
-			mark[c] = b == 1
-		}
+	for c := range serverOf {
+		worst = max(worst, customerBadness(fb, serverOf, load, k, c))
 	}
 	return worst
+}
+
+// customerBadness returns the badness of customer c on loads truncated
+// at k: the effective load of its server minus the least effective load
+// among its neighbors, 0 while it is unassigned.
+func customerBadness(fb *graph.CSRBipartite, serverOf, load []int32, k int32, c int) int32 {
+	so := serverOf[c]
+	if so < 0 {
+		return 0
+	}
+	csr, nl := fb.C, fb.NumLeft
+	alo, ahi := csr.ArcRange(c)
+	least := int32(-1)
+	for i := alo; i < ahi; i++ {
+		if l := min(load[int(csr.Col[i])-nl], k); least < 0 || l < least {
+			least = l
+		}
+	}
+	return min(load[so], k) - least
 }
 
 // leastLoaded returns the least-loaded of the servers adj[i] - offset on
@@ -278,19 +298,24 @@ type SolveScratch struct {
 	servRng    []uint64
 	propServer []int32
 
-	// Reused per-phase scratch. acceptCust and token are -1 and false
-	// between phases: the accept pass sets the acceptors' entries and
-	// step 6 resets them.
+	// Reused per-phase scratch. acceptCust is -1 between phases: the
+	// accept pass sets the acceptors' entries (so a server holds a token
+	// iff its entry is set) and step 6 resets them. comp is -1 outside
+	// the game being played.
 	acceptCust   []int32
 	bids         []int32 // per-server proposal counts of the accept pass
-	token        []bool
-	gameLevel    []int32
+	bad          []int32 // per customer: stored badness, -1 to recompute
+	seen         []int32 // per server: the effective load the last badness pass saw
+	comp         []int32 // per server: its game server, -1
+	owner        []int32 // per game server: its server
+	gameLevel    []int32 // per game server
+	gameToken    []bool  // per game server
 	eptr         []int32
 	ends         []int32
 	heads        []int32
 	gameCustomer []int32
-	include      []bool // per customer: in the next phase's game
 	loadsBefore  []int32
+	final        []bool // per server: holds a token when the phase's game ends
 	sol          hypergame.FlatResult
 	res          ShardedResult
 	loop         core.PhaseLoop[Snapshot]
@@ -342,10 +367,20 @@ type phases struct{ *SolveScratch }
 
 func (p phases) Done() bool { return len(p.unassigned) == 0 }
 
-// Badness returns the maximum badness over customers [lo, hi) and marks
-// the ones of badness exactly 1, the next phase's hyperedges.
+// Badness returns the maximum badness over customers [lo, hi),
+// recomputing the marked ones and keeping every other's stored badness;
+// the customers of badness exactly 1 are the next phase's hyperedges.
 func (p phases) Badness(lo, hi int) int32 {
-	return flatMaxBadness(p.fb, p.serverOf, p.load, p.k, lo, hi, p.include)
+	worst := int32(0)
+	for c := lo; c < hi; c++ {
+		b := p.bad[c]
+		if b < 0 {
+			b = customerBadness(p.fb, p.serverOf, p.load, p.k, c)
+			p.bad[c] = b
+		}
+		worst = max(worst, b)
+	}
+	return worst
 }
 
 // SolveSharded runs the Theorem 7.3 algorithm (Theorem 7.5 when
@@ -379,14 +414,24 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	sc.verify, sc.check = opt.VerifyGames, opt.CheckInvariants
 	sc.ensureKernels()
 
+	// Every customer starts marked for the first badness pass, which
+	// therefore runs in full, after a resume's Restore too. seen starts
+	// at the zero loads; after a Restore it may lag, but a load never
+	// falls within a solve (a phase raises it by one at a token's
+	// destination or leaves it), so a stale entry can only mark more
+	// customers than needed.
 	sc.serverOf = reuse.Grown(sc.serverOf, nl)
 	sc.unassigned = reuse.Grown(sc.unassigned, nl)
+	sc.bad = reuse.Grown(sc.bad, nl)
 	for c := range sc.serverOf {
 		sc.serverOf[c] = -1
 		sc.unassigned[c] = int32(c)
+		sc.bad[c] = -1
 	}
 	sc.load = reuse.Grown(sc.load, ns)
 	clear(sc.load)
+	sc.seen = reuse.Grown(sc.seen, ns)
+	clear(sc.seen)
 
 	sc.res = ShardedResult{ServerOf: sc.serverOf, Load: sc.load, K: opt.K, fb: fb}
 	res := &sc.res
@@ -409,18 +454,20 @@ func SolveSharded(fb *graph.CSRBipartite, opt ShardedOptions) (*ShardedResult, e
 	// Reused per-phase scratch; a solve that failed mid-phase may have
 	// left accept entries behind.
 	sc.acceptCust = reuse.Grown(sc.acceptCust, ns)
+	sc.comp = reuse.Grown(sc.comp, ns)
+	// Per game server, sized once for the largest possible game.
+	sc.owner = reuse.Grown(sc.owner, ns)
+	sc.gameLevel = reuse.Grown(sc.gameLevel, ns)
+	sc.gameToken = reuse.Grown(sc.gameToken, ns)
 	for s := range sc.acceptCust {
-		sc.acceptCust[s] = -1
+		sc.acceptCust[s], sc.comp[s] = -1, -1
 	}
 	if opt.Tie == core.TieRandom {
 		sc.bids = reuse.Grown(sc.bids, ns)
 	}
-	sc.token = reuse.Grown(sc.token, ns)
-	clear(sc.token)
-	sc.gameLevel = reuse.Grown(sc.gameLevel, ns)
-	sc.include = reuse.Grown(sc.include, nl)
 	if opt.CheckInvariants {
 		sc.loadsBefore = reuse.Grown(sc.loadsBefore, ns)
+		sc.final = reuse.Grown(sc.final, ns)
 	}
 
 	// The reusable execution layer: one engine session (persistent worker
@@ -461,7 +508,6 @@ func (p phases) Step(phase int, rec *PhaseRecord) error {
 	sess.ParallelFor(len(sc.unassigned), sc.propose)
 	for _, c := range sc.unassigned {
 		if s := sc.propServer[c]; core.Bid(sc.acceptCust, sc.bids, sc.servRng, int(s), c) {
-			sc.token[s] = true
 			rec.Accepted++
 		}
 	}
@@ -470,78 +516,109 @@ func (p phases) Step(phase int, rec *PhaseRecord) error {
 	// Step 3 — the virtual token hypergraph: server levels = effective
 	// loads, hyperedges = the assigned customers of badness exactly 1
 	// (heads = their servers), tokens at acceptors. The loop's badness
-	// pass marked those customers after the previous phase (Badness),
+	// pass stored those badnesses after the previous phase (Badness),
 	// from the loads and servers that steps 1 and 2 leave alone; the
-	// insertion is a sequential scan of the marks, because customer-id
+	// insertion is a sequential scan of them, because customer-id
 	// insertion order with adjacency-order endpoints is what reproduces
-	// the object network's port numbering (see the file comment).
-	for s, l := range load {
-		sc.gameLevel[s] = min(l, sc.k)
-	}
-	sc.eptr = append(sc.eptr[:0], 0)
-	sc.ends = sc.ends[:0]
-	sc.heads = sc.heads[:0]
+	// the object network's port numbering (see the file comment). The
+	// game holds only the servers with a game arc, numbered in ascending
+	// id.
 	sc.gameCustomer = sc.gameCustomer[:0]
-	for c, in := range sc.include {
-		if !in {
-			continue
+	for c, b := range sc.bad {
+		if b == 1 {
+			sc.gameCustomer = append(sc.gameCustomer, int32(c))
+			lo, hi := csr.ArcRange(c)
+			for _, x := range csr.Col[lo:hi] {
+				sc.comp[int(x)-nl] = 0
+			}
 		}
-		lo, hi := csr.ArcRange(c)
-		for i := lo; i < hi; i++ {
-			sc.ends = append(sc.ends, csr.Col[i]-int32(nl))
-		}
-		sc.eptr = append(sc.eptr, int32(len(sc.ends)))
-		sc.heads = append(sc.heads, serverOf[c])
-		sc.gameCustomer = append(sc.gameCustomer, int32(c))
 	}
-	fi, err := gws.NewFlatInstance(sc.gameLevel, sc.token, sc.eptr, sc.ends, sc.heads)
-	if err != nil {
-		return fmt.Errorf("phase %d produced an invalid game: %w", phase, err)
-	}
-	rec.GameEdges = len(sc.heads)
-
-	// Step 4 — play the game on the sharded engine; a k-bounded game of
-	// at most three levels runs on the three-level solver, as in Solve.
-	solveGame := hypergame.SolveProposalShardedInto
-	if sc.kOpt > 0 && fi.Height() <= hypergame.ThreeLevelMaxLevel {
-		solveGame = hypergame.SolveThreeLevelShardedInto
-	}
-	if err := solveGame(fi, hypergame.ShardedSolveOptions{
-		Tie:       sc.tie,
-		Seed:      sc.seed + int64(phase)*1_000_003,
-		MaxRounds: 1 << 20,
-		Session:   sess,
-		Workspace: gws,
-	}, &sc.sol); err != nil {
-		return fmt.Errorf("phase %d game failed: %w", phase, err)
-	}
+	rec.GameEdges = len(sc.gameCustomer)
+	sc.owner = sc.owner[:0]
 	sol := &sc.sol
-	if sc.verify {
-		if err := hypergame.Verify(sol.Solution(fi.Instance())); err != nil {
-			return fmt.Errorf("phase %d game unverified: %w", phase, err)
+	sol.Moves = sol.Moves[:0]
+	rec.GameRounds = 1 // a game without hyperedges halts in its first round
+	if len(sc.gameCustomer) > 0 {
+		for s, k := range sc.comp {
+			if k >= 0 {
+				sc.comp[s] = int32(len(sc.owner))
+				sc.owner = append(sc.owner, int32(s))
+			}
 		}
+		sc.eptr = append(sc.eptr[:0], 0)
+		sc.ends = sc.ends[:0]
+		sc.heads = sc.heads[:0]
+		for _, c := range sc.gameCustomer {
+			lo, hi := csr.ArcRange(int(c))
+			for _, x := range csr.Col[lo:hi] {
+				sc.ends = append(sc.ends, sc.comp[int(x)-nl])
+			}
+			sc.eptr = append(sc.eptr, int32(len(sc.ends)))
+			sc.heads = append(sc.heads, sc.comp[serverOf[c]])
+		}
+		sc.gameLevel, sc.gameToken = sc.gameLevel[:len(sc.owner)], sc.gameToken[:len(sc.owner)]
+		for k, s := range sc.owner {
+			sc.gameLevel[k], sc.gameToken[k] = min(load[s], sc.k), sc.acceptCust[s] >= 0
+			sc.comp[s] = -1
+		}
+		fi, err := gws.NewFlatInstance(sc.gameLevel, sc.gameToken, sc.eptr, sc.ends, sc.heads, sc.owner)
+		if err != nil {
+			return fmt.Errorf("phase %d produced an invalid game: %w", phase, err)
+		}
+
+		// Step 4 — play the game on the sharded engine; a k-bounded game
+		// runs on the three-level solver when the effective loads of all
+		// servers span at most three levels, as in Solve.
+		solveGame := hypergame.SolveProposalShardedInto
+		if sc.kOpt > 0 && sc.height() <= hypergame.ThreeLevelMaxLevel {
+			solveGame = hypergame.SolveThreeLevelShardedInto
+		}
+		if err := solveGame(fi, hypergame.ShardedSolveOptions{
+			Tie:       sc.tie,
+			Seed:      sc.seed + int64(phase)*1_000_003,
+			MaxRounds: 1 << 20,
+			Session:   sess,
+			Workspace: gws,
+		}, sol); err != nil {
+			return fmt.Errorf("phase %d game failed: %w", phase, err)
+		}
+		if sc.verify {
+			if err := hypergame.Verify(sol.Solution(fi.Instance())); err != nil {
+				return fmt.Errorf("phase %d game unverified: %w", phase, err)
+			}
+		}
+		if sc.check {
+			if err := core.CheckPotential(sc.gameLevel, sc.gameToken, sol.Final, len(sol.Moves)); err != nil {
+				return fmt.Errorf("phase %d %w", phase, err)
+			}
+		}
+		rec.GameRounds = sol.Stats.Rounds
+		res.Messages += sol.Stats.Messages
 	}
 	if sc.check {
-		if err := core.CheckPotential(sc.gameLevel, sc.token, sol.Final, len(sol.Moves)); err != nil {
-			return fmt.Errorf("phase %d %w", phase, err)
-		}
 		copy(sc.loadsBefore, load)
+		for s, c := range sc.acceptCust {
+			sc.final[s] = c >= 0
+		}
+		for k, s := range sc.owner {
+			sc.final[s] = sol.Final[k]
+		}
 	}
-	rec.GameRounds = sol.Stats.Rounds
-	res.Messages += sol.Stats.Messages
 
 	// Step 5 — apply the moves: a token passed from u to v through
 	// customer e moves e's head from u to v (reassignment).
 	for _, mv := range sol.Moves {
 		c := sc.gameCustomer[mv.Edge]
+		s := sc.owner[mv.To]
 		load[serverOf[c]]--
-		serverOf[c] = int32(mv.To)
-		load[mv.To]++
+		serverOf[c] = s
+		load[s]++
+		sc.bad[c] = -1
 		rec.TokensMoved++
 	}
 	// Step 6 — assign each accepted customer, which resets its server's
-	// accept entry and token, and keep the rest, ascending, as the next
-	// phase's proposers.
+	// accept entry, and keep the rest, ascending, as the next phase's
+	// proposers.
 	kept := sc.unassigned[:0]
 	for _, c := range sc.unassigned {
 		s := sc.propServer[c]
@@ -551,13 +628,54 @@ func (p phases) Step(phase int, rec *PhaseRecord) error {
 		}
 		serverOf[c] = s
 		load[s]++
-		sc.acceptCust[s], sc.token[s] = -1, false
+		sc.acceptCust[s] = -1
+		sc.bad[c] = -1
 	}
 	sc.unassigned = kept
 
+	// Mark for the next badness pass the neighbors of every server whose
+	// effective load changed; with the moved and assigned customers
+	// marked above, no other customer's badness can differ.
+	for s, l := range load {
+		if e := min(l, sc.k); e != sc.seen[s] {
+			sc.seen[s] = e
+			lo, hi := csr.ArcRange(nl + s)
+			for _, c := range csr.Col[lo:hi] {
+				sc.bad[c] = -1
+			}
+		}
+	}
+
 	if sc.check {
-		if err := checkFlatPhaseInvariants(fb, serverOf, load, sc.loadsBefore, sol.Final, sc.k); err != nil {
+		if err := checkFlatPhaseInvariants(fb, serverOf, load, sc.loadsBefore, sc.final, sc.k); err != nil {
 			return fmt.Errorf("phase %d: %w", phase, err)
+		}
+		if err := checkStoredBadness(fb, serverOf, load, sc.k, sc.bad); err != nil {
+			return fmt.Errorf("phase %d: %w", phase, err)
+		}
+	}
+	return nil
+}
+
+// height returns the largest effective load over all servers: the
+// height of Solve's phase games, whose levels span every server.
+func (sc *SolveScratch) height() int32 {
+	h := int32(0)
+	for _, l := range sc.load {
+		h = max(h, min(l, sc.k))
+	}
+	return h
+}
+
+// checkStoredBadness recomputes every customer whose badness the next
+// pass would keep, and fails on any that differs from the stored one.
+func checkStoredBadness(fb *graph.CSRBipartite, serverOf, load []int32, k int32, bad []int32) error {
+	for c, b := range bad {
+		if b < 0 {
+			continue
+		}
+		if fresh := customerBadness(fb, serverOf, load, k, c); fresh != b {
+			return fmt.Errorf("customer %d keeps badness %d, recomputed %d", c, b, fresh)
 		}
 	}
 	return nil
@@ -605,7 +723,7 @@ func checkFlatPhaseInvariants(fb *graph.CSRBipartite, serverOf, load, before []i
 	if err := recountLoads(fb, serverOf, load); err != nil {
 		return err
 	}
-	if mb := flatMaxBadness(fb, serverOf, load, k, 0, fb.NumLeft, nil); mb > 1 {
+	if mb := flatMaxBadness(fb, serverOf, load, k); mb > 1 {
 		return fmt.Errorf("lemma 5.4 analogue violated: max badness %d", mb)
 	}
 	return nil

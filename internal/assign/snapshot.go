@@ -124,7 +124,7 @@ func (p phases) Restore(rs *Snapshot) error {
 	if err := recountLoads(fb, rs.ServerOf, rs.Load); err != nil {
 		return fmt.Errorf("resume snapshot: %w", err)
 	}
-	if b := flatMaxBadness(fb, rs.ServerOf, rs.Load, sc.k, 0, nl, nil); b > 1 {
+	if b := flatMaxBadness(fb, rs.ServerOf, rs.Load, sc.k); b > 1 {
 		return fmt.Errorf("resume snapshot has a customer of badness %d (at most 1 between phases)", b)
 	}
 	copy(sc.serverOf, rs.ServerOf)

@@ -120,7 +120,14 @@ func TestE28ArenaGolden(t *testing.T) {
 // new per-round churn in the set-up and phase machinery around them.
 // Each ceiling is the count measured when the table was written plus
 // half an allocation per round: the counts repeat exactly except for a
-// scheduling-dependent two or so at shards 1.
+// scheduling-dependent two or so at shards 1. The phase loops play each
+// game over only the vertices or servers that have a game arc, so every
+// array indexed by game vertex (the game CSR's row offsets and its
+// builder's degree scratch, the proposal program's four per-vertex
+// arrays, the session's halted and awake lists, the result's final
+// placement) regrows whenever a phase's game has more vertices than any
+// earlier one: twice per orient solve here, where full-range games sized
+// them once.
 func TestOneShotAllocCeilings(t *testing.T) {
 	game, g, fb := quickEngineInstances()
 	for _, c := range []struct {
@@ -132,10 +139,10 @@ func TestOneShotAllocCeilings(t *testing.T) {
 	}{
 		{"game", 1, 37, 19, gameRounds(game)},
 		{"game", 2, 46, 19, gameRounds(game)},
-		{"orient", 1, 101, 31, orientRounds(g)},
-		{"orient", 2, 113, 31, orientRounds(g)},
-		{"assign", 1, 225, 87, assignRounds(fb)},
-		{"assign", 2, 237, 87, assignRounds(fb)},
+		{"orient", 1, 111, 31, orientRounds(g)},
+		{"orient", 2, 123, 31, orientRounds(g)},
+		{"assign", 1, 228, 87, assignRounds(fb)},
+		{"assign", 2, 240, 87, assignRounds(fb)},
 	} {
 		var rounds int
 		var err error

@@ -119,6 +119,41 @@ func TestDifferentialBoundedTieRandom(t *testing.T) {
 	}
 }
 
+// pinnedServerBipartite is a random network of nr servers and nr to 2nr
+// customers of degree 2 or 3, beside one more server whose four
+// customers have no other server. That server plays no game (its
+// customers' badness is always 0), yet after three phases it sits at
+// effective load 3 under k = 3 while the random part's games can stay
+// on levels 0–2.
+func pinnedServerBipartite(seed int64) *graph.Bipartite {
+	rng := rand.New(rand.NewSource(seed))
+	nr := 4 + rng.Intn(5)
+	nl := nr + rng.Intn(nr+1)
+	g := graph.New(nl + 4 + nr + 1)
+	for c := 0; c < nl; c++ {
+		for _, s := range rng.Perm(nr)[:2+rng.Intn(2)] {
+			g.AddEdge(c, nl+4+s)
+		}
+	}
+	for c := nl; c < nl+4; c++ {
+		g.AddEdge(c, nl+4+nr)
+	}
+	return graph.MustBipartite(g, nl+4)
+}
+
+// TestBoundedSolverChoiceReadsAllServers holds the sharded loop's choice
+// between the generic and the three-level solver to Solve's, whose games
+// span every server: a game whose own servers stay on levels 0–2 still
+// runs generic while a server outside it sits at effective load 3.
+// Seeds 0 and 13 are two such runs, where the solvers' round counts
+// differ.
+func TestBoundedSolverChoiceReadsAllServers(t *testing.T) {
+	for seed := int64(0); seed < 16; seed++ {
+		checkBoundedEngines(t, fmt.Sprintf("pinned server, seed %d", seed), pinnedServerBipartite(seed),
+			3, core.TieFirstPort, seed, 1+int(seed)%4)
+	}
+}
+
 // TestBoundedCentralStepInvariance pins the central passes of the
 // k-bounded phase loop on effective loads (the proposal kernel, the
 // sequential accepts, the level table, and the badness pass that writes

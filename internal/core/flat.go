@@ -42,6 +42,7 @@ type FlatInstance struct {
 	csr    *graph.CSR
 	level  []int32
 	token  []bool
+	owner  []int32 // TieRandom stream owner per vertex; nil: v owns v
 	height int
 }
 
@@ -126,6 +127,15 @@ func (fi *FlatInstance) Height() int { return fi.height }
 
 // Level returns the level of vertex v.
 func (fi *FlatInstance) Level(v int) int { return int(fi.level[v]) }
+
+// streamOwner returns the owner of v's TieRandom stream: v itself, or
+// the vertex a phase loop's compacted game took v from.
+func (fi *FlatInstance) streamOwner(v int) int {
+	if fi.owner == nil {
+		return v
+	}
+	return int(fi.owner[v])
+}
 
 // Token reports whether vertex v initially holds a token.
 func (fi *FlatInstance) Token(v int) bool { return fi.token[v] }
@@ -257,11 +267,16 @@ type SolverWorkspace struct {
 func NewSolverWorkspace() *SolverWorkspace { return &SolverWorkspace{} }
 
 // NewFlatInstanceCSR is the package-level NewFlatInstanceCSR built into
-// the workspace's instance shell, which the next call overwrites.
-func (ws *SolverWorkspace) NewFlatInstanceCSR(csr *graph.CSR, level []int32, token []bool) (*FlatInstance, error) {
+// the workspace's instance shell, which the next call overwrites. A
+// phase loop that plays its game over a compacted vertex range passes
+// owner, the original vertex of each game vertex, so that every vertex
+// draws the TieRandom stream of the vertex it stands for; nil keeps
+// each vertex's own.
+func (ws *SolverWorkspace) NewFlatInstanceCSR(csr *graph.CSR, level []int32, token []bool, owner []int32) (*FlatInstance, error) {
 	if err := ws.inst.init(csr, level, token); err != nil {
 		return nil, err
 	}
+	ws.inst.owner = owner
 	return &ws.inst, nil
 }
 

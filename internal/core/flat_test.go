@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"tokendrop/internal/graph"
 )
 
 func TestFlatInstanceRoundTrip(t *testing.T) {
@@ -144,6 +146,65 @@ func TestMergeByRoundIsStableSort(t *testing.T) {
 		MergeByRound(logs, moveRound, func(ms []Move) { got = append(got, ms...) })
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d: merged %v, want %v", trial, got, want)
+		}
+	}
+}
+
+// TestFlatGameOwners pins the owner map of a compacted game: played over
+// only its vertices that have arcs, numbered in ascending id, with each
+// drawing the TieRandom stream of the vertex it stands for, a game runs
+// exactly as it does over the full range. Each seeded game's vertex v
+// stands at 2v+1 of the full range, between arc-less even vertices
+// (some holding tokens); both programs must then give the same rounds,
+// messages, moves and final placement, mapped back through the owners.
+func TestFlatGameOwners(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 12; i++ {
+		inst := RandomLayered(LayeredConfig{Levels: 4, Width: 8, ParentDeg: 3, TokenProb: 0.5, FreeBottom: true}, rng)
+		solve := SolveProposalSharded
+		if i%2 == 1 {
+			inst = ThreeLevelRandom(8, 6, 3, 0.5, rng)
+			solve = SolveThreeLevelSharded
+		}
+		n := inst.N()
+		compact, full := graph.NewCSRBuilder(n, 0), graph.NewCSRBuilder(2*n, 0)
+		for _, e := range inst.Graph().Edges() {
+			compact.AddEdge(e.U, e.V)
+			full.AddEdge(2*e.U+1, 2*e.V+1)
+		}
+		level, token, owner := make([]int32, n), make([]bool, n), make([]int32, n)
+		fullLevel, fullToken := make([]int32, 2*n), make([]bool, 2*n)
+		for v := 0; v < n; v++ {
+			level[v], token[v], owner[v] = int32(inst.Level(v)), inst.Token(v), int32(2*v+1)
+			fullLevel[2*v+1], fullToken[2*v+1] = level[v], token[v]
+			fullToken[2*v] = v%3 == 0
+		}
+		cfi, err := NewSolverWorkspace().NewFlatInstanceCSR(compact.Build(), level, token, owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := ShardedSolveOptions{Tie: TieRandom, Seed: int64(i), Shards: 1 + i%3}
+		got, err := solve(cfi, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := solve(MustFlatInstanceCSR(full.Build(), fullLevel, fullToken), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats != want.Stats || len(got.Moves) != len(want.Moves) {
+			t.Fatalf("game %d: compacted run %+v with %d moves, full range %+v with %d",
+				i, got.Stats, len(got.Moves), want.Stats, len(want.Moves))
+		}
+		for j, mv := range got.Moves {
+			if mv.From, mv.To = 2*mv.From+1, 2*mv.To+1; mv != want.Moves[j] {
+				t.Fatalf("game %d: move %d is %+v mapped back, full range %+v", i, j, mv, want.Moves[j])
+			}
+		}
+		for v := range want.Final {
+			if v%2 == 1 && got.Final[v/2] != want.Final[v] || v%2 == 0 && want.Final[v] != fullToken[v] {
+				t.Fatalf("game %d: final placement diverges at full-range vertex %d", i, v)
+			}
 		}
 	}
 }

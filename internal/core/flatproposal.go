@@ -152,7 +152,7 @@ func (pr *flatProposal) initVertices(sh, lo, hi int) {
 		pr.childEnd[v] = ce
 		pr.counters[v] = c
 		if pr.rngs != nil {
-			pr.rngs[v] = TieSeed(pr.seed, v)
+			pr.rngs[v] = TieSeed(pr.seed, fi.streamOwner(v))
 		}
 	}
 }

@@ -85,7 +85,7 @@ func (pr *flatThreeLevel) initVertices(sh, lo, hi int) {
 			pr.parentOcc[i] = false
 		}
 		if pr.rngs != nil {
-			pr.rngs[v] = TieSeed(pr.seed, v)
+			pr.rngs[v] = TieSeed(pr.seed, fi.streamOwner(v))
 		}
 	}
 }

@@ -23,8 +23,10 @@ func SplitMix64(x uint64) uint64 {
 }
 
 // TieSeed returns the TieRandom stream of owner in a solve seeded with
-// seed. Game vertices own their index; in the assignment phase loops
-// customer c owns c and server s owns NumLeft + s.
+// seed. Game vertices own their index (in a phase loop's game, the
+// original index of the vertex or server they stand for); in the
+// assignment phase loops' accepts customer c owns c and server s owns
+// NumLeft + s.
 func TieSeed(seed int64, owner int) uint64 {
 	return SplitMix64(uint64(seed) ^ uint64(owner)*0x9e3779b97f4a7c15)
 }

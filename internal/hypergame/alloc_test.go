@@ -29,7 +29,7 @@ func TestSessionZeroAllocHyperProposal(t *testing.T) {
 	w := NewWorkspace()
 	opt := ShardedSolveOptions{}
 	run := func() {
-		fi, err := w.NewFlatInstance(base.level, base.token, base.eptr, base.ends, base.head)
+		fi, err := w.NewFlatInstance(base.level, base.token, base.eptr, base.ends, base.head, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestSessionZeroAllocHyperThreeLevel(t *testing.T) {
 	w := NewWorkspace()
 	opt := ShardedSolveOptions{}
 	run := func() {
-		fi, err := w.NewFlatInstance(base.level, base.token, base.eptr, base.ends, base.head)
+		fi, err := w.NewFlatInstance(base.level, base.token, base.eptr, base.ends, base.head, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestHyperSessionWorkspaceReuseMatchesFresh(t *testing.T) {
 		reused := opt
 		reused.Session = sess
 		reused.Workspace = w
-		fi, err := w.NewFlatInstance(base.level, base.token, base.eptr, base.ends, base.head)
+		fi, err := w.NewFlatInstance(base.level, base.token, base.eptr, base.ends, base.head, nil)
 		if err != nil {
 			t.Fatalf("game %d: workspace instance: %v", i, err)
 		}

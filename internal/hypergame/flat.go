@@ -79,6 +79,7 @@ type FlatInstance struct {
 	eptr  []int32 // len m+1: hyperedge id -> offset into ends
 	ends  []int32 // packed endpoint lists
 	head  []int32 // per hyperedge: the head endpoint
+	owner []int32 // TieRandom stream owner per server; nil: s owns s
 	inc   *graph.CSR
 }
 
@@ -90,7 +91,7 @@ type FlatInstance struct {
 // Loops building one instance per phase should use Workspace.NewFlatInstance,
 // which rebuilds the incidence network and the instance shell in place.
 func NewFlatInstance(level []int32, token []bool, eptr, ends, head []int32) (*FlatInstance, error) {
-	return NewWorkspace().NewFlatInstance(level, token, eptr, ends, head)
+	return NewWorkspace().NewFlatInstance(level, token, eptr, ends, head, nil)
 }
 
 // validateFlatInstance runs NewFlatInstance's structural checks. stamp is
@@ -200,8 +201,11 @@ func NewWorkspace() *Workspace {
 // shell are reused in place. As with the package function the input
 // slices are retained, not copied. The returned instance — and any solve
 // result whose construction borrows it — is valid only until the next
-// NewFlatInstance call on the same workspace.
-func (w *Workspace) NewFlatInstance(level []int32, token []bool, eptr, ends, head []int32) (*FlatInstance, error) {
+// NewFlatInstance call on the same workspace. A phase loop that plays
+// its game over a compacted server range passes owner, the original
+// server of each game server, so that every server draws the TieRandom
+// stream of the server it stands for; nil keeps each server's own.
+func (w *Workspace) NewFlatInstance(level []int32, token []bool, eptr, ends, head, owner []int32) (*FlatInstance, error) {
 	n, m := len(level), len(head)
 	w.stamp = reuse.Grown(w.stamp, n)
 	clear(w.stamp)
@@ -214,7 +218,7 @@ func (w *Workspace) NewFlatInstance(level []int32, token []bool, eptr, ends, hea
 	if err := checkIncidenceDegree(&w.inc); err != nil {
 		return nil, err
 	}
-	w.fi = FlatInstance{level: level, token: token, eptr: eptr, ends: ends, head: head, inc: &w.inc}
+	w.fi = FlatInstance{level: level, token: token, eptr: eptr, ends: ends, head: head, owner: owner, inc: &w.inc}
 	return &w.fi, nil
 }
 
@@ -345,7 +349,7 @@ func (r *FlatResult) Solution(inst *Instance) *Solution {
 type flatHyperState struct {
 	fi   *FlatInstance
 	tie  core.TieBreak
-	rngs []uint64
+	rngs []uint64 // per-server TieRandom streams; nil under TieFirstPort
 
 	occ      []bool   // servers: occupied; relays: last announced head occupancy
 	reqArc   []int32  // servers: outstanding request arc; relays: pending child request arc
@@ -386,9 +390,16 @@ func (st *flatHyperState) reset(fi *FlatInstance, opt ShardedSolveOptions) {
 	st.unch = reuse.Grown(st.unch, n+m)
 	st.tie = opt.Tie
 	if opt.Tie == core.TieRandom {
-		st.rngs = reuse.Grown(st.rngs, n+m)
-		for v := range st.rngs {
-			st.rngs[v] = core.TieSeed(opt.Seed, v)
+		// Only servers pick (a relay never draws, as in the object
+		// engine, where only serverMachine has a stream), so only
+		// servers get a stream: their own, or their owner's.
+		st.rngs = reuse.Grown(st.rngs, n)
+		for s := range st.rngs {
+			owner := s
+			if fi.owner != nil {
+				owner = int(fi.owner[s])
+			}
+			st.rngs[s] = core.TieSeed(opt.Seed, owner)
 		}
 	} else {
 		st.rngs = nil

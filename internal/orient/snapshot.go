@@ -54,16 +54,18 @@ func captureSnapshot(snap *Snapshot, phase, oriented, rounds int, head, load []i
 	snap.PhaseLog = append(snap.PhaseLog[:0], log...)
 }
 
-// Capture fills snap from the orientation after the given phase.
+// Capture fills snap from the orientation after the given phase, with
+// the heads written back by edge id into snap's own buffer.
 func (p *phases) Capture(snap *Snapshot, phase, rounds int, log []PhaseRecord) {
-	captureSnapshot(snap, phase, len(p.res.Head)-len(p.unoriented), rounds, p.res.Head, p.res.Load, p.rngs, log)
+	head := p.headsByID(reuse.Grown(snap.Head, len(p.head)))
+	captureSnapshot(snap, phase, len(p.head)-len(p.unoriented), rounds, head, p.load, p.rngs, log)
 }
 
 // Cursor checks rs's shape against the solve's graph and returns its
 // cursor; core.PhaseLoop checks the phase log and the TieRandom streams
 // (one per vertex) before Restore runs.
 func (p *phases) Cursor(rs *Snapshot) (core.PhaseCursor, error) {
-	n, m := len(p.res.Load), len(p.res.Head)
+	n, m := len(p.load), len(p.head)
 	if len(rs.Head) != m || len(rs.Load) != n {
 		return core.PhaseCursor{}, fmt.Errorf("resume snapshot shaped %d edges / %d vertices, graph has %d / %d",
 			len(rs.Head), len(rs.Load), m, n)
@@ -76,19 +78,21 @@ func (p *phases) Cursor(rs *Snapshot) (core.PhaseCursor, error) {
 // head an endpoint of its edge, the oriented count and every load what
 // the heads encode, every edge of badness at most 1 (Lemma 5.4, which
 // holds between phases) — and installs it into the orientation, with
-// the unoriented edges as the next phase's proposers.
+// the unoriented edges as the next phase's proposers. It runs before
+// the first phase, while the unoriented list still holds every edge's
+// lex position in edge-id order.
 func (p *phases) Restore(rs *Snapshot) error {
-	r := p.res
-	head, load, eu, ev := r.Head, r.Load, r.eu, r.ev
+	load := p.load
 	oriented := 0
 	clear(load)
-	for id, h := range rs.Head {
+	for id, j := range p.unoriented {
+		h := rs.Head[id]
 		if h == -1 {
 			continue
 		}
-		if h != eu[id] && h != ev[id] {
+		if h != p.u[j] && h != p.v[j] {
 			return fmt.Errorf("resume snapshot orients edge %d toward vertex %d, not one of its endpoints %d, %d",
-				id, h, eu[id], ev[id])
+				id, h, p.u[j], p.v[j])
 		}
 		load[h]++
 		oriented++
@@ -101,15 +105,22 @@ func (p *phases) Restore(rs *Snapshot) error {
 			return fmt.Errorf("resume snapshot's load of vertex %d is %d, heads encode %d", v, rs.Load[v], l)
 		}
 	}
-	copy(head, rs.Head)
-	if b := r.MaxBadness(); b > 1 {
-		return fmt.Errorf("resume snapshot has an edge of badness %d (at most 1 between phases)", b)
+	worst := int32(0)
+	for id, j := range p.unoriented {
+		p.head[j] = rs.Head[id]
 	}
-	p.unoriented = p.unoriented[:0]
-	for id, h := range head {
-		if h < 0 {
-			p.unoriented = append(p.unoriented, int32(id))
+	for j := range p.head {
+		worst = max(worst, p.badness(j))
+	}
+	if worst > 1 {
+		return fmt.Errorf("resume snapshot has an edge of badness %d (at most 1 between phases)", worst)
+	}
+	kept := p.unoriented[:0]
+	for _, j := range p.unoriented {
+		if p.head[j] < 0 {
+			kept = append(kept, j)
 		}
 	}
+	p.unoriented = kept
 	return nil
 }
