@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"tokendrop/internal/reuse"
 )
@@ -220,11 +221,11 @@ type CSRBuilder struct {
 }
 
 // NewCSRBuilder returns a builder for a graph on n vertices, preallocating
-// room for edgeHint edges.
+// room for edgeHint edges. A CSR keeps vertex ids and arc offsets in
+// int32, so the builder panics on n above math.MaxInt32 and on the edge
+// that would take the arc count 2·m past it.
 func NewCSRBuilder(n, edgeHint int) *CSRBuilder {
-	if n < 0 {
-		panic("graph: negative vertex count")
-	}
+	checkVertexCount(n)
 	if edgeHint < 0 {
 		edgeHint = 0
 	}
@@ -234,6 +235,20 @@ func NewCSRBuilder(n, edgeHint int) *CSRBuilder {
 		vs: make([]int32, 0, edgeHint),
 	}
 }
+
+// checkVertexCount panics on a vertex count a CSR cannot number.
+func checkVertexCount(n int) {
+	if n < 0 {
+		panic("graph: negative vertex count")
+	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d vertices exceed the CSR's int32 range", n))
+	}
+}
+
+// arcsOverflow reports whether m edges, two arcs each, overflow the
+// CSR's int32 arc offsets.
+func arcsOverflow(m int) bool { return m > math.MaxInt32/2 }
 
 // N returns the vertex count.
 func (b *CSRBuilder) N() int { return b.n }
@@ -249,6 +264,9 @@ func (b *CSRBuilder) AddEdge(u, v int) int {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at vertex %d", u))
 	}
+	if arcsOverflow(len(b.us) + 1) {
+		panic(fmt.Sprintf("graph: edge %d takes the CSR past %d arcs", len(b.us), math.MaxInt32))
+	}
 	b.us = append(b.us, int32(u))
 	b.vs = append(b.vs, int32(v))
 	return len(b.us) - 1
@@ -257,9 +275,7 @@ func (b *CSRBuilder) AddEdge(u, v int) int {
 // Reset clears the builder for reuse on a graph with n vertices,
 // retaining the edge buffer's capacity (and the scratch of BuildInto).
 func (b *CSRBuilder) Reset(n int) {
-	if n < 0 {
-		panic("graph: negative vertex count")
-	}
+	checkVertexCount(n)
 	b.n = n
 	b.us = b.us[:0]
 	b.vs = b.vs[:0]

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -190,6 +191,39 @@ func TestCSRBuilderResetBuildInto(t *testing.T) {
 	rebuild()
 	if allocs := testing.AllocsPerRun(5, rebuild); allocs != 0 {
 		t.Errorf("warmed Reset/BuildInto cycle allocated %.1f objects; want 0", allocs)
+	}
+}
+
+// TestCSRBuilderVertexGuard: a builder numbers vertices in int32, so
+// NewCSRBuilder and Reset panic on a vertex count past math.MaxInt32
+// and accept math.MaxInt32 itself. Neither allocates per vertex.
+func TestCSRBuilderVertexGuard(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	limit := math.MaxInt32
+	if panics(func() { NewCSRBuilder(limit, 0) }) || panics(func() { NewCSRBuilder(0, 0).Reset(limit) }) {
+		t.Fatal("a builder rejects math.MaxInt32 vertices")
+	}
+	if !panics(func() { NewCSRBuilder(limit+1, 0) }) {
+		t.Error("NewCSRBuilder accepts math.MaxInt32 + 1 vertices")
+	}
+	if !panics(func() { NewCSRBuilder(0, 0).Reset(limit + 1) }) {
+		t.Error("Reset accepts math.MaxInt32 + 1 vertices")
+	}
+}
+
+// TestCSRBuilderArcGuard checks the comparison AddEdge runs before each
+// insertion, since the 2^30 edges that reach it do not fit a test: the
+// arc count 2·m may reach math.MaxInt32 but not pass it.
+func TestCSRBuilderArcGuard(t *testing.T) {
+	if arcsOverflow(math.MaxInt32 / 2) {
+		t.Errorf("%d edges rejected, but their %d arcs fit int32", math.MaxInt32/2, math.MaxInt32-1)
+	}
+	if !arcsOverflow(math.MaxInt32/2 + 1) {
+		t.Errorf("%d edges accepted, but their arcs pass math.MaxInt32", math.MaxInt32/2+1)
 	}
 }
 
