@@ -50,15 +50,15 @@
 //   - orientation: StableOrientation drives the seed engine,
 //     StableOrientationSharded runs the whole Theorem 5.1 phase loop in
 //     flat arrays over a FlatGraph (CSR) and plays each phase's token
-//     dropping subgame on the sharded engine — ~4–5× the seed engine's
-//     throughput at 10⁵–10⁶ vertices on one core (experiment E23);
+//     dropping subgame on the sharded engine — ~10× faster than the seed
+//     engine at 6·10⁴ vertices on two cores (experiment E23);
 //   - assignment: StableAssignmentSharded runs the Theorem 7.3 phase loop
 //     over a FlatBipartite (CSR customer/server network), and with a
 //     threshold K the Theorem 7.5 k-bounded relaxation
 //     (KBoundedAssignmentSharded is the K = 2 default), playing each
 //     phase's hypergraph subgame on the flat ports of the Theorem 7.1/7.5
-//     relay protocols — ~5× the seed engine at 10⁵ customers (experiment
-//     E24), with 10⁶-customer instances solved in seconds on one core.
+//     relay protocols — ~8× faster than the seed engine at 10⁵ customers
+//     on two cores (experiment E24).
 //
 // Per-layer differential suites (internal/orient, internal/assign and
 // its k-bounded suite internal/bounded, internal/hypergame) assert
