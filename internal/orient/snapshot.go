@@ -105,15 +105,11 @@ func (p *phases) Restore(rs *Snapshot) error {
 			return fmt.Errorf("resume snapshot's load of vertex %d is %d, heads encode %d", v, rs.Load[v], l)
 		}
 	}
-	worst := int32(0)
 	for id, j := range p.unoriented {
 		p.head[j] = rs.Head[id]
 	}
-	for j := range p.head {
-		worst = max(worst, p.badness(j))
-	}
-	if worst > 1 {
-		return fmt.Errorf("resume snapshot has an edge of badness %d (at most 1 between phases)", worst)
+	if b := p.Badness(0, len(p.head)); b > 1 { // the loop's first pass rewrites the marks
+		return fmt.Errorf("resume snapshot has an edge of badness %d (at most 1 between phases)", b)
 	}
 	kept := p.unoriented[:0]
 	for _, j := range p.unoriented {
